@@ -29,10 +29,10 @@ from .evaluation import (
     METHODS,
     ExperimentConfig,
     PrecisionReport,
-    rank_candidates,
+    _run_points,
+    _sweep_grids,
+    rank_candidates,  # noqa: F401  (perfbench's tracer test wraps it here)
     run_experiment,
-    sweep,
-    sweep_m,
 )
 from .graph import TemporalGraph, adjacency, parse_edge_stream, simplify
 from .spectral import eigendecompose, select_m
@@ -116,17 +116,16 @@ def _report_payload(report: PrecisionReport) -> dict:
 def cmd_predict(manifest: RunManifest) -> int:
     """Run every requested method and emit reports plus prediction lists."""
     graph = _load_graph(manifest)
+    cfgs = [replace(manifest.base, method=method) for method in manifest.methods]
+    results = _run_points(graph, cfgs, keep_top=True)
     manifest.out_dir.mkdir(parents=True, exist_ok=True)
     dataset = manifest.input.stem
 
-    reports: list[PrecisionReport] = []
-    for method in manifest.methods:
-        cfg = replace(manifest.base, method=method)
-        report = run_experiment(graph, cfg, collect_mean_scores=True)
-        reports.append(report)
-        _write_predictions(
-            manifest.out_dir / f"predictions_{method}.txt", graph, report
-        )
+    reports = [report for report, _ in results]
+    for report, top in results:
+        with open(manifest.out_dir / f"predictions_{report.config.method}.txt", "w") as fh:
+            for (u, v), score in zip(top.pairs, top.scores):
+                fh.write(f"{graph.labels[u]}\t{graph.labels[v]}\t{float(score)!r}\n")
 
     if "csv" in manifest.emit:
         header = [
@@ -157,34 +156,20 @@ def cmd_predict(manifest: RunManifest) -> int:
     return 0
 
 
-def _write_predictions(path: Path, graph: TemporalGraph, report: PrecisionReport) -> None:
-    split = split_train_probe(
-        graph,
-        SplitConfig(
-            p_fresher=report.config.p_fresher,
-            probe_fraction=report.config.probe_fraction,
-        ),
-    )
-    ranked = rank_candidates(report.mean_scores, adjacency(graph, split.train))
-    top = min(report.L, len(ranked))
-    with open(path, "w") as fh:
-        for (u, v), score in zip(ranked.pairs[:top], ranked.scores[:top]):
-            fh.write(f"{graph.labels[u]}\t{graph.labels[v]}\t{float(score)!r}\n")
-
-
 def cmd_sweep(manifest: RunManifest) -> int:
     """Emit precision-vs-alpha curves and, when asked, a precision-vs-m curve."""
     if not manifest.alpha_grid and not manifest.m_grid:
         raise ValueError("sweep needs --alpha-grid and/or --m-grid")
     graph = _load_graph(manifest)
-    manifest.out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = manifest.input.stem
     base = replace(manifest.base, method=manifest.methods[0])
-    payload: dict = {"dataset": dataset, "input": str(manifest.input)}
+    p_freshers = manifest.p_fresher_grid or (base.p_fresher,)
+    points, m_results = _sweep_grids(
+        graph, base, manifest.alpha_grid, p_freshers, manifest.m_grid
+    )
+    manifest.out_dir.mkdir(parents=True, exist_ok=True)
+    payload: dict = {"dataset": manifest.input.stem, "input": str(manifest.input)}
 
     if manifest.alpha_grid:
-        p_freshers = manifest.p_fresher_grid or (base.p_fresher,)
-        points = sweep(graph, base, manifest.alpha_grid, p_freshers)
         for pf in p_freshers:
             rows = [
                 [p.alpha, p.report.mean_precision, p.report.std_precision]
@@ -208,16 +193,15 @@ def cmd_sweep(manifest: RunManifest) -> int:
         ]
 
     if manifest.m_grid:
-        results = sweep_m(graph, base, manifest.m_grid)
         if "csv" in manifest.emit:
             _write_csv(
                 manifest.out_dir / "sweep_m.csv",
                 ["m_over_n", "mean_precision"],
-                [[m / graph.n, r.mean_precision] for m, r in results],
+                [[m / graph.n, r.mean_precision] for m, r in m_results],
             )
         payload["m_sweep"] = [
             {"m": m, "m_over_n": m / graph.n, "mean_precision": r.mean_precision}
-            for m, r in results
+            for m, r in m_results
         ]
 
     if "json" in manifest.emit:
@@ -229,13 +213,7 @@ def cmd_spectrum(manifest: RunManifest) -> int:
     """Spectrum of the training adjacency: eigenvalues, gaps, auto-selected m."""
     graph = _load_graph(manifest)
     manifest.out_dir.mkdir(parents=True, exist_ok=True)
-    split = split_train_probe(
-        graph,
-        SplitConfig(
-            p_fresher=manifest.base.p_fresher,
-            probe_fraction=manifest.base.probe_fraction,
-        ),
-    )
+    split = split_train_probe(graph, SplitConfig(probe_fraction=manifest.base.probe_fraction))
     model = eigendecompose(adjacency(graph, split.train))
     lam = model.eigenvalues
     abs_lam = [abs(v) for v in lam]
@@ -272,9 +250,9 @@ def cmd_diagnose(manifest: RunManifest) -> int:
     if len(manifest.methods) != 1 or manifest.methods[0] not in ("SPM", "PBSPM", "FastPBSPM"):
         raise ValueError("diagnose requires exactly one spectral method")
     graph = _load_graph(manifest)
-    manifest.out_dir.mkdir(parents=True, exist_ok=True)
     cfg = replace(manifest.base, method=manifest.methods[0])
     report = run_experiment(graph, cfg)
+    manifest.out_dir.mkdir(parents=True, exist_ok=True)
     dataset = manifest.input.stem
     if "csv" in manifest.emit:
         _write_csv(

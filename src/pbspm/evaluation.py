@@ -2,8 +2,12 @@
 
 An experiment splits a temporal graph once, scores the non-observed training
 pairs with the requested method, and measures how many of the top-L ranked
-pairs fall in the probe set. Spectral methods repeat this over independent
-random perturbations; the classical baselines are deterministic and run once.
+pairs fall in the probe set. The classical baselines are deterministic and
+run once. Spectral methods repeat this over independent random
+perturbations. ``run_experiment``, ``sweep``, ``sweep_m`` and the CLI all
+run on one engine: it perturbs and eigendecomposes each realization once and
+scores every requested method and grid point from that one corrected
+spectrum, so all of them share the same perturbations.
 """
 
 from __future__ import annotations
@@ -100,6 +104,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.realizations < 1:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")
+        if not 0.0 < self.p_fresher < 1.0:
+            raise ValueError(f"p_fresher must be in (0,1), got {self.p_fresher}")
+        if self.L is not None and self.L < 1:
+            raise ValueError(f"L must be >= 1, got {self.L}")
         if self.score_averaging not in ("precision", "matrix"):
             raise ValueError(
                 f"score_averaging must be 'precision' or 'matrix', got {self.score_averaging!r}"
@@ -226,27 +234,6 @@ def _baseline_scores(
     raise ValueError(f"not a baseline method: {method}")
 
 
-def _spectral_models(
-    train_view: AdjacencyView,
-    train_edges: np.ndarray,
-    cfg: ExperimentConfig,
-) -> tuple[list[Optional[SpectralModel]], list[str]]:
-    """One corrected spectral model per realization; None marks a failure."""
-    models: list[Optional[SpectralModel]] = []
-    failures: list[str] = []
-    for r in range(cfg.realizations):
-        try:
-            sample = sample_perturbation(train_view, train_edges, cfg.p_h, cfg.seed + r)
-            model = eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
-            models.append(model)
-        except NumericalError as err:
-            models.append(None)
-            failures.append(f"realization {r}: {err}")
-    if not any(m is not None for m in models):
-        raise NumericalError(f"all {cfg.realizations} realizations failed: {failures}")
-    return models, failures
-
-
 def _spectral_realization_scores(
     model: SpectralModel, cfg: ExperimentConfig, pop: PopularityVector, m: Optional[int]
 ) -> tuple[ScoreMatrix, np.ndarray]:
@@ -260,19 +247,174 @@ def _spectral_realization_scores(
     return truncated_scores(model, pop, cfg.alpha, m), boosted_x1
 
 
-def _resolve_m(cfg: ExperimentConfig, train_view: AdjacencyView) -> Optional[int]:
-    if cfg.method != "FastPBSPM":
-        return None
-    if cfg.m is not None:
-        if not 1 <= cfg.m <= train_view.n:
-            raise ValueError(f"m must be in [1, {train_view.n}], got {cfg.m}")
-        return cfg.m
-    return select_m(eigendecompose(train_view).eigenvalues, cfg.m_threshold)
-
-
 def _mean_or_none(values: list[Optional[float]]) -> Optional[float]:
     present = [v for v in values if v is not None]
     return float(np.mean(present)) if present else None
+
+
+@dataclass
+class _Point:
+    """One requested config and what has been computed for it so far."""
+
+    cfg: ExperimentConfig
+    L: int
+    m: Optional[int] = None
+    score_sum: Optional[np.ndarray] = None
+    precisions: list[float] = field(default_factory=list)
+    delta_ccs: list[Optional[float]] = field(default_factory=list)
+    result: Optional[tuple[PrecisionReport, Optional[RankedCandidates]]] = None
+
+
+def _validate(cfgs: Sequence[ExperimentConfig], n: int) -> None:
+    for cfg in cfgs:
+        if cfg.method in SPECTRAL_METHODS and not 0.0 < cfg.p_h < 1.0:
+            raise ValueError(f"p_h must be in (0,1), got {cfg.p_h}")
+        if cfg.method in ("PBSPM", "FastPBSPM") and cfg.alpha < 0:
+            raise ValueError(f"alpha must be nonnegative, got {cfg.alpha}")
+        if cfg.method == "FastPBSPM" and cfg.m is not None and not 1 <= cfg.m <= n:
+            raise ValueError(f"m must be in [1, {n}], got {cfg.m}")
+        if cfg.method == "FastPBSPM" and cfg.m is None and cfg.m_threshold < 0:
+            raise ValueError(f"threshold must be nonnegative, got {cfg.m_threshold}")
+
+
+def _top(ranked: RankedCandidates, L: int) -> RankedCandidates:
+    # Copies, so that the full candidate arrays can be freed.
+    top = min(L, len(ranked))
+    return RankedCandidates(pairs=ranked.pairs[:top].copy(), scores=ranked.scores[:top].copy())
+
+
+def _score_spectral(
+    graph: TemporalGraph,
+    split: TrainProbeSplit,
+    train_view: AdjacencyView,
+    points: Sequence[_Point],
+    keep_scores: bool,
+    keep_top: bool,
+) -> None:
+    """Score every point from each realization's one corrected spectrum."""
+    pops = {
+        pf: popularity(graph, split.train, pf)
+        for pf in dict.fromkeys(p.cfg.p_fresher for p in points)
+    }
+    probe_inc = _probe_degree_increment(graph, n_train=split.train.size)
+    fast = [p for p in points if p.cfg.method == "FastPBSPM"]
+    if any(p.cfg.m is None for p in fast):
+        train_lam = eigendecompose(train_view).eigenvalues
+    for p in fast:
+        p.m = p.cfg.m if p.cfg.m is not None else select_m(train_lam, p.cfg.m_threshold)
+    for p in points:
+        if keep_scores or keep_top or p.cfg.score_averaging == "matrix":
+            p.score_sum = np.zeros_like(train_view.matrix)
+
+    shared = points[0].cfg
+    train_edges = graph.edges[split.train]
+    shifts: list[float] = []
+    failures: list[str] = []
+    for r in range(shared.realizations):
+        try:
+            sample = sample_perturbation(train_view, train_edges, shared.p_h, shared.seed + r)
+            model = eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
+        except NumericalError as err:
+            failures.append(f"realization {r}: {err}")
+            continue
+        finally:
+            sample = None
+        shifts.append(float(model.corrections[0]))
+        for p in points:
+            scores, boosted_x1 = _spectral_realization_scores(
+                model, p.cfg, pops[p.cfg.p_fresher], p.m
+            )
+            try:
+                p.delta_ccs.append(delta_cc(model, boosted_x1, probe_inc))
+            except ZeroVarianceError:
+                p.delta_ccs.append(None)
+            if p.cfg.score_averaging == "precision":
+                ranked = rank_candidates(scores, train_view)
+                p.precisions.append(precision_at(ranked, split.probe, p.L))
+            if p.score_sum is not None:
+                p.score_sum += scores.values
+            ranked = scores = None  # free each n x n array before the next is built
+        model = None
+    if not shifts:
+        raise NumericalError(f"all {shared.realizations} realizations failed: {failures}")
+
+    for p in points:
+        mean_scores = ranked = None
+        if p.score_sum is not None:
+            p.score_sum /= len(shifts)
+            p.score_sum.setflags(write=False)
+            mean_scores = ScoreMatrix(n=train_view.n, values=p.score_sum)
+        if p.cfg.score_averaging == "matrix" or keep_top:
+            ranked = rank_candidates(mean_scores, train_view)
+        if p.cfg.score_averaging == "matrix":
+            per, mean_prec, std = (), precision_at(ranked, split.probe, p.L), None
+        else:
+            per = tuple(p.precisions)
+            mean_prec, std = float(np.mean(per)), float(np.std(per))
+        report = PrecisionReport(
+            config=p.cfg,
+            L=p.L,
+            probe_dropped=split.probe_dropped,
+            per_realization=per,
+            mean_precision=mean_prec,
+            std_precision=std,
+            mean_delta_lambda1=float(np.mean(shifts)),
+            mean_delta_cc=_mean_or_none(p.delta_ccs),
+            resolved_m=p.m,
+            failures=tuple(failures),
+            mean_scores=mean_scores if keep_scores else None,
+        )
+        p.result = (report, _top(ranked, p.L) if keep_top else None)
+
+
+def _run_points(
+    graph: TemporalGraph,
+    cfgs: Sequence[ExperimentConfig],
+    keep_scores: bool = False,
+    keep_top: bool = False,
+) -> list[tuple[PrecisionReport, Optional[RankedCandidates]]]:
+    """Evaluate every config from one split and one spectrum per realization.
+
+    The configs must agree on ``realizations``, ``seed``, ``p_h`` and
+    ``probe_fraction``, which fix the split and the perturbations, and may
+    differ in everything else; all are validated before anything is
+    decomposed. Baselines are scored once. Each realization is then
+    perturbed, decomposed and corrected once, and every spectral config is
+    scored from that one model. ``keep_scores`` puts the realization-mean
+    score matrix into each report; ``keep_top`` pairs each report with the
+    top-L ranking of that matrix.
+    """
+    _validate(cfgs, graph.n)
+    split = split_train_probe(graph, SplitConfig(probe_fraction=cfgs[0].probe_fraction))
+    train_view = adjacency(graph, split.train)
+    points = []
+    for cfg in cfgs:
+        L = cfg.L
+        if L is None:
+            L = split.probe_total if cfg.count_dropped_in_L else len(split.probe)
+        points.append(_Point(cfg, L))
+        if cfg.method in SPECTRAL_METHODS:
+            continue
+        scores = _baseline_scores(cfg.method, train_view, cfg)
+        ranked = rank_candidates(scores, train_view)
+        prec = precision_at(ranked, split.probe, L)
+        report = PrecisionReport(
+            config=cfg,
+            L=L,
+            probe_dropped=split.probe_dropped,
+            per_realization=(prec,),
+            mean_precision=prec,
+            std_precision=0.0,
+            mean_delta_lambda1=None,
+            mean_delta_cc=None,
+            mean_scores=scores if keep_scores else None,
+        )
+        points[-1].result = (report, _top(ranked, L) if keep_top else None)
+        scores = ranked = None  # free both before the realization loop
+    spectral = [p for p in points if p.cfg.method in SPECTRAL_METHODS]
+    if spectral:
+        _score_spectral(graph, split, train_view, spectral, keep_scores, keep_top)
+    return [p.result for p in points]
 
 
 def run_experiment(
@@ -287,130 +429,31 @@ def run_experiment(
     With ``collect_mean_scores`` the report also carries the score matrix
     averaged over realizations, for emitting prediction lists.
     """
-    split = split_train_probe(
-        graph, SplitConfig(p_fresher=cfg.p_fresher, probe_fraction=cfg.probe_fraction)
-    )
-    train_view = adjacency(graph, split.train)
-    L = cfg.L
-    if L is None:
-        L = split.probe_total if cfg.count_dropped_in_L else len(split.probe)
-
-    if cfg.method not in SPECTRAL_METHODS:
-        scores = _baseline_scores(cfg.method, train_view, cfg)
-        prec = precision_at(rank_candidates(scores, train_view), split.probe, L)
-        return PrecisionReport(
-            config=cfg,
-            L=L,
-            probe_dropped=split.probe_dropped,
-            per_realization=(prec,),
-            mean_precision=prec,
-            std_precision=0.0,
-            mean_delta_lambda1=None,
-            mean_delta_cc=None,
-            mean_scores=scores if collect_mean_scores else None,
-        )
-
-    pop = popularity(graph, split.train, cfg.p_fresher)
-    probe_inc = _probe_degree_increment(graph, n_train=split.train.size)
-    m = _resolve_m(cfg, train_view)
-    models, failures = _spectral_models(train_view, graph.edges[split.train], cfg)
-
-    precisions: list[float] = []
-    delta_lambda1: list[Optional[float]] = []
-    delta_ccs: list[Optional[float]] = []
-    score_sum = np.zeros_like(train_view.matrix) if (
-        cfg.score_averaging == "matrix" or collect_mean_scores
-    ) else None
-    n_ok = 0
-    for model in models:
-        if model is None:
-            continue
-        scores, boosted_x1 = _spectral_realization_scores(model, cfg, pop, m)
-        delta_lambda1.append(float(model.corrections[0]))
-        try:
-            delta_ccs.append(delta_cc(model, boosted_x1, probe_inc))
-        except ZeroVarianceError:
-            delta_ccs.append(None)
-        if cfg.score_averaging == "precision":
-            precisions.append(precision_at(rank_candidates(scores, train_view), split.probe, L))
-        if score_sum is not None:
-            score_sum += scores.values
-        n_ok += 1
-
-    mean_scores = None
-    if score_sum is not None:
-        mean_scores = ScoreMatrix(n=train_view.n, values=score_sum / n_ok)
-        mean_scores.values.setflags(write=False)
-    if cfg.score_averaging == "matrix":
-        mean_prec = precision_at(rank_candidates(mean_scores, train_view), split.probe, L)
-        per, std = (), None
-    else:
-        per = tuple(precisions)
-        mean_prec = float(np.mean(precisions))
-        std = float(np.std(precisions))
-    return PrecisionReport(
-        config=cfg,
-        L=L,
-        probe_dropped=split.probe_dropped,
-        per_realization=per,
-        mean_precision=mean_prec,
-        std_precision=std,
-        mean_delta_lambda1=_mean_or_none(delta_lambda1),
-        mean_delta_cc=_mean_or_none(delta_ccs),
-        resolved_m=m,
-        failures=tuple(failures),
-        mean_scores=mean_scores if collect_mean_scores else None,
-    )
+    return _run_points(graph, [cfg], keep_scores=collect_mean_scores)[0][0]
 
 
-def _shared_spectral_state(graph: TemporalGraph, cfg: ExperimentConfig):
-    split = split_train_probe(
-        graph, SplitConfig(p_fresher=cfg.p_fresher, probe_fraction=cfg.probe_fraction)
-    )
-    train_view = adjacency(graph, split.train)
-    probe_inc = _probe_degree_increment(graph, n_train=split.train.size)
-    models, failures = _spectral_models(train_view, graph.edges[split.train], cfg)
-    return split, train_view, probe_inc, models, failures
+def _sweep_grids(
+    graph: TemporalGraph,
+    base_cfg: ExperimentConfig,
+    alphas: Sequence[float],
+    p_freshers: Sequence[float],
+    ms: Sequence[int],
+) -> tuple[list[SweepPoint], list[tuple[int, PrecisionReport]]]:
+    """The (alpha, p_fresher) sweep and the m sweep from one engine call.
 
-
-def _point_report(
-    cfg: ExperimentConfig,
-    split: TrainProbeSplit,
-    train_view: AdjacencyView,
-    probe_inc: np.ndarray,
-    models: list[Optional[SpectralModel]],
-    failures: list[str],
-    pop: PopularityVector,
-    m: Optional[int],
-) -> PrecisionReport:
-    L = cfg.L
-    if L is None:
-        L = split.probe_total if cfg.count_dropped_in_L else len(split.probe)
-    precisions: list[float] = []
-    delta_lambda1: list[Optional[float]] = []
-    delta_ccs: list[Optional[float]] = []
-    for model in models:
-        if model is None:
-            continue
-        scores, boosted_x1 = _spectral_realization_scores(model, cfg, pop, m)
-        delta_lambda1.append(float(model.corrections[0]))
-        try:
-            delta_ccs.append(delta_cc(model, boosted_x1, probe_inc))
-        except ZeroVarianceError:
-            delta_ccs.append(None)
-        precisions.append(precision_at(rank_candidates(scores, train_view), split.probe, L))
-    return PrecisionReport(
-        config=cfg,
-        L=L,
-        probe_dropped=split.probe_dropped,
-        per_realization=tuple(precisions),
-        mean_precision=float(np.mean(precisions)),
-        std_precision=float(np.std(precisions)),
-        mean_delta_lambda1=_mean_or_none(delta_lambda1),
-        mean_delta_cc=_mean_or_none(delta_ccs),
-        resolved_m=m,
-        failures=tuple(failures),
-    )
+    An empty ``alphas`` or ``ms`` skips that sweep; ``p_freshers`` must be
+    non-empty when ``alphas`` is not. Every point averages precision over
+    the realizations, whatever ``score_averaging`` says.
+    """
+    base = replace(base_cfg, score_averaging="precision")
+    if len(alphas) and base.method not in ("PBSPM", "FastPBSPM"):
+        raise ValueError(f"sweep requires a popularity-boosted method, got {base.method}")
+    grid = [(alpha, pf) for pf in p_freshers for alpha in alphas]
+    cfgs = [replace(base, alpha=alpha, p_fresher=pf) for alpha, pf in grid]
+    cfgs += [replace(base, method="FastPBSPM", m=m) for m in ms]
+    reports = [report for report, _ in _run_points(graph, cfgs)]
+    points = [SweepPoint(alpha=a, p_fresher=pf, report=r) for (a, pf), r in zip(grid, reports)]
+    return points, list(zip(ms, reports[len(grid):]))
 
 
 def sweep(
@@ -421,27 +464,14 @@ def sweep(
 ) -> list[SweepPoint]:
     """Precision over the (alpha, p_fresher) grid with one shared split.
 
-    The perturbation realizations depend only on the seed, so the spectral
-    models are decomposed once and reused across every grid point; results
-    are identical to running each point through ``run_experiment``.
+    Each realization is perturbed and decomposed once and scored at every
+    grid point, so all points share the same perturbations; results are
+    identical to running each point through ``run_experiment`` with
+    precision averaging.
     """
-    if base_cfg.method not in ("PBSPM", "FastPBSPM"):
-        raise ValueError(f"sweep requires a popularity-boosted method, got {base_cfg.method}")
     if len(alphas) == 0 or len(p_freshers) == 0:
         raise ValueError("alpha and p_fresher grids must be non-empty")
-    points: list[SweepPoint] = []
-    for pf in p_freshers:
-        pf_cfg = replace(base_cfg, p_fresher=pf)
-        split, train_view, probe_inc, models, failures = _shared_spectral_state(graph, pf_cfg)
-        pop = popularity(graph, split.train, pf)
-        m = _resolve_m(pf_cfg, train_view)
-        for alpha in alphas:
-            cfg = replace(pf_cfg, alpha=alpha)
-            report = _point_report(
-                cfg, split, train_view, probe_inc, models, failures, pop, m
-            )
-            points.append(SweepPoint(alpha=alpha, p_fresher=pf, report=report))
-    return points
+    return _sweep_grids(graph, base_cfg, alphas, p_freshers, ())[0]
 
 
 def sweep_m(
@@ -450,16 +480,4 @@ def sweep_m(
     """Precision of the truncated reconstruction for each requested m."""
     if len(ms) == 0:
         raise ValueError("m grid must be non-empty")
-    cfg = replace(base_cfg, method="FastPBSPM")
-    split, train_view, probe_inc, models, failures = _shared_spectral_state(graph, cfg)
-    pop = popularity(graph, split.train, cfg.p_fresher)
-    results = []
-    for m in ms:
-        if not 1 <= m <= train_view.n:
-            raise ValueError(f"m must be in [1, {train_view.n}], got {m}")
-        point_cfg = replace(cfg, m=m)
-        report = _point_report(
-            point_cfg, split, train_view, probe_inc, models, failures, pop, m
-        )
-        results.append((m, report))
-    return results
+    return _sweep_grids(graph, base_cfg, (), (), ms)[1]

@@ -28,16 +28,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SplitConfig:
-    """Fractions controlling the temporal splits."""
+    """Fraction of the newest edges held out as the probe set."""
 
-    p_fresher: float
     probe_fraction: float = 0.10
 
     def __post_init__(self):
         if not 0.0 < self.probe_fraction < 1.0:
             raise ValueError(f"probe_fraction must be in (0,1), got {self.probe_fraction}")
-        if not 0.0 < self.p_fresher < 1.0:
-            raise ValueError(f"p_fresher must be in (0,1), got {self.p_fresher}")
 
 
 @dataclass(frozen=True)

@@ -270,9 +270,7 @@ class TestCriterion8DiagnosticSigns:
 class TestCriterion9EigengapSelection:
     def test_auto_m_matches_reference(self, name):
         graph = dataset_graph(name)
-        split = split_train_probe(
-            graph, SplitConfig(p_fresher=DATASETS[name]["p_fresher"])
-        )
+        split = split_train_probe(graph, SplitConfig())
         model = eigendecompose(adjacency(graph, split.train))
         assert select_m(model.eigenvalues) == DATASETS[name]["m"]
 

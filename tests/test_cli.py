@@ -251,3 +251,76 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "predict" in proc.stdout
+
+
+@pytest.fixture()
+def eigh_calls(monkeypatch):
+    """Count the eigendecompositions the experiment engine runs."""
+    import pbspm.evaluation as evaluation
+
+    calls = {"count": 0}
+    real = evaluation.eigendecompose
+
+    def counting(view):
+        calls["count"] += 1
+        return real(view)
+
+    monkeypatch.setattr(evaluation, "eigendecompose", counting)
+    return calls
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("realizations", [1, 3])
+    def test_predict_decomposes_each_realization_once(
+        self, shift_dataset, tmp_path, eigh_calls, realizations
+    ):
+        rc = run_cli(
+            "predict", *common_args(shift_dataset, tmp_path / "out",
+                                    **{"--realizations": realizations}),
+            "--method", "PBSPM,SPM,FastPBSPM",
+        )
+        assert rc == 0
+        # One per realization, plus the training spectrum that picks FastPBSPM's m.
+        assert eigh_calls["count"] == realizations + 1
+
+    def test_sweep_grids_share_one_decomposition_per_realization(
+        self, shift_dataset, tmp_path, eigh_calls
+    ):
+        rc = run_cli(
+            "sweep", *common_args(shift_dataset, tmp_path / "out", **{"--realizations": 3}),
+            "--alpha-grid", "0,5", "--p-fresher-grid", "0.1,0.2", "--m-grid", "1,10,80",
+        )
+        assert rc == 0
+        assert eigh_calls["count"] == 3
+
+    def test_baselines_are_ranked_once(self, shift_dataset, tmp_path, monkeypatch):
+        import pbspm.evaluation as evaluation
+
+        ranked = []
+        real = evaluation.rank_candidates
+
+        def counting(scores, view):
+            ranked.append(scores)
+            return real(scores, view)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("pbspm") and getattr(module, "rank_candidates", None) is real:
+                monkeypatch.setattr(module, "rank_candidates", counting)
+        rc = run_cli("predict", *common_args(shift_dataset, tmp_path / "out"),
+                     "--method", "CN,Katz")
+        assert rc == 0
+        assert len(ranked) == 2
+
+    @pytest.mark.parametrize("args", [
+        ("sweep", "--alpha-grid", "0,5", "--p-fresher-grid", "0.1,0.2", "--m-grid", "1,0"),
+        ("predict", "--method", "PBSPM", "--alpha", "-1"),
+    ])
+    def test_bad_values_rejected_before_decomposing_or_writing(
+        self, shift_dataset, tmp_path, eigh_calls, args
+    ):
+        out = tmp_path / "out"
+        command, *rest = args
+        rc = run_cli(command, *common_args(shift_dataset, out, **{"--realizations": 3}), *rest)
+        assert rc == 1
+        assert eigh_calls["count"] == 0
+        assert not out.exists() or not any(out.iterdir())

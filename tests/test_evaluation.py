@@ -1,6 +1,7 @@
 """Ranking, precision, correlation, and the experiment runner."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pbspm.evaluation import (
     pearson_cc,
     precision_at,
     rank_candidates,
+    _run_points,
     run_experiment,
     sweep,
     sweep_m,
@@ -339,6 +341,31 @@ class TestSweepM:
         base = ExperimentConfig(method="PBSPM", alpha=5.0, p_fresher=0.15, seed=42)
         with pytest.raises(ValueError):
             sweep_m(shift_graph, base, ms=[0])
+
+
+class TestOnePassEngine:
+    def test_joint_run_matches_separate_runs(self, shift_graph):
+        base = ExperimentConfig(method="SPM", alpha=4.0, p_fresher=0.15, seed=3,
+                                realizations=3)
+        cfgs = [
+            base,
+            replace(base, method="PBSPM"),
+            replace(base, method="FastPBSPM"),
+            replace(base, method="FastPBSPM", m=7, p_fresher=0.3),
+            replace(base, method="PBSPM", score_averaging="matrix"),
+            replace(base, method="CN"),
+        ]
+        joint = [report for report, _ in _run_points(shift_graph, cfgs)]
+        assert joint == [run_experiment(shift_graph, cfg) for cfg in cfgs]
+
+    def test_top_lists_are_mean_score_rankings(self, shift_graph):
+        cfgs = [ExperimentConfig(method=method, p_fresher=0.15, seed=2, realizations=2)
+                for method in ("SPM", "RA")]
+        for cfg, (report, top) in zip(cfgs, _run_points(shift_graph, cfgs, keep_top=True)):
+            scores = run_experiment(shift_graph, cfg, collect_mean_scores=True).mean_scores
+            assert len(top) == report.L
+            assert np.array_equal(top.scores, np.sort(top.scores)[::-1])
+            assert np.array_equal(scores.values[top.pairs[:, 0], top.pairs[:, 1]], top.scores)
 
 
 class TestConfigValidation:

@@ -48,14 +48,12 @@ def random_temporal_graph(rng, min_edges=10):
 class TestSplitConfig:
     def test_bounds_enforced(self):
         with pytest.raises(ValueError):
-            SplitConfig(p_fresher=0.0)
-        with pytest.raises(ValueError):
-            SplitConfig(p_fresher=0.1, probe_fraction=1.0)
+            SplitConfig(probe_fraction=1.0)
 
 
 class TestSplitTrainProbe:
     def test_ten_edges_split_nine_one(self, ten_edge_graph):
-        split = split_train_probe(ten_edge_graph, SplitConfig(p_fresher=0.2))
+        split = split_train_probe(ten_edge_graph, SplitConfig())
         assert split.train.size == 9
         assert len(split.probe) + split.probe_dropped == 1
 
@@ -64,7 +62,7 @@ class TestSplitTrainProbe:
                                   ("d", "e", 4), ("e", "f", 5), ("f", "a", 6),
                                   ("a", "c", 7), ("b", "d", 8), ("c", "e", 9)])
         with pytest.raises(DegenerateSplitError):
-            split_train_probe(graph, SplitConfig(p_fresher=0.2))
+            split_train_probe(graph, SplitConfig())
 
     def test_probe_with_unseen_endpoints_is_degenerate(self):
         pairs = [("a", "b", 1), ("a", "c", 2), ("b", "c", 3), ("a", "d", 4),
@@ -72,7 +70,7 @@ class TestSplitTrainProbe:
                  ("c", "e", 9), ("ghost1", "ghost2", 10)]
         graph = graph_from_pairs(pairs)
         with pytest.raises(DegenerateSplitError) as exc:
-            split_train_probe(graph, SplitConfig(p_fresher=0.2))
+            split_train_probe(graph, SplitConfig())
         assert "1 dropped" in str(exc.value)
 
     def test_partially_unseen_probe_pairs_are_counted(self):
@@ -82,7 +80,7 @@ class TestSplitTrainProbe:
         timed = [(a, b, t) for t, (a, b) in enumerate(pairs, start=1)]
         timed += [("d", "g", 19), ("a", "ghost", 20)]
         graph = graph_from_pairs(timed)
-        split = split_train_probe(graph, SplitConfig(p_fresher=0.2))
+        split = split_train_probe(graph, SplitConfig())
         assert split.train.size == 18
         assert split.probe == frozenset(
             {(graph.node_id["d"], graph.node_id["g"])}
@@ -94,7 +92,7 @@ class TestSplitTrainProbe:
         rng = np.random.default_rng(31)
         for _ in range(15):
             graph = random_temporal_graph(rng)
-            split = split_train_probe(graph, SplitConfig(p_fresher=0.3))
+            split = split_train_probe(graph, SplitConfig())
             train_max = graph.edges[split.train, 2].max()
             probe_ts = graph.edges[split.train.size :, 2]
             assert train_max <= probe_ts.min()
@@ -102,12 +100,12 @@ class TestSplitTrainProbe:
     def test_train_and_probe_are_pair_disjoint(self):
         rng = np.random.default_rng(37)
         graph = random_temporal_graph(rng)
-        split = split_train_probe(graph, SplitConfig(p_fresher=0.3))
+        split = split_train_probe(graph, SplitConfig())
         train_pairs = {(int(u), int(v)) for u, v, _ in graph.edges[split.train]}
         assert not train_pairs & split.probe
 
     def test_deterministic(self, ten_edge_graph):
-        cfg = SplitConfig(p_fresher=0.2)
+        cfg = SplitConfig()
         a = split_train_probe(ten_edge_graph, cfg)
         b = split_train_probe(ten_edge_graph, cfg)
         assert np.array_equal(a.train, b.train)
@@ -162,7 +160,7 @@ class TestPopularity:
         rng = np.random.default_rng(43)
         for _ in range(10):
             graph = random_temporal_graph(rng)
-            split = split_train_probe(graph, SplitConfig(p_fresher=0.25))
+            split = split_train_probe(graph, SplitConfig())
             pop = popularity(graph, split.train, 0.25)
             assert np.all(pop.values >= 0.0)
             assert np.all(pop.values <= 1.0)
@@ -177,7 +175,7 @@ class TestPopularity:
         rng = np.random.default_rng(47)
         for _ in range(10):
             graph = random_temporal_graph(rng)
-            split = split_train_probe(graph, SplitConfig(p_fresher=0.3))
+            split = split_train_probe(graph, SplitConfig())
             pop = popularity(graph, split.train, 0.3)
             idx = list(split.train)
             n_fresh = round(0.3 * len(idx))
