@@ -35,15 +35,16 @@ class KatzConfig:
     """Damping factor and optional series truncation for the Katz index.
 
     ``damping`` must stay below the reciprocal of the largest adjacency
-    eigenvalue for the walk series to converge; ``max_path_length`` switches
-    from the closed form to an explicit truncated series.
+    eigenvalue for the walk series to converge; None means half that bound
+    (0.1 when the largest eigenvalue is not positive). ``max_path_length``
+    switches from the closed form to an explicit truncated series.
     """
 
-    damping: float
+    damping: Optional[float] = None
     max_path_length: Optional[int] = None
 
     def __post_init__(self):
-        if self.damping <= 0:
+        if self.damping is not None and self.damping <= 0:
             raise ValueError(f"damping must be positive, got {self.damping}")
         if self.max_path_length is not None and self.max_path_length < 1:
             raise ValueError(f"max_path_length must be >= 1, got {self.max_path_length}")
@@ -111,12 +112,15 @@ def katz_scores(view: AdjacencyView, cfg: KatzConfig) -> ScoreMatrix:
     """
     a = view.matrix
     lam_max = max_eigenvalue(view)
-    if lam_max > 0 and cfg.damping >= 1.0 / lam_max:
+    damping = cfg.damping
+    if damping is None:
+        damping = 0.5 / lam_max if lam_max > 0 else 0.1
+    if lam_max > 0 and damping >= 1.0 / lam_max:
         raise NumericalError(
-            f"damping {cfg.damping} >= 1/lambda_max = {1.0 / lam_max:.6g}, series diverges"
+            f"damping {damping} >= 1/lambda_max = {1.0 / lam_max:.6g}, series diverges"
         )
     if cfg.max_path_length is not None:
-        damped = cfg.damping * a
+        damped = damping * a
         total = np.zeros_like(a)
         power = np.eye(view.n)
         for _ in range(cfg.max_path_length):
@@ -124,7 +128,7 @@ def katz_scores(view: AdjacencyView, cfg: KatzConfig) -> ScoreMatrix:
             total += power
         return _score_matrix(total)
     try:
-        inv = np.linalg.inv(np.eye(view.n) - cfg.damping * a)
+        inv = np.linalg.inv(np.eye(view.n) - damping * a)
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"Katz linear system is singular: {err}") from err
     return _score_matrix(inv - np.eye(view.n))

@@ -23,7 +23,6 @@ from .baselines import (
     aa_scores,
     cn_scores,
     katz_scores,
-    max_eigenvalue,
     ra_scores,
     srw_scores,
 )
@@ -34,6 +33,7 @@ from .spectral import (
     SpectralModel,
     eigendecompose,
     eigenvalue_correction,
+    eigenvalues,
     pbspm_scores,
     sample_perturbation,
     select_m,
@@ -64,7 +64,10 @@ SPECTRAL_METHODS = ("SPM", "PBSPM", "FastPBSPM")
 
 @dataclass(frozen=True)
 class RankedCandidates:
-    """Non-observed pairs sorted by score descending, ties by (i, j) ascending."""
+    """Non-observed pairs sorted by score descending, ties by (i, j) ascending.
+
+    A ranking cut at L holds the first L pairs of the full order, no others.
+    """
 
     pairs: np.ndarray
     scores: np.ndarray
@@ -144,19 +147,34 @@ class SweepPoint:
     report: PrecisionReport
 
 
-def rank_candidates(scores: ScoreMatrix, train_view: AdjacencyView) -> RankedCandidates:
-    """Rank every non-edge pair of the training view by score.
+def rank_candidates(
+    scores: ScoreMatrix, train_view: AdjacencyView, L: Optional[int] = None
+) -> RankedCandidates:
+    """Rank the non-edge pairs of the training view by score.
 
-    Ordering is deterministic: score descending, then (i, j) ascending.
+    Ordering is deterministic: score descending, then (i, j) ascending. With
+    ``L`` set, only the top ``min(L, candidates)`` pairs are returned; that
+    cut ranking is exactly a prefix of the full one. The L-th largest score
+    is found by partial selection, and only the candidates scoring at least
+    that much (every tie at the boundary included) are sorted.
     """
     if scores.n != train_view.n:
         raise ValueError(f"size mismatch: scores n={scores.n}, view n={train_view.n}")
-    iu, ju = np.triu_indices(train_view.n, k=1)
-    keep = train_view.matrix[iu, ju] == 0
-    ii, jj = iu[keep], ju[keep]
-    sc = scores.values[ii, jj]
-    order = np.lexsort((jj, ii, -sc))
-    pairs = np.column_stack((ii[order], jj[order]))
+    if L is not None and L < 1:
+        raise ValueError(f"L must be >= 1, got {L}")
+    # Flat indices of the upper-triangle non-edges, already (i, j) ascending,
+    # so a stable sort on the score alone breaks ties by (i, j).
+    flat = np.flatnonzero(np.triu(train_view.matrix == 0, 1))
+    sc = scores.values.take(flat)
+    neg = -sc
+    if L is not None and L < flat.size:
+        kth = np.partition(neg, L - 1)[L - 1]
+        # Not `neg <= kth`: NaN scores sort last, and when fewer than L
+        # scores are numbers the cut is NaN and every candidate is kept.
+        keep = np.flatnonzero(~(neg > kth))
+        flat, sc, neg = flat[keep], sc[keep], neg[keep]
+    order = np.argsort(neg, kind="stable")[:L]
+    pairs = np.column_stack(np.divmod(flat[order], train_view.n))
     pairs.setflags(write=False)
     ranked_scores = sc[order]
     ranked_scores.setflags(write=False)
@@ -222,12 +240,9 @@ def _baseline_scores(
     if method == "RA":
         return ra_scores(train_view)
     if method == "Katz":
-        damping = cfg.katz_damping
-        if damping is None:
-            lam_max = max_eigenvalue(train_view)
-            damping = 0.5 / lam_max if lam_max > 0 else 0.1
         return katz_scores(
-            train_view, KatzConfig(damping=damping, max_path_length=cfg.katz_max_path_length)
+            train_view,
+            KatzConfig(damping=cfg.katz_damping, max_path_length=cfg.katz_max_path_length),
         )
     if method == "SRW":
         return srw_scores(train_view, WalkConfig(steps=cfg.srw_steps))
@@ -277,12 +292,6 @@ def _validate(cfgs: Sequence[ExperimentConfig], n: int) -> None:
             raise ValueError(f"threshold must be nonnegative, got {cfg.m_threshold}")
 
 
-def _top(ranked: RankedCandidates, L: int) -> RankedCandidates:
-    # Copies, so that the full candidate arrays can be freed.
-    top = min(L, len(ranked))
-    return RankedCandidates(pairs=ranked.pairs[:top].copy(), scores=ranked.scores[:top].copy())
-
-
 def _score_spectral(
     graph: TemporalGraph,
     split: TrainProbeSplit,
@@ -299,7 +308,7 @@ def _score_spectral(
     probe_inc = _probe_degree_increment(graph, n_train=split.train.size)
     fast = [p for p in points if p.cfg.method == "FastPBSPM"]
     if any(p.cfg.m is None for p in fast):
-        train_lam = eigendecompose(train_view).eigenvalues
+        train_lam = eigenvalues(train_view)
     for p in fast:
         p.m = p.cfg.m if p.cfg.m is not None else select_m(train_lam, p.cfg.m_threshold)
     for p in points:
@@ -329,7 +338,7 @@ def _score_spectral(
             except ZeroVarianceError:
                 p.delta_ccs.append(None)
             if p.cfg.score_averaging == "precision":
-                ranked = rank_candidates(scores, train_view)
+                ranked = rank_candidates(scores, train_view, p.L)
                 p.precisions.append(precision_at(ranked, split.probe, p.L))
             if p.score_sum is not None:
                 p.score_sum += scores.values
@@ -345,7 +354,7 @@ def _score_spectral(
             p.score_sum.setflags(write=False)
             mean_scores = ScoreMatrix(n=train_view.n, values=p.score_sum)
         if p.cfg.score_averaging == "matrix" or keep_top:
-            ranked = rank_candidates(mean_scores, train_view)
+            ranked = rank_candidates(mean_scores, train_view, p.L)
         if p.cfg.score_averaging == "matrix":
             per, mean_prec, std = (), precision_at(ranked, split.probe, p.L), None
         else:
@@ -364,7 +373,7 @@ def _score_spectral(
             failures=tuple(failures),
             mean_scores=mean_scores if keep_scores else None,
         )
-        p.result = (report, _top(ranked, p.L) if keep_top else None)
+        p.result = (report, ranked if keep_top else None)
 
 
 def _run_points(
@@ -396,7 +405,7 @@ def _run_points(
         if cfg.method in SPECTRAL_METHODS:
             continue
         scores = _baseline_scores(cfg.method, train_view, cfg)
-        ranked = rank_candidates(scores, train_view)
+        ranked = rank_candidates(scores, train_view, L)
         prec = precision_at(ranked, split.probe, L)
         report = PrecisionReport(
             config=cfg,
@@ -409,7 +418,7 @@ def _run_points(
             mean_delta_cc=None,
             mean_scores=scores if keep_scores else None,
         )
-        points[-1].result = (report, _top(ranked, L) if keep_top else None)
+        points[-1].result = (report, ranked if keep_top else None)
         scores = ranked = None  # free both before the realization loop
     spectral = [p for p in points if p.cfg.method in SPECTRAL_METHODS]
     if spectral:

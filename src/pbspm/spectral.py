@@ -26,6 +26,7 @@ __all__ = [
     "ScoreMatrix",
     "sample_perturbation",
     "eigendecompose",
+    "eigenvalues",
     "eigenvalue_correction",
     "spm_scores",
     "boost_eigenvectors",
@@ -123,6 +124,25 @@ def sample_perturbation(
     )
 
 
+def _magnitude_order(lam: np.ndarray) -> np.ndarray:
+    # |eigenvalue| descending, then signed eigenvalue descending, then solver order.
+    return np.lexsort((np.arange(lam.size), -lam, -np.abs(lam)))
+
+
+def eigenvalues(view: AdjacencyView) -> np.ndarray:
+    """Eigenvalues alone, in the order ``eigendecompose`` gives them.
+
+    Cheaper than the full decomposition when no eigenvectors are needed; the
+    values agree with ``eigendecompose``'s to round-off, which may swap the
+    members of a +x/-x pair.
+    """
+    try:
+        lam = np.linalg.eigvalsh(view.matrix)
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"eigendecomposition failed: {err}") from err
+    return _frozen(lam[_magnitude_order(lam)])
+
+
 def eigendecompose(view: AdjacencyView) -> SpectralModel:
     """Full symmetric eigendecomposition, ordered by |eigenvalue| descending.
 
@@ -134,7 +154,7 @@ def eigendecompose(view: AdjacencyView) -> SpectralModel:
         lam, vec = np.linalg.eigh(view.matrix)
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"eigendecomposition failed: {err}") from err
-    order = np.lexsort((np.arange(lam.size), -lam, -np.abs(lam)))
+    order = _magnitude_order(lam)
     lam = lam[order]
     vec = vec[:, order]
     peak = np.argmax(np.abs(vec), axis=0)

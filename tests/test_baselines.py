@@ -159,6 +159,21 @@ class TestKatz:
         with pytest.raises(NumericalError):
             katz_scores(view, KatzConfig(damping=1.0 / lam_max))
 
+    def test_default_damping_is_half_the_bound(self):
+        rng = np.random.default_rng(57)
+        view = random_view(rng, 10, p=0.4)
+        lam_max = np.linalg.eigvalsh(view.matrix)[-1]
+        default = katz_scores(view, KatzConfig()).values
+        explicit = katz_scores(view, KatzConfig(damping=0.5 / lam_max)).values
+        assert np.array_equal(default, explicit)
+
+    def test_default_damping_on_empty_graph(self):
+        empty = view_from(np.zeros((3, 3)))
+        assert np.array_equal(
+            katz_scores(empty, KatzConfig()).values,
+            katz_scores(empty, KatzConfig(damping=0.1)).values,
+        )
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             KatzConfig(damping=0.0)

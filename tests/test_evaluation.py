@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pbspm.baselines import cn_scores
 from pbspm.errors import UndefinedMetricError, ZeroVarianceError
 from pbspm.evaluation import (
     ExperimentConfig,
@@ -86,6 +87,94 @@ class TestRankCandidates:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             rank_candidates(score_matrix(np.zeros((3, 3))), view_from(np.zeros((4, 4))))
+
+
+def ranking_oracle(scores, view):
+    """Every non-edge pair in (score desc, i, j) order, by a brute-force lexsort."""
+    iu, ju = np.triu_indices(view.n, k=1)
+    keep = view.matrix[iu, ju] == 0
+    ii, jj = iu[keep], ju[keep]
+    sc = scores.values[ii, jj]
+    order = np.lexsort((jj, ii, -sc))
+    return np.column_stack((ii[order], jj[order])), sc[order]
+
+
+class TestTopLRanking:
+    """``rank_candidates(s, v, L)`` is exactly the first L rows of the full order."""
+
+    def _assert_prefix(self, scores, view, L):
+        pairs, sc = ranking_oracle(scores, view)
+        ranked = rank_candidates(scores, view, L)
+        top = len(pairs) if L is None else min(L, len(pairs))
+        assert len(ranked) == top
+        assert np.array_equal(ranked.pairs, pairs[:top])
+        # Bitwise, so that +0.0 and -0.0 keep their signs.
+        assert ranked.scores.tobytes() == sc[:top].tobytes()
+
+    def test_common_neighbor_ties_on_random_graphs(self):
+        rng = np.random.default_rng(64)
+        for _ in range(20):
+            n = int(rng.integers(6, 30))
+            view = random_view(rng, n, p=float(rng.uniform(0.1, 0.5)))
+            scores = cn_scores(view)
+            count = len(ranking_oracle(scores, view)[0])
+            for L in (None, 1, 2, int(rng.integers(1, count + 2)), count, count + 1):
+                if L is None or L >= 1:
+                    self._assert_prefix(scores, view, L)
+
+    def test_l_inside_a_tie_block(self):
+        view = view_from(np.zeros((6, 6)))
+        values = np.zeros((6, 6))
+        for i, j, v in [(0, 5, 4.0), (1, 2, 2.0), (3, 4, 2.0), (0, 3, 2.0), (2, 5, 2.0)]:
+            values[i, j] = values[j, i] = v
+        for L in range(1, 17):
+            self._assert_prefix(score_matrix(values), view, L)
+        ranked = rank_candidates(score_matrix(values), view, 3)
+        assert [tuple(p) for p in ranked.pairs] == [(0, 5), (0, 3), (1, 2)]
+
+    def test_all_zero_scores(self):
+        rng = np.random.default_rng(65)
+        view = random_view(rng, 15, p=0.3)
+        for L in (None, 1, 7, 40, 200):
+            self._assert_prefix(score_matrix(np.zeros((15, 15))), view, L)
+
+    def test_signed_zeros_tie(self):
+        rng = np.random.default_rng(66)
+        view = random_view(rng, 12, p=0.2)
+        # Only the upper triangle is ranked; symmetrizing by addition would
+        # turn every -0.0 into +0.0.
+        values = np.where(rng.random((12, 12)) < 0.5, -0.0, 0.0)
+        values[2, 7] = 1.0
+        assert np.signbit(values[np.triu_indices(12, 1)]).any()
+        for L in (None, 1, 2, 10, 66):
+            self._assert_prefix(score_matrix(values), view, L)
+
+    def test_nan_scores_rank_last(self):
+        rng = np.random.default_rng(67)
+        view = view_from(np.zeros((8, 8)))
+        values = np.round(rng.random((8, 8)) * 3)
+        values[rng.random((8, 8)) < 0.4] = np.nan
+        values = np.triu(values, 1) + np.triu(values, 1).T
+        for L in range(1, 30):
+            self._assert_prefix(score_matrix(values), view, L)
+
+    def test_complete_graph_has_no_candidates(self):
+        full = np.ones((5, 5)) - np.eye(5)
+        for L in (None, 1, 3):
+            ranked = rank_candidates(score_matrix(np.ones((5, 5))), view_from(full), L)
+            assert len(ranked) == 0
+
+    def test_l_beyond_candidates_fails_precision(self):
+        train = np.zeros((3, 3))
+        train[0, 1] = train[1, 0] = 1.0
+        ranked = rank_candidates(score_matrix(np.zeros((3, 3))), view_from(train), 5)
+        assert len(ranked) == 2
+        with pytest.raises(ValueError, match="exceeds candidate count 2"):
+            precision_at(ranked, {(0, 2)}, 5)
+
+    def test_nonpositive_l_rejected(self):
+        with pytest.raises(ValueError):
+            rank_candidates(score_matrix(np.zeros((3, 3))), view_from(np.zeros((3, 3))), 0)
 
 
 class TestPrecisionAt:

@@ -9,6 +9,7 @@ from pbspm.spectral import (
     boost_eigenvectors,
     eigendecompose,
     eigenvalue_correction,
+    eigenvalues,
     pbspm_scores,
     sample_perturbation,
     select_m,
@@ -140,6 +141,28 @@ class TestEigendecompose:
         for k in range(15):
             col = model.eigenvectors[:, k]
             assert col[np.argmax(np.abs(col))] > 0
+
+
+class TestEigenvalues:
+    def test_match_eigendecompose_order_and_selected_m(self):
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            view = random_view(rng, int(rng.integers(2, 40)), p=0.3)
+            lam = eigenvalues(view)
+            full = eigendecompose(view).eigenvalues
+            # Round-off may swap the members of a +x/-x pair, so compare the
+            # magnitudes in order and the signed values as a set.
+            np.testing.assert_allclose(np.abs(lam), np.abs(full), rtol=0, atol=1e-10)
+            np.testing.assert_allclose(np.sort(lam), np.sort(full), rtol=0, atol=1e-10)
+            key = [(-abs(v), -v) for v in lam]
+            assert key == sorted(key)
+            for threshold in (0.0, 0.05, 0.2):
+                assert select_m(lam, threshold) == select_m(full, threshold)
+
+    def test_triangle_spectrum(self):
+        triangle = np.ones((3, 3)) - np.eye(3)
+        np.testing.assert_allclose(eigenvalues(view_from(triangle)), [2.0, -1.0, -1.0],
+                                   atol=1e-12)
 
 
 class TestEigenvalueCorrection:
