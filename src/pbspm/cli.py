@@ -216,12 +216,12 @@ def cmd_sweep(manifest: RunManifest) -> int:
 def cmd_spectrum(manifest: RunManifest) -> int:
     """Spectrum of the training adjacency: eigenvalues, gaps, auto-selected m."""
     graph = _load_graph(manifest)
-    manifest.out_dir.mkdir(parents=True, exist_ok=True)
     split = split_train_probe(graph, SplitConfig(probe_fraction=manifest.base.probe_fraction))
     lam = eigenvalues(adjacency(graph, split.train))
     abs_lam = [abs(v) for v in lam]
     gaps = [abs_lam[i] - abs_lam[i + 1] for i in range(len(lam) - 1)]
     selected = select_m(lam, manifest.base.m_threshold)
+    manifest.out_dir.mkdir(parents=True, exist_ok=True)
 
     if "csv" in manifest.emit:
         rows = [

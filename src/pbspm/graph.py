@@ -9,7 +9,9 @@ which is the time the edge entered the network.
 from __future__ import annotations
 
 import csv
+import heapq
 import io
+import sys
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Optional, Sequence
 
@@ -88,7 +90,13 @@ class AdjacencyView:
 def _decode_lines(reader: IO) -> Iterable[str]:
     data = reader.read()
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            # The bad byte sits on the line after the last break before it;
+            # the appended character gives that line its entry in splitlines.
+            line_no = len((data[: err.start].decode("utf-8") + "x").splitlines())
+            raise ParseError(f"invalid UTF-8 byte 0x{data[err.start]:02x}", line_no) from None
     return data.splitlines()
 
 
@@ -114,7 +122,8 @@ def parse_edge_stream(reader: IO, format: str = "tsv") -> TemporalEventStream:
     with ``%`` or ``#`` are comments; blank lines are ignored.
 
     Raises:
-        ParseError: a non-comment line does not fit the 3/4-field layout.
+        ParseError: a non-comment line does not fit the 3/4-field layout, or
+            a byte input is not valid UTF-8.
         EmptyInputError: no events survive.
     """
     if format not in ("tsv", "csv"):
@@ -159,6 +168,12 @@ def simplify(stream: TemporalEventStream) -> TemporalGraph:
     order (rather than raw file order) makes simplify a one-step fixed point
     under re-serialization.
 
+    Within one timestamp, edges are emitted one at a time: next comes the edge
+    with the smallest prospective ``(u, v)``, where an endpoint without an id
+    reads as the next free id (source before target), and ties, such as
+    several all-new edges, go to file order. A heap keyed on these ids emits a
+    group of g edges in O(g log g).
+
     Raises:
         EmptyGraphError: every event was a self-loop.
     """
@@ -186,32 +201,45 @@ def simplify(stream: TemporalEventStream) -> TemporalGraph:
             labels.append(label)
         return node_id[label]
 
-    def prospective_key(ev: RawEvent) -> tuple[int, int]:
-        # Unassigned endpoints would take the next free ids, source first.
-        next_free = len(labels)
-        u = node_id.get(ev.source)
-        v = node_id.get(ev.target)
-        if u is None:
-            u = next_free
-            next_free += 1
-        if v is None:
-            v = next_free
+    # An unassigned endpoint would take the next free id, which exceeds every
+    # assigned id; among the edges still waiting, reading it as `unseen`
+    # orders them exactly as those prospective ids would.
+    unseen = sys.maxsize
+
+    def key(ev: RawEvent) -> tuple[int, int]:
+        u = node_id.get(ev.source, unseen)
+        v = node_id.get(ev.target, unseen)
         return (u, v) if u < v else (v, u)
 
     rows = np.empty((len(best), 3), dtype=np.int64)
     row = 0
     for ts in sorted(by_time):
-        # Greedily emit the edge that sorts first under the ids it would
-        # receive; ties (e.g. several all-new edges) fall back to file order.
-        group = sorted(by_time[ts])
-        while group:
-            pick = min(range(len(group)), key=lambda g: (prospective_key(stream.events[group[g]]), g))
-            ev = stream.events[group.pop(pick)]
+        group = [stream.events[idx] for idx in sorted(by_time[ts])]
+        keys: list[Optional[tuple[int, int]]] = [key(ev) for ev in group]
+        heap = [(k, g) for g, k in enumerate(keys)]  # g: file order breaks ties
+        heapq.heapify(heap)
+        waiting: dict[str, list[int]] = {}
+        for g, ev in enumerate(group):
+            for label in (ev.source, ev.target):
+                if label not in node_id:
+                    waiting.setdefault(label, []).append(g)
+        while heap:
+            k, g = heapq.heappop(heap)
+            if k != keys[g]:
+                continue  # emitted, or re-keyed lower since this entry was pushed
+            keys[g] = None
+            ev = group[g]
             u, v = assign(ev.source), assign(ev.target)
             if u > v:
                 u, v = v, u
             rows[row] = (u, v, ts)
             row += 1
+            # A key falls only when one of its labels gets an id.
+            for label in (ev.source, ev.target):
+                for w in waiting.pop(label, ()):
+                    if keys[w] is not None:
+                        keys[w] = key(group[w])
+                        heapq.heappush(heap, (keys[w], w))
 
     rows.setflags(write=False)
     return TemporalGraph(labels=tuple(labels), edges=rows, node_id=node_id)

@@ -160,6 +160,14 @@ class TestSpectrum:
         assert meta["selected_m"] >= 1
         assert len(meta["eigenvalues"]) == 80
 
+    def test_failing_spectrum_leaves_no_directory(self, tmp_path):
+        tiny = tmp_path / "tiny.tsv"
+        tiny.write_text("1 2 3\n2 3 4\n")
+        out = tmp_path / "out"
+        rc = run_cli("spectrum", "--input", tiny, "--out-dir", out)
+        assert rc == 2
+        assert not out.exists()
+
     def test_gap_matches_eigenvalue_columns(self, shift_dataset, tmp_path):
         out = tmp_path / "out"
         run_cli("spectrum", *common_args(shift_dataset, out))
@@ -241,6 +249,15 @@ class TestExitCodes:
         rc = run_cli("predict", "--input", bad, "--method", "CN",
                      "--out-dir", tmp_path / "out")
         assert rc == 2
+
+    def test_non_utf8_input_is_data_error_with_line_number(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"1 2 3\n2 3 4\n3 \xff 5\n")
+        rc = run_cli("predict", "--input", bad, "--method", "CN",
+                     "--out-dir", tmp_path / "out")
+        assert rc == 2
+        assert "data error: line 3:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestModuleEntryPoint:

@@ -1,6 +1,7 @@
 """Parsing, simplification, and adjacency against brute-force pair oracles."""
 
 import io
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from pbspm.graph import (
 )
 
 from conftest import random_event_stream
+from oracles import greedy_simplify_oracle
 
 
 def pair_oracle(stream):
@@ -88,6 +90,18 @@ class TestParseEdgeStream:
         stream = parse_edge_stream(io.BytesIO("κόμβος δεσμός 9\n".encode("utf-8")))
         assert stream.events[0].source == "κόμβος"
         assert stream.events[0].target == "δεσμός"
+
+    @pytest.mark.parametrize("data, line_no", [
+        (b"1 2 3\n4 5 6\n7 \xff 8\n", 3),
+        (b"\xfe 2 3\n", 1),
+        (b"1 2 3\r\n% caf\xe9\r\n", 2),
+        (b"1 2 3\n4 5 6\n\xc3", 3),
+    ])
+    def test_invalid_utf8_reports_line_number(self, data, line_no):
+        with pytest.raises(ParseError) as exc:
+            parse_edge_stream(io.BytesIO(data))
+        assert exc.value.line_no == line_no
+        assert "UTF-8" in str(exc.value)
 
 
 class TestSimplify:
@@ -172,6 +186,90 @@ class TestSimplify:
             graph2 = simplify(serialize(graph1))
             assert graph2.labels == graph1.labels
             assert np.array_equal(graph2.edges, graph1.edges)
+
+
+def assert_same_graph(got, want):
+    assert got.labels == want.labels
+    assert np.array_equal(got.edges, want.edges)
+    assert got.node_id == want.node_id
+
+
+class TestSimplifyMatchesGreedy:
+    """The heap-ordered emit against the quadratic greedy it replaced."""
+
+    def test_random_coarse_streams(self):
+        rng = np.random.default_rng(29)
+        compared = 0
+        for _ in range(600):
+            # Few labels and 1-5 stamps make large equal-timestamp groups;
+            # pairs repeat in both orientations, and some events are loops.
+            stream = random_event_stream(
+                rng,
+                n_labels=int(rng.integers(2, 26)),
+                n_events=int(rng.integers(1, 151)),
+                t_max=int(rng.integers(2, 7)),
+            )
+            try:
+                want = greedy_simplify_oracle(stream)
+            except EmptyGraphError:
+                with pytest.raises(EmptyGraphError):
+                    simplify(stream)
+                continue
+            assert_same_graph(simplify(stream), want)
+            compared += 1
+        assert compared >= 500
+
+    @pytest.mark.parametrize("events, labels, edges", [
+        # All-new edges in one stamp: file order decides.
+        (
+            [("c", "d", 1), ("a", "b", 1), ("f", "e", 1)],
+            ("c", "d", "a", "b", "f", "e"),
+            [(0, 1, 1), (2, 3, 1), (4, 5, 1)],
+        ),
+        # Half-new edges sharing a known endpoint: the smaller known id goes
+        # first, file order only among equal known ids.
+        (
+            [("a", "b", 1), ("a", "x", 2), ("y", "b", 2), ("a", "z", 2)],
+            ("a", "b", "x", "z", "y"),
+            [(0, 1, 1), (0, 2, 2), (0, 3, 2), (1, 4, 2)],
+        ),
+        # Emitting (a, x) gives (x, b) both ids; it then jumps ahead of the
+        # earlier half-new (b, y).
+        (
+            [("a", "b", 1), ("b", "y", 2), ("a", "x", 2), ("x", "b", 2)],
+            ("a", "b", "x", "y"),
+            [(0, 1, 1), (0, 2, 2), (1, 2, 2), (1, 3, 2)],
+        ),
+        # (x, y) is re-keyed twice: all-new, then half-new, then fixed.
+        (
+            [("a", "b", 1), ("x", "y", 2), ("a", "x", 2), ("b", "y", 2), ("a", "z", 2)],
+            ("a", "b", "x", "z", "y"),
+            [(0, 1, 1), (0, 2, 2), (0, 3, 2), (1, 4, 2), (2, 4, 2)],
+        ),
+    ])
+    def test_tie_classes(self, events, labels, edges):
+        stream = TemporalEventStream(tuple(RawEvent(*ev) for ev in events))
+        graph = simplify(stream)
+        assert graph.labels == labels
+        assert graph.edges.tolist() == [list(row) for row in edges]
+        assert_same_graph(graph, greedy_simplify_oracle(stream))
+
+    def test_one_large_stamp_is_not_quadratic(self):
+        # The greedy rescans the group before every emit: about 14 s here.
+        rng = np.random.default_rng(31)
+        pairs = set()
+        while len(pairs) < 8000:
+            a, b = rng.integers(2000, size=2)
+            if a != b:
+                pairs.add((min(a, b), max(a, b)))
+        pairs = sorted(pairs)
+        rng.shuffle(pairs)
+        events = tuple(RawEvent(str(a), str(b), 7) for a, b in pairs)
+        start = time.perf_counter()
+        graph = simplify(TemporalEventStream(events))
+        elapsed = time.perf_counter() - start
+        assert graph.m_edges == 8000
+        assert elapsed < 2.0
 
 
 class TestAdjacency:
