@@ -20,7 +20,7 @@ import hashlib
 import json
 import sys
 import urllib.request
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -42,46 +42,43 @@ from .spectral import (
 )
 from .split import SplitConfig, split_train_probe
 
-__all__ = ["RunManifest", "main", "cmd_predict", "cmd_sweep", "cmd_spectrum", "cmd_diagnose"]
+__all__ = ["main", "cmd_predict", "cmd_sweep", "cmd_spectrum", "cmd_diagnose"]
 
 _CANONICAL_METHOD = {name.lower(): name for name in METHODS}
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """A fully resolved invocation: input, methods, grids, and emit targets."""
+def _configs(args: argparse.Namespace) -> list[ExperimentConfig]:
+    """One config per requested method (or the default one when none is).
 
-    input: Path
-    format: str
-    methods: tuple[str, ...]
-    out_dir: Path
-    emit: tuple[str, ...]
-    base: ExperimentConfig
-    alpha_grid: tuple[float, ...] = ()
-    p_fresher_grid: tuple[float, ...] = ()
-    m_grid: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if not self.methods:
-            raise ValueError("at least one method is required")
-        for fmt in self.emit:
-            if fmt not in ("csv", "json"):
-                raise ValueError(f"unknown emit format {fmt!r}")
+    Each experiment flag's dest is an ``ExperimentConfig`` field, and a flag
+    not given is absent from the namespace, so that field keeps the
+    dataclass default.
+    """
+    methods = _method_list(args.methods) if hasattr(args, "methods") else ()
+    names = [f.name for f in fields(ExperimentConfig) if hasattr(args, f.name)]
+    base = ExperimentConfig(**{name: getattr(args, name) for name in names})
+    return [replace(base, method=method) for method in methods] or [base]
 
 
-def _load_graph(manifest: RunManifest) -> TemporalGraph:
-    if not manifest.input.exists():
-        raise DataError(f"input file not found: {manifest.input}")
-    with open(manifest.input, "rb") as fh:
-        return simplify(parse_edge_stream(fh, manifest.format))
+def _emit(args: argparse.Namespace) -> tuple[str, ...]:
+    emit = tuple(tok.strip() for tok in args.emit.split(",") if tok.strip())
+    for fmt in emit:
+        if fmt not in ("csv", "json"):
+            raise ValueError(f"unknown emit format {fmt!r}")
+    return emit
+
+
+def _load_graph(args: argparse.Namespace) -> TemporalGraph:
+    if not args.input.exists():
+        raise DataError(f"input file not found: {args.input}")
+    with open(args.input, "rb") as fh:
+        return simplify(parse_edge_stream(fh, args.format))
 
 
 def _fmt6(value) -> str:
     """CSV cell: 6 significant digits for floats, empty for None."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, int):
         return str(value)
     return f"{value:.6g}"
@@ -117,21 +114,22 @@ def _report_payload(report: PrecisionReport) -> dict:
     }
 
 
-def cmd_predict(manifest: RunManifest) -> int:
+def cmd_predict(args: argparse.Namespace) -> int:
     """Run every requested method and emit reports plus prediction lists."""
-    graph = _load_graph(manifest)
-    cfgs = [replace(manifest.base, method=method) for method in manifest.methods]
+    cfgs = _configs(args)
+    emit = _emit(args)
+    graph = _load_graph(args)
     results = _run_points(graph, cfgs, keep_top=True)
-    manifest.out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = manifest.input.stem
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    dataset = args.input.stem
 
     reports = [report for report, _ in results]
     for report, top in results:
-        with open(manifest.out_dir / f"predictions_{report.config.method}.txt", "w") as fh:
+        with open(args.out_dir / f"predictions_{report.config.method}.txt", "w") as fh:
             for (u, v), score in zip(top.pairs, top.scores):
                 fh.write(f"{graph.labels[u]}\t{graph.labels[v]}\t{float(score)!r}\n")
 
-    if "csv" in manifest.emit:
+    if "csv" in emit:
         header = [
             "dataset", "method", "alpha", "p_fresher", "p_h", "realizations",
             "m", "seed", "L", "probe_dropped", "mean_precision",
@@ -147,42 +145,46 @@ def cmd_predict(manifest: RunManifest) -> int:
             ]
             for r in reports
         ]
-        _write_csv(manifest.out_dir / "report.csv", header, rows)
-    if "json" in manifest.emit:
+        _write_csv(args.out_dir / "report.csv", header, rows)
+    if "json" in emit:
         payload = {
             "dataset": dataset,
-            "input": str(manifest.input),
-            "format": manifest.format,
-            "seed": manifest.base.seed,
+            "input": str(args.input),
+            "format": args.format,
+            "seed": cfgs[0].seed,
             "reports": [_report_payload(r) for r in reports],
         }
-        _write_json(manifest.out_dir / "report.json", payload)
+        _write_json(args.out_dir / "report.json", payload)
     return 0
 
 
-def cmd_sweep(manifest: RunManifest) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     """Emit precision-vs-alpha curves and, when asked, a precision-vs-m curve."""
-    if not manifest.alpha_grid and not manifest.m_grid:
+    cfgs = _configs(args)
+    emit = _emit(args)
+    if not args.alpha_grid and not args.m_grid:
         raise ValueError("sweep needs --alpha-grid and/or --m-grid")
-    graph = _load_graph(manifest)
-    base = replace(manifest.base, method=manifest.methods[0])
-    p_freshers = manifest.p_fresher_grid or (base.p_fresher,)
-    points, m_results = _sweep_grids(
-        graph, base, manifest.alpha_grid, p_freshers, manifest.m_grid
-    )
-    manifest.out_dir.mkdir(parents=True, exist_ok=True)
-    payload: dict = {"dataset": manifest.input.stem, "input": str(manifest.input)}
+    if len(cfgs) != 1:
+        raise ValueError(f"sweep takes one method, got {len(cfgs)}")
+    p_freshers = args.p_fresher_grid or (cfgs[0].p_fresher,)
+    names = [f"{pf:g}" for pf in p_freshers]
+    if len(set(names)) != len(names):
+        raise ValueError(f"--p-fresher-grid values repeat at 6 significant digits: {names}")
+    graph = _load_graph(args)
+    points, m_results = _sweep_grids(graph, cfgs[0], args.alpha_grid, p_freshers, args.m_grid)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    payload: dict = {"dataset": args.input.stem, "input": str(args.input)}
 
-    if manifest.alpha_grid:
+    if args.alpha_grid:
         for pf in p_freshers:
             rows = [
                 [p.alpha, p.report.mean_precision, p.report.std_precision]
                 for p in points
                 if p.p_fresher == pf
             ]
-            if "csv" in manifest.emit:
+            if "csv" in emit:
                 _write_csv(
-                    manifest.out_dir / f"sweep_alpha_pf{pf:g}.csv",
+                    args.out_dir / f"sweep_alpha_pf{pf:g}.csv",
                     ["alpha", "mean_precision", "std_precision"],
                     rows,
                 )
@@ -196,10 +198,10 @@ def cmd_sweep(manifest: RunManifest) -> int:
             for p in points
         ]
 
-    if manifest.m_grid:
-        if "csv" in manifest.emit:
+    if args.m_grid:
+        if "csv" in emit:
             _write_csv(
-                manifest.out_dir / "sweep_m.csv",
+                args.out_dir / "sweep_m.csv",
                 ["m_over_n", "mean_precision"],
                 [[m / graph.n, r.mean_precision] for m, r in m_results],
             )
@@ -208,38 +210,40 @@ def cmd_sweep(manifest: RunManifest) -> int:
             for m, r in m_results
         ]
 
-    if "json" in manifest.emit:
-        _write_json(manifest.out_dir / "sweep.json", payload)
+    if "json" in emit:
+        _write_json(args.out_dir / "sweep.json", payload)
     return 0
 
 
-def cmd_spectrum(manifest: RunManifest) -> int:
+def cmd_spectrum(args: argparse.Namespace) -> int:
     """Spectrum of the training adjacency: eigenvalues, gaps, auto-selected m."""
-    graph = _load_graph(manifest)
-    split = split_train_probe(graph, SplitConfig(probe_fraction=manifest.base.probe_fraction))
+    (cfg,) = _configs(args)
+    emit = _emit(args)
+    graph = _load_graph(args)
+    split = split_train_probe(graph, SplitConfig(probe_fraction=cfg.probe_fraction))
     lam = eigenvalues(adjacency(graph, split.train))
     abs_lam = [abs(v) for v in lam]
     gaps = [abs_lam[i] - abs_lam[i + 1] for i in range(len(lam) - 1)]
-    selected = select_m(lam, manifest.base.m_threshold)
-    manifest.out_dir.mkdir(parents=True, exist_ok=True)
+    selected = select_m(lam, cfg.m_threshold)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
 
-    if "csv" in manifest.emit:
+    if "csv" in emit:
         rows = [
             [i + 1, lam[i], abs_lam[i], gaps[i] if i < len(gaps) else None]
             for i in range(len(lam))
         ]
         _write_csv(
-            manifest.out_dir / "spectrum.csv",
+            args.out_dir / "spectrum.csv",
             ["i", "lambda_i", "abs_lambda_i", "gap_i"],
             rows,
         )
-    if "json" in manifest.emit:
+    if "json" in emit:
         _write_json(
-            manifest.out_dir / "spectrum.json",
+            args.out_dir / "spectrum.json",
             {
-                "dataset": manifest.input.stem,
+                "dataset": args.input.stem,
                 "n": graph.n,
-                "threshold": manifest.base.m_threshold,
+                "threshold": cfg.m_threshold,
                 "selected_m": selected,
                 "eigenvalues": [float(v) for v in lam],
                 "gaps": gaps,
@@ -248,24 +252,26 @@ def cmd_spectrum(manifest: RunManifest) -> int:
     return 0
 
 
-def cmd_diagnose(manifest: RunManifest) -> int:
+def cmd_diagnose(args: argparse.Namespace) -> int:
     """Mean leading-eigenvalue shift and correlation gain for one method."""
-    if len(manifest.methods) != 1 or manifest.methods[0] not in ("SPM", "PBSPM", "FastPBSPM"):
+    cfgs = _configs(args)
+    emit = _emit(args)
+    if len(cfgs) != 1 or cfgs[0].method not in ("SPM", "PBSPM", "FastPBSPM"):
         raise ValueError("diagnose requires exactly one spectral method")
-    graph = _load_graph(manifest)
-    cfg = replace(manifest.base, method=manifest.methods[0])
+    cfg = cfgs[0]
+    graph = _load_graph(args)
     report = run_experiment(graph, cfg)
-    manifest.out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = manifest.input.stem
-    if "csv" in manifest.emit:
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    dataset = args.input.stem
+    if "csv" in emit:
         _write_csv(
-            manifest.out_dir / "diagnostics.csv",
+            args.out_dir / "diagnostics.csv",
             ["dataset", "mean_delta_lambda1", "delta_cc", "realizations"],
             [[dataset, report.mean_delta_lambda1, report.mean_delta_cc,
               report.config.realizations]],
         )
-    if "json" in manifest.emit:
-        _write_json(manifest.out_dir / "diagnostics.json", {
+    if "json" in emit:
+        _write_json(args.out_dir / "diagnostics.json", {
             "dataset": dataset,
             "method": cfg.method,
             "mean_delta_lambda1": report.mean_delta_lambda1,
@@ -276,16 +282,16 @@ def cmd_diagnose(manifest: RunManifest) -> int:
     return 0
 
 
-def cmd_fetch(url: str, sha256: str, dest: Path) -> int:
+def cmd_fetch(args: argparse.Namespace) -> int:
     """Download a dataset file and require its sha256 to match."""
-    with urllib.request.urlopen(url) as response:
+    with urllib.request.urlopen(args.url) as response:
         payload = response.read()
     digest = hashlib.sha256(payload).hexdigest()
-    if digest.lower() != sha256.lower():
-        raise DataError(f"checksum mismatch: expected {sha256}, got {digest}")
-    dest.parent.mkdir(parents=True, exist_ok=True)
-    dest.write_bytes(payload)
-    print(f"fetched {len(payload)} bytes -> {dest}")
+    if digest.lower() != args.sha256.lower():
+        raise DataError(f"checksum mismatch: expected {args.sha256}, got {digest}")
+    args.dest.parent.mkdir(parents=True, exist_ok=True)
+    args.dest.write_bytes(payload)
+    print(f"fetched {len(payload)} bytes -> {args.dest}")
     return 0
 
 
@@ -317,68 +323,47 @@ def _method_list(tokens: list[str]) -> tuple[str, ...]:
             if canonical is None:
                 raise ValueError(f"unknown method {name!r}; expected one of {METHODS}")
             methods.append(canonical)
+    if not methods:
+        raise ValueError("at least one method is required")
     return tuple(methods)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--input", required=True, type=Path, help="edge list file")
-    sub.add_argument("--format", choices=("tsv", "csv"), default="tsv")
-    sub.add_argument("--method", action="append", default=None,
-                     help="method name; repeatable or comma separated")
-    sub.add_argument("--alpha", type=float, default=0.0, help="popularity boost strength")
-    sub.add_argument("--p-fresher", type=float, default=0.10,
-                     help="fraction of training edges forming the fresh segment")
-    sub.add_argument("--p-h", type=float, default=0.10,
-                     help="fraction of training edges removed per perturbation")
-    sub.add_argument("--realizations", type=int, default=10)
-    sub.add_argument("--m", type=int, default=None, help="truncation size override")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--L", type=int, default=None,
-                     help="ranking cutoff; defaults to the probe size")
-    sub.add_argument("--out-dir", type=Path, default=Path("out"))
-    sub.add_argument("--emit", default="csv,json", help="comma list of csv,json")
-    sub.add_argument("--score-averaging", choices=("precision", "matrix"),
-                     default="precision")
-    sub.add_argument("--probe-fraction", type=float, default=0.10)
-    sub.add_argument("--count-dropped-in-L", action="store_true",
-                     help="use the unfiltered probe size as the default L")
-    sub.add_argument("--katz-damping", type=float, default=None)
-    sub.add_argument("--katz-max-path-length", type=int, default=None)
-    sub.add_argument("--srw-steps", type=int, default=3)
-    sub.add_argument("--m-threshold", type=float, default=0.05,
-                     help="eigengap threshold, relative to the leading eigenvalue")
-
-
-def _manifest_from(args: argparse.Namespace, default_methods=("PBSPM",)) -> RunManifest:
-    methods = _method_list(args.method) if args.method else tuple(default_methods)
-    base = ExperimentConfig(
-        method=methods[0],
-        alpha=args.alpha,
-        p_fresher=args.p_fresher,
-        p_h=args.p_h,
-        realizations=args.realizations,
-        m=args.m,
-        seed=args.seed,
-        L=args.L,
-        probe_fraction=args.probe_fraction,
-        score_averaging=args.score_averaging,
-        count_dropped_in_L=args.count_dropped_in_L,
-        katz_damping=args.katz_damping,
-        katz_max_path_length=args.katz_max_path_length,
-        srw_steps=args.srw_steps,
-        m_threshold=args.m_threshold,
-    )
-    return RunManifest(
-        input=args.input,
-        format=args.format,
-        methods=methods,
-        out_dir=args.out_dir,
-        emit=tuple(tok.strip() for tok in args.emit.split(",") if tok.strip()),
-        base=base,
-        alpha_grid=getattr(args, "alpha_grid", None) or (),
-        p_fresher_grid=getattr(args, "p_fresher_grid", None) or (),
-        m_grid=getattr(args, "m_grid", None) or (),
-    )
+_ALL = ("predict", "sweep", "spectrum", "diagnose")
+_RUNS = ("predict", "sweep", "diagnose")
+# flag, the subcommands that read it, add_argument keywords. A flag given no
+# default here is absent from the namespace unless passed (see _configs).
+_FLAGS = (
+    ("--input", _ALL, dict(required=True, type=Path, help="edge list file")),
+    ("--format", _ALL, dict(choices=("tsv", "csv"), default="tsv")),
+    ("--method", _RUNS, dict(dest="methods", action="append", metavar="METHOD",
+                             help="method name; repeatable or comma separated")),
+    ("--alpha", _RUNS, dict(type=float, help="popularity boost strength")),
+    ("--p-fresher", _RUNS, dict(type=float,
+                                help="fraction of training edges forming the fresh segment")),
+    ("--p-h", _RUNS, dict(type=float, help="fraction of training edges removed per perturbation")),
+    ("--realizations", _RUNS, dict(type=int)),
+    ("--m", ("predict", "sweep"), dict(type=int, help="truncation size override")),
+    ("--seed", _RUNS, dict(type=int)),
+    ("--L", ("predict", "sweep"), dict(type=int,
+                                       help="ranking cutoff; defaults to the probe size")),
+    ("--out-dir", _ALL, dict(type=Path, default=Path("out"))),
+    ("--emit", _ALL, dict(default="csv,json", help="comma list of csv,json")),
+    ("--score-averaging", ("predict",), dict(choices=("precision", "matrix"))),
+    ("--probe-fraction", _ALL, dict(type=float)),
+    ("--count-dropped-in-L", ("predict", "sweep"),
+     dict(action="store_true", help="use the unfiltered probe size as the default L")),
+    ("--katz-damping", ("predict",), dict(type=float)),
+    ("--katz-max-path-length", ("predict",), dict(type=int)),
+    ("--srw-steps", ("predict",), dict(type=int)),
+    ("--m-threshold", ("predict", "sweep", "spectrum"),
+     dict(type=float, help="eigengap threshold, relative to the leading eigenvalue")),
+    ("--alpha-grid", ("sweep",), dict(type=_float_list, default=(),
+                                      help="comma list of alpha values")),
+    ("--p-fresher-grid", ("sweep",), dict(type=_float_list, default=(),
+                                          help="comma list of p_fresher values")),
+    ("--m-grid", ("sweep",), dict(type=_int_list, default=(),
+                                  help="comma list of truncation sizes")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,16 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("predict", "sweep", "spectrum", "diagnose"):
-        sub = commands.add_parser(name)
-        _add_common(sub)
-        if name == "sweep":
-            sub.add_argument("--alpha-grid", type=_float_list, default=None,
-                             help="comma list of alpha values")
-            sub.add_argument("--p-fresher-grid", type=_float_list, default=None,
-                             help="comma list of p_fresher values")
-            sub.add_argument("--m-grid", type=_int_list, default=None,
-                             help="comma list of truncation sizes")
+    # No abbreviations: a flag a subcommand lacks must fail, not be read as the
+    # prefix of one it has (`spectrum --m 5` as `--m-threshold 5`).
+    for name in _ALL:
+        sub = commands.add_parser(name, argument_default=argparse.SUPPRESS, allow_abbrev=False)
+        for flag, readers, keywords in _FLAGS:
+            if name in readers:
+                sub.add_argument(flag, **keywords)
 
     fetch = commands.add_parser("fetch")
     fetch.add_argument("--url", required=True)
@@ -408,20 +390,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "fetch":
-            return cmd_fetch(args.url, args.sha256, args.dest)
-        defaults = {"predict": ("PBSPM",), "sweep": ("PBSPM",),
-                    "spectrum": ("PBSPM",), "diagnose": ("PBSPM",)}
-        manifest = _manifest_from(args, defaults[args.command])
-        dispatch = {
-            "predict": cmd_predict,
-            "sweep": cmd_sweep,
-            "spectrum": cmd_spectrum,
-            "diagnose": cmd_diagnose,
-        }
-        return dispatch[args.command](manifest)
-    except SystemExit:
-        raise
+        # Looked up at call time, so a wrapper set on this module is the one run.
+        return globals()[f"cmd_{args.command}"](args)
     except ValueError as err:
         print(f"pbspm: usage error: {err}", file=sys.stderr)
         return 1

@@ -12,7 +12,8 @@ spectrum, so all of them share the same perturbations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -86,7 +87,7 @@ class ExperimentConfig:
     score matrix. ``katz_damping=None`` means half the convergence bound.
     """
 
-    method: str
+    method: str = "PBSPM"
     alpha: float = 0.0
     p_fresher: float = 0.10
     p_h: float = 0.10
@@ -105,6 +106,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.realizations < 1:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")
         if not 0.0 < self.p_fresher < 1.0:

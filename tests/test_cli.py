@@ -1,6 +1,8 @@
 """CLI behavior: files emitted, schema validity, determinism, exit codes."""
 
+import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -11,7 +13,8 @@ import jsonschema
 import pytest
 
 import pbspm
-from pbspm.cli import main
+from pbspm.cli import build_parser, main
+from pbspm.evaluation import ExperimentConfig
 
 SCHEMA_PATH = Path(pbspm.__file__).parent / "schemas" / "report.schema.json"
 
@@ -145,11 +148,30 @@ class TestSweep:
         rc = run_cli("sweep", *common_args(shift_dataset, tmp_path / "out"))
         assert rc == 1
 
+    def test_more_than_one_method_rejected(self, shift_dataset, tmp_path, eigh_calls):
+        out = tmp_path / "out"
+        rc = run_cli("sweep", *common_args(shift_dataset, out), "--method", "PBSPM,CN",
+                     "--alpha-grid", "0,1")
+        assert rc == 1
+        assert eigh_calls["count"] == 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["0.1,0.10000001", "0.1,0.1"])
+    def test_p_fresher_values_sharing_a_file_name_rejected(
+        self, shift_dataset, tmp_path, eigh_calls, grid
+    ):
+        out = tmp_path / "out"
+        rc = run_cli("sweep", *common_args(shift_dataset, out), "--alpha-grid", "0,1",
+                     "--p-fresher-grid", grid)
+        assert rc == 1
+        assert eigh_calls["count"] == 0
+        assert not out.exists()
+
 
 class TestSpectrum:
     def test_columns_and_selected_m(self, shift_dataset, tmp_path):
         out = tmp_path / "out"
-        rc = run_cli("spectrum", *common_args(shift_dataset, out))
+        rc = run_cli("spectrum", "--input", shift_dataset, "--out-dir", out)
         assert rc == 0
         with open(out / "spectrum.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -170,7 +192,7 @@ class TestSpectrum:
 
     def test_gap_matches_eigenvalue_columns(self, shift_dataset, tmp_path):
         out = tmp_path / "out"
-        run_cli("spectrum", *common_args(shift_dataset, out))
+        run_cli("spectrum", "--input", shift_dataset, "--out-dir", out)
         meta = json.loads((out / "spectrum.json").read_text())
         lam = meta["eigenvalues"]
         for i, gap in enumerate(meta["gaps"]):
@@ -233,6 +255,13 @@ class TestExitCodes:
                      "--method", "PageRank")
         assert rc == 1
 
+    def test_empty_method_list_is_usage_error(self, shift_dataset, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = run_cli("predict", *common_args(shift_dataset, out), "--method", ",")
+        assert rc == 1
+        assert "at least one method is required" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_flag_is_usage_error(self, shift_dataset, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("predict", "--not-a-flag", "x")
@@ -258,6 +287,75 @@ class TestExitCodes:
         assert rc == 2
         assert "data error: line 3:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+# Every flag each subcommand declares: only those it reads.
+IO_FLAGS = {"--input", "--format", "--out-dir", "--emit", "--probe-fraction"}
+RUN_FLAGS = IO_FLAGS | {"--method", "--alpha", "--p-fresher", "--p-h", "--realizations", "--seed"}
+COMMAND_FLAGS = {
+    "predict": RUN_FLAGS | {"--m", "--L", "--count-dropped-in-L", "--m-threshold",
+                            "--score-averaging", "--katz-damping", "--katz-max-path-length",
+                            "--srw-steps"},
+    "sweep": RUN_FLAGS | {"--m", "--L", "--count-dropped-in-L", "--m-threshold",
+                          "--alpha-grid", "--p-fresher-grid", "--m-grid"},
+    "spectrum": IO_FLAGS | {"--m-threshold"},
+    "diagnose": RUN_FLAGS,
+    "fetch": {"--url", "--sha256", "--dest"},
+}
+
+
+def subcommand_parsers():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+class TestFlags:
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        declared = {
+            name: {flag for action in sub._actions for flag in action.option_strings}
+            - {"-h", "--help"}
+            for name, sub in subcommand_parsers().items()
+        }
+        assert declared == COMMAND_FLAGS
+        assert sum(len(flags) for flags in declared.values()) == 57
+
+    def test_experiment_flags_have_no_default_of_their_own(self):
+        config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)} | {"methods"}
+        for sub in subcommand_parsers().values():
+            for action in sub._actions:
+                if action.dest in config_fields:
+                    assert action.default is argparse.SUPPRESS, action.option_strings
+
+    @pytest.mark.parametrize("args", [
+        ("spectrum", "--seed", "1"),
+        ("spectrum", "--alpha", "5"),
+        ("sweep", "--alpha-grid", "0,1", "--score-averaging", "matrix"),
+        ("sweep", "--alpha-grid", "0,1", "--katz-damping", "0.1"),
+        ("spectrum", "--m", "5"),
+        ("diagnose", "--m", "3"),
+        ("diagnose", "--L", "10"),
+    ])
+    def test_removed_flag_is_usage_error(self, shift_dataset, tmp_path, args):
+        command, *rest = args
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--input", shift_dataset, "--out-dir", tmp_path / "out", *rest)
+        assert exc.value.code == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_bare_predict_uses_experiment_config_defaults(
+        self, shift_dataset, tmp_path, monkeypatch
+    ):
+        import pbspm.cli as cli
+
+        seen = []
+
+        def recording(graph, cfgs, **kwargs):
+            seen.extend(cfgs)
+            return []
+
+        monkeypatch.setattr(cli, "_run_points", recording)
+        assert run_cli("predict", "--input", shift_dataset, "--out-dir", tmp_path / "out") == 0
+        assert seen == [ExperimentConfig(method="PBSPM")]
 
 
 class TestModuleEntryPoint:
@@ -331,6 +429,12 @@ class TestOnePass:
     @pytest.mark.parametrize("args", [
         ("sweep", "--alpha-grid", "0,5", "--p-fresher-grid", "0.1,0.2", "--m-grid", "1,0"),
         ("predict", "--method", "PBSPM", "--alpha", "-1"),
+        ("predict", "--method", "PBSPM", "--alpha", "nan"),
+        ("predict", "--method", "PBSPM", "--alpha", "inf"),
+        ("predict", "--method", "CN", "--p-h", "nan"),
+        ("predict", "--method", "Katz", "--katz-damping", "nan"),
+        ("predict", "--method", "FastPBSPM", "--m-threshold", "nan"),
+        ("sweep", "--alpha-grid", "0,nan"),
     ])
     def test_bad_values_rejected_before_decomposing_or_writing(
         self, shift_dataset, tmp_path, eigh_calls, args
