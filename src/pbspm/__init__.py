@@ -55,7 +55,6 @@ from .spectral import (
     PerturbationSample,
     ScoreMatrix,
     SpectralModel,
-    boost_eigenvectors,
     eigendecompose,
     eigenvalue_correction,
     pbspm_scores,

@@ -62,6 +62,8 @@ def _configs(args: argparse.Namespace) -> list[ExperimentConfig]:
 
 def _emit(args: argparse.Namespace) -> tuple[str, ...]:
     emit = tuple(tok.strip() for tok in args.emit.split(",") if tok.strip())
+    if not emit:
+        raise ValueError(f"--emit {args.emit!r} names no format; expected csv and/or json")
     for fmt in emit:
         if fmt not in ("csv", "json"):
             raise ValueError(f"unknown emit format {fmt!r}")
@@ -164,6 +166,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     emit = _emit(args)
     if not args.alpha_grid and not args.m_grid:
         raise ValueError("sweep needs --alpha-grid and/or --m-grid")
+    if args.p_fresher_grid and not args.alpha_grid:
+        raise ValueError("--p-fresher-grid needs --alpha-grid")
     if len(cfgs) != 1:
         raise ValueError(f"sweep takes one method, got {len(cfgs)}")
     p_freshers = args.p_fresher_grid or (cfgs[0].p_fresher,)
@@ -304,6 +308,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+class _Subparser(_Parser):
+    """A subcommand that reports its unknown arguments with its own usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
@@ -369,7 +383,7 @@ _FLAGS = (
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pbspm", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
 
     # No abbreviations: a flag a subcommand lacks must fail, not be read as the
     # prefix of one it has (`spectrum --m 5` as `--m-threshold 5`).

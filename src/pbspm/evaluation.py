@@ -35,13 +35,11 @@ from .spectral import (
     eigendecompose,
     eigenvalue_correction,
     eigenvalues,
-    pbspm_scores,
     sample_perturbation,
     select_m,
     spm_scores,
-    truncated_scores,
 )
-from .split import PopularityVector, SplitConfig, TrainProbeSplit, popularity, split_train_probe
+from .split import SplitConfig, TrainProbeSplit, popularity, split_train_probe
 
 __all__ = [
     "METHODS",
@@ -128,8 +126,7 @@ class PrecisionReport:
 
     ``mean_delta_lambda1`` and ``mean_delta_cc`` are None for baseline
     methods, which involve no perturbation. ``resolved_m`` records the
-    truncation actually used by the fast method. ``mean_scores`` is only
-    populated on request and never serialized.
+    truncation actually used by the fast method.
     """
 
     config: ExperimentConfig
@@ -142,7 +139,6 @@ class PrecisionReport:
     mean_delta_cc: Optional[float]
     resolved_m: Optional[int] = None
     failures: tuple[str, ...] = ()
-    mean_scores: Optional[ScoreMatrix] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -152,6 +148,37 @@ class SweepPoint:
     report: PrecisionReport
 
 
+def _candidates(train_view: AdjacencyView) -> np.ndarray:
+    # Flat indices of the upper-triangle non-edges, already (i, j) ascending,
+    # so a stable sort on the score alone breaks ties by (i, j).
+    return np.flatnonzero(np.triu(train_view.matrix == 0, 1))
+
+
+def _top(scores: np.ndarray, L: Optional[int]) -> np.ndarray:
+    """Positions of the top ``min(L, scores.size)`` scores: score descending, then position.
+
+    Partial selection finds the L-th largest score; only the scores at least
+    that large (every tie at the boundary included) are sorted.
+    """
+    neg = -scores
+    if L is None or L >= neg.size:
+        return np.argsort(neg, kind="stable")
+    kth = np.partition(neg, L - 1)[L - 1]
+    # Not `neg <= kth`: NaN scores sort last, and when fewer than L
+    # scores are numbers the cut is NaN and every candidate is kept.
+    keep = np.flatnonzero(~(neg > kth))
+    return keep[np.argsort(neg[keep], kind="stable")[:L]]
+
+
+def _ranked(flat: np.ndarray, scores: np.ndarray, top: np.ndarray, n: int) -> RankedCandidates:
+    """The candidate pairs ``flat`` and their ``scores`` at the positions ``top``."""
+    pairs = np.column_stack(np.divmod(flat[top], n))
+    pairs.setflags(write=False)
+    ranked_scores = scores[top]
+    ranked_scores.setflags(write=False)
+    return RankedCandidates(pairs=pairs, scores=ranked_scores)
+
+
 def rank_candidates(
     scores: ScoreMatrix, train_view: AdjacencyView, L: Optional[int] = None
 ) -> RankedCandidates:
@@ -159,31 +186,15 @@ def rank_candidates(
 
     Ordering is deterministic: score descending, then (i, j) ascending. With
     ``L`` set, only the top ``min(L, candidates)`` pairs are returned; that
-    cut ranking is exactly a prefix of the full one. The L-th largest score
-    is found by partial selection, and only the candidates scoring at least
-    that much (every tie at the boundary included) are sorted.
+    cut ranking is exactly a prefix of the full one.
     """
     if scores.n != train_view.n:
         raise ValueError(f"size mismatch: scores n={scores.n}, view n={train_view.n}")
     if L is not None and L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
-    # Flat indices of the upper-triangle non-edges, already (i, j) ascending,
-    # so a stable sort on the score alone breaks ties by (i, j).
-    flat = np.flatnonzero(np.triu(train_view.matrix == 0, 1))
+    flat = _candidates(train_view)
     sc = scores.values.take(flat)
-    neg = -sc
-    if L is not None and L < flat.size:
-        kth = np.partition(neg, L - 1)[L - 1]
-        # Not `neg <= kth`: NaN scores sort last, and when fewer than L
-        # scores are numbers the cut is NaN and every candidate is kept.
-        keep = np.flatnonzero(~(neg > kth))
-        flat, sc, neg = flat[keep], sc[keep], neg[keep]
-    order = np.argsort(neg, kind="stable")[:L]
-    pairs = np.column_stack(np.divmod(flat[order], train_view.n))
-    pairs.setflags(write=False)
-    ranked_scores = sc[order]
-    ranked_scores.setflags(write=False)
-    return RankedCandidates(pairs=pairs, scores=ranked_scores)
+    return _ranked(flat, sc, _top(sc, L), train_view.n)
 
 
 def precision_at(ranked: RankedCandidates, probe: Iterable[tuple[int, int]], L: int) -> float:
@@ -254,19 +265,6 @@ def _baseline_scores(
     raise ValueError(f"not a baseline method: {method}")
 
 
-def _spectral_realization_scores(
-    model: SpectralModel, cfg: ExperimentConfig, pop: PopularityVector, m: Optional[int]
-) -> tuple[ScoreMatrix, np.ndarray]:
-    """Score matrix plus the (possibly boosted) principal eigenvector."""
-    if cfg.method == "SPM":
-        return spm_scores(model), model.eigenvectors[:, 0]
-    factor = 1.0 + cfg.alpha * pop.values
-    boosted_x1 = model.eigenvectors[:, 0] * factor
-    if cfg.method == "PBSPM":
-        return pbspm_scores(model, pop, cfg.alpha), boosted_x1
-    return truncated_scores(model, pop, cfg.alpha, m), boosted_x1
-
-
 def _mean_or_none(values: list[Optional[float]]) -> Optional[float]:
     present = [v for v in values if v is not None]
     return float(np.mean(present)) if present else None
@@ -279,6 +277,7 @@ class _Point:
     cfg: ExperimentConfig
     L: int
     m: Optional[int] = None
+    boost: Optional[np.ndarray] = None  # 1 + alpha * popularity; None for SPM
     score_sum: Optional[np.ndarray] = None
     precisions: list[float] = field(default_factory=list)
     delta_ccs: list[Optional[float]] = field(default_factory=list)
@@ -302,23 +301,27 @@ def _score_spectral(
     split: TrainProbeSplit,
     train_view: AdjacencyView,
     points: Sequence[_Point],
-    keep_scores: bool,
     keep_top: bool,
 ) -> None:
     """Score every point from each realization's one corrected spectrum."""
-    pops = {
-        pf: popularity(graph, split.train, pf)
-        for pf in dict.fromkeys(p.cfg.p_fresher for p in points)
-    }
-    probe_inc = _probe_degree_increment(graph, n_train=split.train.size)
+    flat = _candidates(train_view)
+    hit = np.isin(flat, [u * train_view.n + v for u, v in split.probe])
+    p_freshers = dict.fromkeys(p.cfg.p_fresher for p in points)
+    pops = {pf: popularity(graph, split.train, pf) for pf in p_freshers}
+    for p in points:
+        if p.L > flat.size:
+            raise ValueError(f"L={p.L} exceeds candidate count {flat.size}")
+        if p.cfg.method != "SPM":
+            p.boost = 1.0 + p.cfg.alpha * pops[p.cfg.p_fresher].values
+        if keep_top or p.cfg.score_averaging == "matrix":
+            p.score_sum = np.zeros(flat.size)
     fast = [p for p in points if p.cfg.method == "FastPBSPM"]
     if any(p.cfg.m is None for p in fast):
         train_lam = eigenvalues(train_view)
     for p in fast:
         p.m = p.cfg.m if p.cfg.m is not None else select_m(train_lam, p.cfg.m_threshold)
-    for p in points:
-        if keep_scores or keep_top or p.cfg.score_averaging == "matrix":
-            p.score_sum = np.zeros_like(train_view.matrix)
+    ms = dict.fromkeys(p.m for p in points)
+    probe_inc = _probe_degree_increment(graph, n_train=split.train.size)
 
     shared = points[0].cfg
     train_edges = graph.edges[split.train]
@@ -334,34 +337,33 @@ def _score_spectral(
         finally:
             sample = None
         shifts.append(float(model.corrections[0]))
-        for p in points:
-            scores, boosted_x1 = _spectral_realization_scores(
-                model, p.cfg, pops[p.cfg.p_fresher], p.m
-            )
-            try:
-                p.delta_ccs.append(delta_cc(model, boosted_x1, probe_inc))
-            except ZeroVarianceError:
-                p.delta_ccs.append(None)
-            if p.cfg.score_averaging == "precision":
-                ranked = rank_candidates(scores, train_view, p.L)
-                p.precisions.append(precision_at(ranked, split.probe, p.L))
-            if p.score_sum is not None:
-                p.score_sum += scores.values
-            ranked = scores = None  # free each n x n array before the next is built
-        model = None
+        for m in ms:
+            spm = spm_scores(model, m).values.take(flat)
+            for p in (p for p in points if p.m == m):
+                scores, x1 = spm, model.eigenvectors[:, 0]
+                if p.boost is not None:  # as in pbspm_scores: S_ij * f_i * f_j
+                    scores = spm * np.multiply.outer(p.boost, p.boost).take(flat)
+                    x1 = x1 * p.boost
+                try:
+                    p.delta_ccs.append(delta_cc(model, x1, probe_inc))
+                except ZeroVarianceError:
+                    p.delta_ccs.append(None)
+                if p.cfg.score_averaging == "precision":
+                    p.precisions.append(np.count_nonzero(hit[_top(scores, p.L)]) / p.L)
+                if p.score_sum is not None:
+                    p.score_sum += scores
+        # Free the eigenvectors (x1 may be a view of them) before the next eigh.
+        model = spm = scores = x1 = None
     if not shifts:
         raise NumericalError(f"all {shared.realizations} realizations failed: {failures}")
 
     for p in points:
-        mean_scores = ranked = None
         if p.score_sum is not None:
             p.score_sum /= len(shifts)
-            p.score_sum.setflags(write=False)
-            mean_scores = ScoreMatrix(n=train_view.n, values=p.score_sum)
-        if p.cfg.score_averaging == "matrix" or keep_top:
-            ranked = rank_candidates(mean_scores, train_view, p.L)
+            top = _top(p.score_sum, p.L)
+        ranked = _ranked(flat, p.score_sum, top, train_view.n) if keep_top else None
         if p.cfg.score_averaging == "matrix":
-            per, mean_prec, std = (), precision_at(ranked, split.probe, p.L), None
+            per, mean_prec, std = (), np.count_nonzero(hit[top]) / p.L, None
         else:
             per = tuple(p.precisions)
             mean_prec, std = float(np.mean(per)), float(np.std(per))
@@ -376,16 +378,12 @@ def _score_spectral(
             mean_delta_cc=_mean_or_none(p.delta_ccs),
             resolved_m=p.m,
             failures=tuple(failures),
-            mean_scores=mean_scores if keep_scores else None,
         )
-        p.result = (report, ranked if keep_top else None)
+        p.result = (report, ranked)
 
 
 def _run_points(
-    graph: TemporalGraph,
-    cfgs: Sequence[ExperimentConfig],
-    keep_scores: bool = False,
-    keep_top: bool = False,
+    graph: TemporalGraph, cfgs: Sequence[ExperimentConfig], keep_top: bool = False
 ) -> list[tuple[PrecisionReport, Optional[RankedCandidates]]]:
     """Evaluate every config from one split and one spectrum per realization.
 
@@ -393,10 +391,11 @@ def _run_points(
     ``probe_fraction``, which fix the split and the perturbations, and may
     differ in everything else; all are validated before anything is
     decomposed. Baselines are scored once. Each realization is then
-    perturbed, decomposed and corrected once, and every spectral config is
-    scored from that one model. ``keep_scores`` puts the realization-mean
-    score matrix into each report; ``keep_top`` pairs each report with the
-    top-L ranking of that matrix.
+    perturbed, decomposed and corrected once; its SPM scores are
+    reconstructed once per distinct truncation and taken over the candidate
+    pairs, and every spectral config is scored as that vector, rescaled by
+    the config's popularity boost. ``keep_top`` pairs each report with the
+    top-L ranking of the scores averaged over the realizations.
     """
     _validate(cfgs, graph.n)
     split = split_train_probe(graph, SplitConfig(probe_fraction=cfgs[0].probe_fraction))
@@ -421,29 +420,24 @@ def _run_points(
             std_precision=0.0,
             mean_delta_lambda1=None,
             mean_delta_cc=None,
-            mean_scores=scores if keep_scores else None,
         )
         points[-1].result = (report, ranked if keep_top else None)
         scores = ranked = None  # free both before the realization loop
     spectral = [p for p in points if p.cfg.method in SPECTRAL_METHODS]
     if spectral:
-        _score_spectral(graph, split, train_view, spectral, keep_scores, keep_top)
+        _score_spectral(graph, split, train_view, spectral, keep_top)
     return [p.result for p in points]
 
 
-def run_experiment(
-    graph: TemporalGraph, cfg: ExperimentConfig, collect_mean_scores: bool = False
-) -> PrecisionReport:
+def run_experiment(graph: TemporalGraph, cfg: ExperimentConfig) -> PrecisionReport:
     """Split, score, rank, and evaluate precision for one method.
 
     The temporal split is deterministic. Spectral methods run
     ``cfg.realizations`` independent perturbations seeded ``seed .. seed+r-1``
     and average precision over them (or average the score matrices first when
     ``cfg.score_averaging == "matrix"``); baselines run once, unperturbed.
-    With ``collect_mean_scores`` the report also carries the score matrix
-    averaged over realizations, for emitting prediction lists.
     """
-    return _run_points(graph, [cfg], keep_scores=collect_mean_scores)[0][0]
+    return _run_points(graph, [cfg])[0][0]
 
 
 def _sweep_grids(

@@ -3,16 +3,17 @@
 A random slice of the training edges is removed, the remaining adjacency is
 eigendecomposed, and each eigenvalue receives the first-order shift induced
 by the removed slice. Summing the shifted eigenpairs back up yields a score
-matrix whose large entries mark likely missing edges. The popularity-boosted
-variant rescales every eigenvector component by ``1 + alpha * popularity``
-before the reconstruction, and the fast variant keeps only the ``m`` leading
+matrix S whose large entries mark likely missing edges. The popularity-boosted
+variant scales row i of the eigenvectors by ``f_i = 1 + alpha * popularity_i``,
+which makes its score exactly ``f_i * f_j * S_ij``: it is computed as that
+rescale of S. The fast variant rescales the sum of only the ``m`` leading
 eigenpairs, with ``m`` read off the last large eigenvalue gap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +30,6 @@ __all__ = [
     "eigenvalues",
     "eigenvalue_correction",
     "spm_scores",
-    "boost_eigenvectors",
     "pbspm_scores",
     "truncated_scores",
     "select_m",
@@ -191,47 +191,38 @@ def eigenvalue_correction(model: SpectralModel, delta: AdjacencyView) -> Spectra
     )
 
 
-def _reconstruct(vectors: np.ndarray, weights: np.ndarray) -> ScoreMatrix:
+def spm_scores(model: SpectralModel, m: Optional[int] = None) -> ScoreMatrix:
+    """The SPM score matrix S: corrected sum of the leading m eigenpairs, or of all."""
+    if m is not None and not 1 <= m <= model.n:
+        raise ValueError(f"m must be in [1, {model.n}], got {m}")
+    vectors = model.eigenvectors[:, :m]
+    weights = (model.eigenvalues + model.corrections)[:m]
     return _score_matrix((vectors * weights) @ vectors.T)
 
 
-def spm_scores(model: SpectralModel) -> ScoreMatrix:
-    """Sum of corrected eigenpairs: the plain structural perturbation score."""
-    return _reconstruct(model.eigenvectors, model.eigenvalues + model.corrections)
+def pbspm_scores(
+    model: SpectralModel, s: PopularityVector, alpha: float, m: Optional[int] = None
+) -> ScoreMatrix:
+    """Popularity-boosted scores: ``f_i * f_j * S_ij`` with ``f = 1 + alpha * s``.
 
-
-def boost_eigenvectors(
-    model: SpectralModel, s: PopularityVector, alpha: float
-) -> np.ndarray:
-    """Rescale component ``i`` of every eigenvector by ``1 + alpha * s[i]``.
-
-    The result is intentionally not renormalized: the rescaling carries the
-    popularity signal into the reconstruction.
+    Boosting row i of the eigenvectors by ``f_i`` before the reconstruction
+    is exactly this rescale of ``spm_scores(model, m)``. The boosted
+    vectors are never renormalized: the rescale is the popularity signal.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     if len(s) != model.n:
         raise ValueError(f"popularity covers {len(s)} nodes, model has {model.n}")
-    return model.eigenvectors * (1.0 + alpha * s.values)[:, None]
-
-
-def pbspm_scores(
-    model: SpectralModel, s: PopularityVector, alpha: float
-) -> ScoreMatrix:
-    """Popularity-boosted reconstruction over all eigenpairs."""
-    boosted = boost_eigenvectors(model, s, alpha)
-    return _reconstruct(boosted, model.eigenvalues + model.corrections)
+    f = 1.0 + alpha * s.values
+    values = np.multiply.outer(f, f) * spm_scores(model, m).values
+    return ScoreMatrix(n=model.n, values=_frozen(values))
 
 
 def truncated_scores(
     model: SpectralModel, s: PopularityVector, alpha: float, m: int
 ) -> ScoreMatrix:
-    """Popularity-boosted reconstruction keeping only the m leading eigenpairs."""
-    if not 1 <= m <= model.n:
-        raise ValueError(f"m must be in [1, {model.n}], got {m}")
-    boosted = boost_eigenvectors(model, s, alpha)
-    weights = model.eigenvalues + model.corrections
-    return _reconstruct(boosted[:, :m], weights[:m])
+    """Popularity-boosted scores from only the m leading eigenpairs."""
+    return pbspm_scores(model, s, alpha, m)
 
 
 def select_m(eigenvalues: Sequence[float], threshold: float = 0.05) -> int:

@@ -262,6 +262,18 @@ class TestExitCodes:
         assert "at least one method is required" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["predict", "sweep", "spectrum", "diagnose"])
+    @pytest.mark.parametrize("emit", ["", " , "], ids=["empty", "commas"])
+    def test_emit_without_format_fails_before_loading_input(
+        self, tmp_path, capsys, command, emit
+    ):
+        # The input does not exist: reading it first would be a data error (2).
+        rc = run_cli(command, "--input", tmp_path / "missing.tsv", "--out-dir", tmp_path / "out",
+                     "--emit", emit)
+        assert rc == 1
+        assert "names no format" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_flag_is_usage_error(self, shift_dataset, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("predict", "--not-a-flag", "x")
@@ -340,6 +352,17 @@ class TestFlags:
         with pytest.raises(SystemExit) as exc:
             run_cli(command, "--input", shift_dataset, "--out-dir", tmp_path / "out", *rest)
         assert exc.value.code == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_flag_prints_the_subcommand_usage(self, shift_dataset, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("spectrum", "--input", shift_dataset, "--out-dir", tmp_path / "out",
+                    "--seed", "7")
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pbspm spectrum ")
+        assert "--m-threshold" in err and "{predict," not in err
+        assert "pbspm spectrum: error: unrecognized arguments: --seed 7" in err
         assert not (tmp_path / "out").exists()
 
     def test_bare_predict_uses_experiment_config_defaults(
@@ -435,6 +458,9 @@ class TestOnePass:
         ("predict", "--method", "Katz", "--katz-damping", "nan"),
         ("predict", "--method", "FastPBSPM", "--m-threshold", "nan"),
         ("sweep", "--alpha-grid", "0,nan"),
+        ("sweep", "--m-grid", "1,5", "--p-fresher-grid", "0.1,0.2"),
+        ("predict", "--emit", ""),
+        ("predict", "--L", "1000000000"),
     ])
     def test_bad_values_rejected_before_decomposing_or_writing(
         self, shift_dataset, tmp_path, eigh_calls, args

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pbspm.baselines import cn_scores
+from pbspm.baselines import cn_scores, ra_scores
 from pbspm.errors import UndefinedMetricError, ZeroVarianceError
 from pbspm.evaluation import (
     ExperimentConfig,
@@ -20,10 +20,21 @@ from pbspm.evaluation import (
     sweep,
     sweep_m,
 )
-from pbspm.graph import AdjacencyView
-from pbspm.spectral import ScoreMatrix, eigendecompose
+from pbspm.graph import AdjacencyView, adjacency, simplify
+from pbspm.spectral import (
+    ScoreMatrix,
+    eigendecompose,
+    eigenvalue_correction,
+    eigenvalues,
+    pbspm_scores,
+    sample_perturbation,
+    select_m,
+    spm_scores,
+    truncated_scores,
+)
+from pbspm.split import SplitConfig, popularity, split_train_probe
 
-from conftest import random_view
+from conftest import random_event_stream, random_view
 
 
 def view_from(matrix) -> AdjacencyView:
@@ -35,6 +46,41 @@ def view_from(matrix) -> AdjacencyView:
 def score_matrix(values) -> ScoreMatrix:
     v = np.asarray(values, dtype=np.float64)
     return ScoreMatrix(n=v.shape[0], values=v)
+
+
+def engine_oracle(graph, cfg):
+    """Per-realization precisions, mean precision and top-L list of one config.
+
+    Built from the public pieces one realization and one config at a time:
+    perturb, decompose, correct, reconstruct, rank, count hits.
+    """
+    split = split_train_probe(graph, SplitConfig(probe_fraction=cfg.probe_fraction))
+    view = adjacency(graph, split.train)
+    L = cfg.L if cfg.L is not None else len(split.probe)
+    if cfg.method == "RA":
+        top = rank_candidates(ra_scores(view), view, L)
+        prec = precision_at(top, split.probe, L)
+        return (prec,), prec, top
+    pop = popularity(graph, split.train, cfg.p_fresher)
+    m = cfg.m
+    if cfg.method == "FastPBSPM" and m is None:
+        m = select_m(eigenvalues(view), cfg.m_threshold)
+    per, total = [], np.zeros((graph.n, graph.n))
+    for r in range(cfg.realizations):
+        sample = sample_perturbation(view, graph.edges[split.train], cfg.p_h, cfg.seed + r)
+        model = eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
+        if cfg.method == "SPM":
+            scores = spm_scores(model)
+        elif cfg.method == "PBSPM":
+            scores = pbspm_scores(model, pop, cfg.alpha)
+        else:
+            scores = truncated_scores(model, pop, cfg.alpha, m)
+        per.append(precision_at(rank_candidates(scores, view, L), split.probe, L))
+        total += scores.values
+    top = rank_candidates(ScoreMatrix(n=graph.n, values=total / cfg.realizations), view, L)
+    if cfg.score_averaging == "matrix":
+        return (), precision_at(top, split.probe, L), top
+    return tuple(per), float(np.mean(per)), top
 
 
 class TestRankCandidates:
@@ -327,12 +373,6 @@ class TestRunExperiment:
         assert report.std_precision is None
         assert 0.0 <= report.mean_precision <= 1.0
 
-    def test_collected_scores_are_realization_mean(self, shift_graph):
-        cfg = ExperimentConfig(method="SPM", p_fresher=0.15, seed=2, realizations=2)
-        report = run_experiment(shift_graph, cfg, collect_mean_scores=True)
-        assert report.mean_scores is not None
-        assert report.mean_scores.values.shape == (shift_graph.n, shift_graph.n)
-
     def test_rising_precision_from_alpha_zero(self, shift_graph):
         # Popularity has to help on a network built around recency shift.
         zero = run_experiment(
@@ -447,14 +487,29 @@ class TestOnePassEngine:
         joint = [report for report, _ in _run_points(shift_graph, cfgs)]
         assert joint == [run_experiment(shift_graph, cfg) for cfg in cfgs]
 
-    def test_top_lists_are_mean_score_rankings(self, shift_graph):
-        cfgs = [ExperimentConfig(method=method, p_fresher=0.15, seed=2, realizations=2)
-                for method in ("SPM", "RA")]
-        for cfg, (report, top) in zip(cfgs, _run_points(shift_graph, cfgs, keep_top=True)):
-            scores = run_experiment(shift_graph, cfg, collect_mean_scores=True).mean_scores
-            assert len(top) == report.L
-            assert np.array_equal(top.scores, np.sort(top.scores)[::-1])
-            assert np.array_equal(scores.values[top.pairs[:, 0], top.pairs[:, 1]], top.scores)
+    @pytest.mark.parametrize("source", ["shift", 0, 1, 2, 3])
+    def test_matches_public_pieces_oracle(self, shift_graph, source):
+        if source == "shift":
+            graph = shift_graph
+        else:
+            rng = np.random.default_rng(source)
+            graph = simplify(random_event_stream(rng, n_labels=30, n_events=300, t_max=1000))
+        base = ExperimentConfig(method="SPM", alpha=3.0, p_fresher=0.2, seed=7,
+                                realizations=3)
+        cfgs = [
+            base,
+            replace(base, method="PBSPM"),
+            replace(base, method="FastPBSPM"),
+            replace(base, method="FastPBSPM", m=5, p_fresher=0.3, alpha=7.0),
+            replace(base, method="PBSPM", alpha=0.5, score_averaging="matrix", L=17),
+            replace(base, method="RA"),
+        ]
+        for cfg, (report, top) in zip(cfgs, _run_points(graph, cfgs, keep_top=True)):
+            per, mean_precision, mean_top = engine_oracle(graph, cfg)
+            assert report.per_realization == per, cfg
+            assert report.mean_precision == mean_precision, cfg
+            assert np.array_equal(top.pairs, mean_top.pairs), cfg
+            np.testing.assert_allclose(top.scores, mean_top.scores, rtol=1e-12, atol=0)
 
 
 class TestConfigValidation:

@@ -6,7 +6,6 @@ import pytest
 from pbspm.errors import DegeneratePerturbationError
 from pbspm.graph import AdjacencyView
 from pbspm.spectral import (
-    boost_eigenvectors,
     eigendecompose,
     eigenvalue_correction,
     eigenvalues,
@@ -238,42 +237,49 @@ class TestSpmScores:
 
 
 class TestBoostEigenvectors:
+    """Row i of the eigenvectors scaled by 1 + alpha * s_i, seen through the scores."""
+
     def test_alpha_zero_is_identity(self):
         rng = np.random.default_rng(16)
         model = eigendecompose(random_view(rng, 10, p=0.4))
-        boosted = boost_eigenvectors(model, uniform_pop(10, 0.7), alpha=0.0)
-        np.testing.assert_array_equal(boosted, model.eigenvectors)
+        boosted = pbspm_scores(model, uniform_pop(10, 0.7), alpha=0.0)
+        np.testing.assert_array_equal(boosted.values, spm_scores(model).values)
 
     def test_component_arithmetic(self):
         model = eigendecompose(view_from([[0, 1], [1, 0]]))
         fake = PopularityVector(values=np.array([1.0, 0.0]))
-        boosted = boost_eigenvectors(model, fake, alpha=7.0)
-        # x = 1/sqrt(2) ~ 0.7071; 0.5 component scaled by (1 + 7*1) = 8.
-        assert boosted[0, 0] == pytest.approx(model.eigenvectors[0, 0] * 8.0)
-        assert boosted[1, 0] == pytest.approx(model.eigenvectors[1, 0])
+        boosted = pbspm_scores(model, fake, alpha=7.0).values
+        plain = spm_scores(model).values
+        # Node 0's components scale by (1 + 7*1) = 8, node 1's by 1.
+        assert boosted[0, 0] == pytest.approx(plain[0, 0] * 64.0)
+        assert boosted[0, 1] == pytest.approx(plain[0, 1] * 8.0)
+        assert boosted[1, 0] == pytest.approx(plain[1, 0] * 8.0)
+        assert boosted[1, 1] == pytest.approx(plain[1, 1])
 
     def test_elementwise_oracle(self):
         rng = np.random.default_rng(17)
         model = eigendecompose(random_view(rng, 9, p=0.5))
         s = rng.random(9)
         pop = PopularityVector(values=s)
-        boosted = boost_eigenvectors(model, pop, alpha=3.5)
-        for i in range(9):
-            for k in range(9):
-                expected = model.eigenvectors[i, k] * (1 + 3.5 * s[i])
-                assert boosted[i, k] == pytest.approx(expected, abs=1e-15)
+        for m in (None, 1, 4):
+            boosted = pbspm_scores(model, pop, alpha=3.5, m=m).values
+            plain = spm_scores(model, m).values
+            for i in range(9):
+                for j in range(9):
+                    expected = (1 + 3.5 * s[i]) * (1 + 3.5 * s[j]) * plain[i, j]
+                    assert boosted[i, j] == pytest.approx(expected, rel=1e-15, abs=1e-15)
 
     def test_negative_alpha_rejected(self):
         rng = np.random.default_rng(18)
         model = eigendecompose(random_view(rng, 5, p=0.5))
-        with pytest.raises(ValueError):
-            boost_eigenvectors(model, uniform_pop(5), alpha=-0.1)
+        with pytest.raises(ValueError, match="alpha"):
+            pbspm_scores(model, uniform_pop(5), alpha=-0.1)
 
     def test_size_mismatch_rejected(self):
         rng = np.random.default_rng(19)
         model = eigendecompose(random_view(rng, 5, p=0.5))
-        with pytest.raises(ValueError):
-            boost_eigenvectors(model, uniform_pop(4), alpha=1.0)
+        with pytest.raises(ValueError, match="popularity covers 4 nodes"):
+            pbspm_scores(model, uniform_pop(4), alpha=1.0)
 
 
 class TestPbspmScores:
@@ -303,13 +309,16 @@ class TestPbspmScores:
         model = corrected_model(view, p_h=0.3, seed=5)
         s = rng.random(6)
         alpha = 4.0
-        expected = np.zeros((6, 6))
-        for k in range(6):
-            w = model.eigenvalues[k] + model.corrections[k]
-            x = model.eigenvectors[:, k] * (1 + alpha * s)
-            expected += w * np.outer(x, x)
-        got = pbspm_scores(model, PopularityVector(values=s), alpha)
-        np.testing.assert_allclose(got.values, expected, atol=1e-10)
+        for m in (None, 1, 2, 5, 6):
+            # Reconstruct from the boosted eigenvectors, pair by pair.
+            expected = np.zeros((6, 6))
+            for k in range(6 if m is None else m):
+                w = model.eigenvalues[k] + model.corrections[k]
+                x = model.eigenvectors[:, k] * (1 + alpha * s)
+                expected += w * np.outer(x, x)
+            got = pbspm_scores(model, PopularityVector(values=s), alpha, m)
+            np.testing.assert_allclose(got.values, expected, atol=1e-10)
+            assert np.array_equal(got.values, got.values.T)
 
 
 class TestTruncatedScores:
