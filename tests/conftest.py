@@ -17,7 +17,7 @@ def random_event_stream(rng, n_labels=8, n_events=40, loop_rate=0.1, t_max=100):
         a = str(rng.integers(n_labels))
         b = a if rng.random() < loop_rate else str(rng.integers(n_labels))
         events.append(RawEvent(a, b, int(rng.integers(1, t_max))))
-    return TemporalEventStream(tuple(events))
+    return TemporalEventStream.from_events(events)
 
 
 def random_view(rng, n, p=0.35) -> AdjacencyView:
@@ -64,7 +64,7 @@ def popularity_shift_events(
     pairs += distinct_pairs(new, m_new)
 
     events = [RawEvent(str(a), str(b), t) for t, (a, b) in enumerate(pairs, start=1)]
-    return TemporalEventStream(tuple(events))
+    return TemporalEventStream.from_events(events)
 
 
 @pytest.fixture(scope="session")

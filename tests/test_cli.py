@@ -300,6 +300,20 @@ class TestExitCodes:
         assert "data error: line 3:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text, line_no", [
+        ("1\t2\t99999999999999999999\n", 1),
+        ("1\t2\t5\n1\t2\t99999999999999999999\n", 2),
+        ("1\t2\t5\n2\t3\t1e20\n", 2),
+    ], ids=["new-pair", "seen-pair", "float"])
+    def test_timestamp_outside_int64_is_data_error(self, tmp_path, capsys, text, line_no):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(text)
+        rc = run_cli("predict", "--input", bad, "--method", "CN",
+                     "--out-dir", tmp_path / "out")
+        assert rc == 2
+        assert f"data error: line {line_no}: timestamp" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 # Every flag each subcommand declares: only those it reads.
 IO_FLAGS = {"--input", "--format", "--out-dir", "--emit", "--probe-fraction"}

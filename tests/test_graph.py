@@ -1,12 +1,13 @@
 """Parsing, simplification, and adjacency against brute-force pair oracles."""
 
+import csv
 import io
 import time
 
 import numpy as np
 import pytest
 
-from pbspm.errors import EmptyGraphError, EmptyInputError, ParseError
+from pbspm.errors import DataError, EmptyGraphError, EmptyInputError, ParseError
 from pbspm.graph import (
     RawEvent,
     TemporalEventStream,
@@ -18,7 +19,7 @@ from pbspm.graph import (
 )
 
 from conftest import random_event_stream
-from oracles import greedy_simplify_oracle
+from oracles import greedy_simplify_oracle, per_line_ingest_oracle
 
 
 def pair_oracle(stream):
@@ -103,10 +104,158 @@ class TestParseEdgeStream:
         assert exc.value.line_no == line_no
         assert "UTF-8" in str(exc.value)
 
+    @pytest.mark.parametrize("data, line_no", [
+        (b"1\t2\t99999999999999999999\n", 1),  # a new pair
+        (b"1\t2\t5\n2\t1\t99999999999999999999\n", 2),  # a pair seen earlier
+        (b"1\t2\t5\n3\t4\t1e20\n", 2),
+        (b"1\t2\t-9223372036854775809\n", 1),
+        (b"1\t2\t9223372036854775808\n", 1),
+    ])
+    def test_timestamp_outside_int64_names_its_line(self, data, line_no):
+        with pytest.raises(ParseError) as exc:
+            parse_edge_stream(io.BytesIO(data))
+        assert exc.value.line_no == line_no
+        assert "outside the int64 range" in str(exc.value)
+
+    def test_int64_bounds_accepted(self):
+        stream = parse_edge_stream(
+            io.BytesIO(b"1 2 9223372036854775807\n2 3 -9223372036854775808\n")
+        )
+        assert stream.timestamp.tolist() == [2**63 - 1, -(2**63)]
+
+    def test_first_bad_line_is_reported(self):
+        # Line 2 has a bad weight and line 3 a wrong field count: line 2 wins.
+        with pytest.raises(ParseError) as exc:
+            parse_edge_stream(io.BytesIO(b"1 2 3\n1 2 w 4\n1 2\n"))
+        assert exc.value.line_no == 2
+        assert "bad weight" in str(exc.value)
+
+    def test_columns(self):
+        stream = parse_edge_stream(io.BytesIO(b"b a 7\n% x\na c 0.5 3\n"))
+        assert stream.labels == ("b", "a", "c")
+        assert stream.source.tolist() == [0, 1]
+        assert stream.target.tolist() == [1, 2]
+        assert stream.timestamp.tolist() == [7, 3]
+        assert stream.weighted.tolist() == [False, True]
+        assert np.isnan(stream.weight[0]) and stream.weight[1] == 0.5
+        assert [ev.weight for ev in stream.events] == [None, 0.5]
+
+    def test_valid_tsv_builds_no_raw_event(self, monkeypatch):
+        # The per-line objects stay off the ingest path of a valid file.
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("RawEvent constructed while ingesting")
+
+        monkeypatch.setattr(RawEvent, "__init__", refuse)
+        rng = np.random.default_rng(41)
+        rows = rng.integers(0, 30, size=(500, 3))
+        data = "".join(f"{u}\t{v}\t{t}\n" for u, v, t in rows.tolist()).encode()
+        graph = simplify(parse_edge_stream(io.BytesIO(data)))
+        assert graph.m_edges > 0
+
+
+def random_contact_file(rng, fmt):
+    """A random TSV or CSV contact file as bytes, with at most one bad line.
+
+    Few labels and stamps make repeated pairs and large equal-stamp groups;
+    lines mix 3 and 4 fields, separators, comments, blank lines, CRLF and
+    stamps written as floats. Returns the bytes and the kind of bad line.
+    """
+    pool = ["1", "2", "17", "a", "Node", "κόμβος", "节点", "ü", "x.y"]
+    labels = list(rng.choice(pool, size=int(rng.integers(2, len(pool) + 1)), replace=False))
+    t_max = int(rng.integers(1, 6))
+    sep = "," if fmt == "csv" else "\t"
+
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    def event_fields():
+        stamp = int(rng.integers(-1, t_max))
+        fields = [pick(labels), pick(labels), pick([str(stamp), f"{stamp}.0", f"{stamp}e0"])]
+        if rng.random() < 0.3:
+            fields.insert(2, pick(["1", "0.5", "2e-3", "nan", "-inf", "7"]))
+        return fields
+
+    def join(fields):
+        if fmt == "csv":
+            if rng.random() < 0.2:  # a comma inside quotes, which must open the line
+                return ",".join([f'"{fields[0]},{fields[0]}"', *fields[1:]])
+            return pick(["", " "]) + pick([",", ", ", " ,"]).join(fields)
+        seps = [pick([" ", "\t", "  ", " \t"]) for _ in fields[1:]]
+        return pick(["", " "]) + "".join(f + s for f, s in zip(fields, seps)) + fields[-1]
+
+    lines = []
+    for _ in range(int(rng.integers(1, 40))):
+        r = rng.random()
+        if r < 0.08:
+            lines.append(pick(["", "  ", "\t"]))
+        elif r < 0.16:
+            lines.append(pick(["", "  ", "\t"]) + pick(["%", "#"]) + pick(["", " note 1 2 3"]))
+        else:
+            lines.append(join(event_fields()) + pick(["", " ", "\t"]))
+    kinds = ["fields", "weight", "stamp", "non-integer stamp", "utf-8"]
+    if fmt == "csv":
+        kinds.append("empty label")
+    kind = pick(kinds) if rng.random() < 0.5 else None
+    at = int(rng.integers(len(lines) + 1))
+    a, b = pick(labels), pick(labels)
+    bad = {
+        None: None,
+        "fields": [a, b] if rng.random() < 0.5 else [a, b, "1", "2", "3"],
+        "weight": [a, b, "w", "1"],
+        "stamp": [a, b, "soon"],
+        "non-integer stamp": [a, b, pick(["1.5", "inf", "nan"])],
+        "empty label": ["", b, "1"],
+        "utf-8": [a, b, "1"],
+    }[kind]
+    if bad is not None:
+        lines.insert(at, join(bad))
+    encoded = [line.encode("utf-8") for line in lines]
+    if kind == "utf-8":
+        encoded[at] = encoded[at][:1] + pick([b"\xff", b"\xc3"]) + encoded[at][1:]
+    data = b""
+    for line in encoded:
+        data += line + pick([b"\n", b"\r\n"])
+    return (data if rng.random() < 0.8 else data.rstrip(b"\r\n")), kind
+
+
+def ingest_outcome(ingest):
+    """What an ingest returns, or the class, message and line of what it raises."""
+    try:
+        events, graph = ingest()
+    except (DataError, csv.Error) as err:
+        return type(err), str(err), getattr(err, "line_no", None)
+    # repr tells a NaN weight from None and an int stamp from a numpy one.
+    return [repr(ev) for ev in events], graph.labels, graph.edges.tolist(), graph.node_id
+
+
+class TestColumnarIngestMatchesPerLine:
+    """The columnar parse and simplify against the per-line ingest they replaced."""
+
+    @pytest.mark.parametrize("fmt", ["tsv", "csv"])
+    def test_random_files(self, fmt):
+        rng = np.random.default_rng(43 if fmt == "tsv" else 47)
+        outcomes = []
+        for _ in range(300):
+            data, kind = random_contact_file(rng, fmt)
+
+            def columnar():
+                stream = parse_edge_stream(io.BytesIO(data), fmt)
+                return stream.events, simplify(stream)
+
+            want = ingest_outcome(lambda: per_line_ingest_oracle(io.BytesIO(data), fmt))
+            got = ingest_outcome(columnar)
+            assert got == want, data
+            if kind is None and not isinstance(want[0], type):
+                stream = parse_edge_stream(io.BytesIO(data), fmt)
+                assert_same_graph(simplify(stream), greedy_simplify_oracle(stream))
+            outcomes.append(want[0] if isinstance(want[0], type) else "graph")
+        assert outcomes.count(ParseError) >= 100
+        assert outcomes.count("graph") >= 100
+
 
 class TestSimplify:
     def test_dedupe_keeps_earliest_and_drops_loop(self):
-        stream = TemporalEventStream(
+        stream = TemporalEventStream.from_events(
             (RawEvent("1", "2", 5), RawEvent("2", "1", 9), RawEvent("1", "1", 3))
         )
         graph = simplify(stream)
@@ -115,13 +264,13 @@ class TestSimplify:
         assert tuple(graph.edges[0]) == (0, 1, 5)
 
     def test_two_edges_three_nodes(self):
-        stream = TemporalEventStream((RawEvent("a", "b", 1), RawEvent("b", "c", 2)))
+        stream = TemporalEventStream.from_events((RawEvent("a", "b", 1), RawEvent("b", "c", 2)))
         graph = simplify(stream)
         assert graph.n == 3
         assert graph.m_edges == 2
 
     def test_all_loops_is_empty_graph(self):
-        stream = TemporalEventStream((RawEvent("x", "x", 1), RawEvent("y", "y", 2)))
+        stream = TemporalEventStream.from_events((RawEvent("x", "x", 1), RawEvent("y", "y", 2)))
         with pytest.raises(EmptyGraphError):
             simplify(stream)
 
@@ -143,7 +292,7 @@ class TestSimplify:
                         RawEvent(b if flip else a, a if flip else b, int(rng.integers(100)))
                     )
             rng.shuffle(events)
-            graph = simplify(TemporalEventStream(tuple(events)))
+            graph = simplify(TemporalEventStream.from_events(events))
             assert graph.m_edges == k
 
     def test_matches_pair_oracle_on_random_streams(self):
@@ -174,7 +323,7 @@ class TestSimplify:
         rng = np.random.default_rng(5)
 
         def serialize(graph):
-            return TemporalEventStream(
+            return TemporalEventStream.from_events(
                 tuple(
                     RawEvent(graph.labels[u], graph.labels[v], int(t))
                     for u, v, t in graph.edges
@@ -248,7 +397,7 @@ class TestSimplifyMatchesGreedy:
         ),
     ])
     def test_tie_classes(self, events, labels, edges):
-        stream = TemporalEventStream(tuple(RawEvent(*ev) for ev in events))
+        stream = TemporalEventStream.from_events(RawEvent(*ev) for ev in events)
         graph = simplify(stream)
         assert graph.labels == labels
         assert graph.edges.tolist() == [list(row) for row in edges]
@@ -266,7 +415,7 @@ class TestSimplifyMatchesGreedy:
         rng.shuffle(pairs)
         events = tuple(RawEvent(str(a), str(b), 7) for a, b in pairs)
         start = time.perf_counter()
-        graph = simplify(TemporalEventStream(events))
+        graph = simplify(TemporalEventStream.from_events(events))
         elapsed = time.perf_counter() - start
         assert graph.m_edges == 8000
         assert elapsed < 2.0
@@ -275,7 +424,7 @@ class TestSimplifyMatchesGreedy:
 class TestAdjacency:
     def _graph(self, *pairs):
         events = tuple(RawEvent(a, b, i + 1) for i, (a, b) in enumerate(pairs))
-        return simplify(TemporalEventStream(events))
+        return simplify(TemporalEventStream.from_events(events))
 
     def test_path_graph(self):
         graph = self._graph(("0", "1"), ("1", "2"))
@@ -319,13 +468,13 @@ class TestAdjacency:
 class TestDegree:
     def test_star_center(self):
         events = tuple(RawEvent("hub", leaf, i + 1) for i, leaf in enumerate("xyz"))
-        graph = simplify(TemporalEventStream(events))
+        graph = simplify(TemporalEventStream.from_events(events))
         view = adjacency(graph)
         assert degree(view, graph.node_id["hub"]) == 3
 
     def test_isolated_in_subset(self):
         events = (RawEvent("a", "b", 1), RawEvent("c", "d", 2))
-        graph = simplify(TemporalEventStream(events))
+        graph = simplify(TemporalEventStream.from_events(events))
         view = adjacency(graph, edge_subset=[0])
         assert degree(view, graph.node_id["c"]) == 0
 

@@ -12,7 +12,7 @@ from conftest import random_event_stream
 
 def graph_from_pairs(pairs):
     events = tuple(RawEvent(a, b, t) for a, b, t in pairs)
-    return simplify(TemporalEventStream(events))
+    return simplify(TemporalEventStream.from_events(events))
 
 
 @pytest.fixture()
