@@ -8,8 +8,9 @@ Subcommands:
     fetch     download a dataset from a user-supplied URL, verify its sha256
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
-Every output file is deterministic given the same arguments and seed. CSV
-carries 6 significant digits; JSON keeps full double precision.
+Outputs are byte-identical across reruns with the same arguments, seed and
+BLAS thread count (OPENBLAS_NUM_THREADS and the like). CSV carries 6
+significant digits; JSON keeps full double precision.
 """
 
 from __future__ import annotations

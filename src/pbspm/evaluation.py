@@ -281,7 +281,7 @@ class _Point:
     score_sum: Optional[np.ndarray] = None
     precisions: list[float] = field(default_factory=list)
     delta_ccs: list[Optional[float]] = field(default_factory=list)
-    result: Optional[tuple[PrecisionReport, Optional[RankedCandidates]]] = None
+    ranked: Optional[RankedCandidates] = None
 
 
 def _validate(cfgs: Sequence[ExperimentConfig], n: int) -> None:
@@ -300,17 +300,18 @@ def _score_spectral(
     graph: TemporalGraph,
     split: TrainProbeSplit,
     train_view: AdjacencyView,
+    flat: np.ndarray,
+    hit: np.ndarray,
     points: Sequence[_Point],
     keep_top: bool,
-) -> None:
-    """Score every point from each realization's one corrected spectrum."""
-    flat = _candidates(train_view)
-    hit = np.isin(flat, [u * train_view.n + v for u, v in split.probe])
+) -> tuple[list[float], list[str]]:
+    """Score every point from each realization's one corrected spectrum.
+
+    Returns the realizations' leading-eigenvalue shifts and their failures.
+    """
     p_freshers = dict.fromkeys(p.cfg.p_fresher for p in points)
     pops = {pf: popularity(graph, split.train, pf) for pf in p_freshers}
     for p in points:
-        if p.L > flat.size:
-            raise ValueError(f"L={p.L} exceeds candidate count {flat.size}")
         if p.cfg.method != "SPM":
             p.boost = 1.0 + p.cfg.alpha * pops[p.cfg.p_fresher].values
         if keep_top or p.cfg.score_averaging == "matrix":
@@ -361,25 +362,11 @@ def _score_spectral(
         if p.score_sum is not None:
             p.score_sum /= len(shifts)
             top = _top(p.score_sum, p.L)
-        ranked = _ranked(flat, p.score_sum, top, train_view.n) if keep_top else None
-        if p.cfg.score_averaging == "matrix":
-            per, mean_prec, std = (), np.count_nonzero(hit[top]) / p.L, None
-        else:
-            per = tuple(p.precisions)
-            mean_prec, std = float(np.mean(per)), float(np.std(per))
-        report = PrecisionReport(
-            config=p.cfg,
-            L=p.L,
-            probe_dropped=split.probe_dropped,
-            per_realization=per,
-            mean_precision=mean_prec,
-            std_precision=std,
-            mean_delta_lambda1=float(np.mean(shifts)),
-            mean_delta_cc=_mean_or_none(p.delta_ccs),
-            resolved_m=p.m,
-            failures=tuple(failures),
-        )
-        p.result = (report, ranked)
+            if p.cfg.score_averaging == "matrix":
+                p.precisions.append(np.count_nonzero(hit[top]) / p.L)
+            if keep_top:
+                p.ranked = _ranked(flat, p.score_sum, top, train_view.n)
+    return shifts, failures
 
 
 def _run_points(
@@ -390,43 +377,55 @@ def _run_points(
     The configs must agree on ``realizations``, ``seed``, ``p_h`` and
     ``probe_fraction``, which fix the split and the perturbations, and may
     differ in everything else; all are validated before anything is
-    decomposed. Baselines are scored once. Each realization is then
-    perturbed, decomposed and corrected once; its SPM scores are
-    reconstructed once per distinct truncation and taken over the candidate
-    pairs, and every spectral config is scored as that vector, rescaled by
-    the config's popularity boost. ``keep_top`` pairs each report with the
-    top-L ranking of the scores averaged over the realizations.
+    scored. Every method is taken over one candidate list, cut with ``_top``
+    and counted with one probe-hit mask. Baselines are scored once. Each
+    realization is then perturbed, decomposed and corrected once; its SPM
+    scores are reconstructed once per distinct truncation, and every
+    spectral config is scored as that vector, rescaled by the config's
+    popularity boost. ``keep_top`` pairs each report with its top-L ranking
+    (of the scores averaged over the realizations, for spectral methods).
     """
     _validate(cfgs, graph.n)
     split = split_train_probe(graph, SplitConfig(probe_fraction=cfgs[0].probe_fraction))
     train_view = adjacency(graph, split.train)
+    flat = _candidates(train_view)
+    hit = np.isin(flat, [u * train_view.n + v for u, v in split.probe])
     points = []
     for cfg in cfgs:
         L = cfg.L
         if L is None:
             L = split.probe_total if cfg.count_dropped_in_L else len(split.probe)
+        if L > flat.size:
+            raise ValueError(f"L={L} exceeds candidate count {flat.size}")
         points.append(_Point(cfg, L))
-        if cfg.method in SPECTRAL_METHODS:
-            continue
-        scores = _baseline_scores(cfg.method, train_view, cfg)
-        ranked = rank_candidates(scores, train_view, L)
-        prec = precision_at(ranked, split.probe, L)
-        report = PrecisionReport(
-            config=cfg,
-            L=L,
-            probe_dropped=split.probe_dropped,
-            per_realization=(prec,),
-            mean_precision=prec,
-            std_precision=0.0,
-            mean_delta_lambda1=None,
-            mean_delta_cc=None,
-        )
-        points[-1].result = (report, ranked if keep_top else None)
-        scores = ranked = None  # free both before the realization loop
+    for p in (p for p in points if p.cfg.method not in SPECTRAL_METHODS):
+        scores = _baseline_scores(p.cfg.method, train_view, p.cfg).values.take(flat)
+        top = _top(scores, p.L)
+        p.precisions.append(np.count_nonzero(hit[top]) / p.L)
+        if keep_top:
+            p.ranked = _ranked(flat, scores, top, train_view.n)
+        scores = top = None  # free both before the realization loop
     spectral = [p for p in points if p.cfg.method in SPECTRAL_METHODS]
     if spectral:
-        _score_spectral(graph, split, train_view, spectral, keep_top)
-    return [p.result for p in points]
+        shifts, failures = _score_spectral(graph, split, train_view, flat, hit, spectral, keep_top)
+    results = []
+    for p in points:
+        is_spectral = p.cfg.method in SPECTRAL_METHODS
+        matrix = is_spectral and p.cfg.score_averaging == "matrix"
+        report = PrecisionReport(
+            config=p.cfg,
+            L=p.L,
+            probe_dropped=split.probe_dropped,
+            per_realization=() if matrix else tuple(p.precisions),
+            mean_precision=float(np.mean(p.precisions)),
+            std_precision=None if matrix else float(np.std(p.precisions)),
+            mean_delta_lambda1=float(np.mean(shifts)) if is_spectral else None,
+            mean_delta_cc=_mean_or_none(p.delta_ccs),
+            resolved_m=p.m,
+            failures=tuple(failures) if is_spectral else (),
+        )
+        results.append((report, p.ranked))
+    return results
 
 
 def run_experiment(graph: TemporalGraph, cfg: ExperimentConfig) -> PrecisionReport:

@@ -257,7 +257,10 @@ def _raise_first_bad_line(text: str, format: str) -> None:
         if not stripped or stripped[0] in "%#":
             continue
         if format == "csv":
-            fields = [f.strip() for f in next(csv.reader((line,)))]
+            try:  # e.g. a field longer than csv.field_size_limit()
+                fields = [f.strip() for f in next(csv.reader((line,)))]
+            except csv.Error as err:
+                raise ParseError(str(err), line_no) from None
         else:
             fields = stripped.split()
         if len(fields) == 4:

@@ -38,16 +38,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PerturbationSample:
-    """A training view split into a retained part and a removed part.
+    """A training view split into a retained view and the removed edges.
 
-    ``removed_edges`` holds positions into the edge list the sample was drawn
-    from. Entrywise, ``retained + removed`` equals the original view.
+    ``removed`` is a read-only ``(k, 2)`` int array, one ``(min, max)`` row
+    per removed edge, sorted by ``(u, v)``. Setting both orientations of each
+    row to 1 in ``retained`` gives back the original view.
     """
 
     retained: AdjacencyView
-    removed: AdjacencyView
-    removed_edges: frozenset[int]
-    p_h: float
+    removed: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,8 @@ def sample_perturbation(
 
     ``train_edges`` is an ``(m, >=2)`` array whose first two columns are the
     edge endpoints backing ``train_view``. The draw is without replacement
-    from a generator seeded with ``seed``, so it is reproducible.
+    from a generator seeded with ``seed``, so it is reproducible. The drawn
+    edges come back as ``PerturbationSample.removed``, an edge list.
 
     Raises:
         DegeneratePerturbationError: ``round(p_h * m)`` is zero.
@@ -109,18 +109,14 @@ def sample_perturbation(
             f"p_h={p_h} removes zero of {m} training edges"
         )
     rng = np.random.default_rng(seed)
-    chosen = np.sort(rng.choice(m, size=k, replace=False))
-
-    removed = np.zeros_like(train_view.matrix)
-    uu, vv = train_edges[chosen, 0], train_edges[chosen, 1]
-    removed[uu, vv] = 1.0
-    removed[vv, uu] = 1.0
-    retained = train_view.matrix - removed
+    chosen = train_edges[rng.choice(m, size=k, replace=False), :2]
+    removed = np.sort(chosen, axis=1)
+    removed = removed[np.lexsort((removed[:, 1], removed[:, 0]))]
+    retained = train_view.matrix.copy()
+    retained[removed[:, 0], removed[:, 1]] = 0.0
+    retained[removed[:, 1], removed[:, 0]] = 0.0
     return PerturbationSample(
-        retained=AdjacencyView(train_view.n, _frozen(retained)),
-        removed=AdjacencyView(train_view.n, _frozen(removed)),
-        removed_edges=frozenset(int(c) for c in chosen),
-        p_h=p_h,
+        retained=AdjacencyView(train_view.n, _frozen(retained)), removed=_frozen(removed)
     )
 
 
@@ -168,22 +164,20 @@ def eigendecompose(view: AdjacencyView) -> SpectralModel:
     )
 
 
-def eigenvalue_correction(model: SpectralModel, delta: AdjacencyView) -> SpectralModel:
+def eigenvalue_correction(model: SpectralModel, removed: np.ndarray) -> SpectralModel:
     """First-order eigenvalue shifts from putting the removed edges back.
 
-    For unit eigenvectors the shift of pair ``k`` is ``x_k^T delta x_k``,
-    accumulated over the nonzero entries of ``delta`` so the cost scales with
-    the removed edge count, not with n^2.
+    ``removed`` holds one ``(u, v)`` row per edge, as in
+    ``PerturbationSample.removed``. For unit eigenvectors the shift of pair
+    ``k`` is ``x_k^T dA x_k = 2 * sum of x_k[u] * x_k[v]`` over the rows, so
+    the cost scales with the removed edge count, not with n^2.
     """
-    if delta.n != model.n:
-        raise ValueError(f"dimension mismatch: model n={model.n}, delta n={delta.n}")
-    uu, vv = np.nonzero(np.triu(delta.matrix))
-    if uu.size == 0:
-        corrections = np.zeros(model.n)
-    else:
-        w = delta.matrix[uu, vv] * np.where(uu == vv, 1.0, 2.0)
-        X = model.eigenvectors
-        corrections = np.einsum("e,ek,ek->k", w, X[uu, :], X[vv, :])
+    removed = np.asarray(removed)
+    if removed.size and (removed.min() < 0 or removed.max() >= model.n):
+        raise ValueError(f"removed edge endpoint outside [0, {model.n})")
+    uu, vv = removed[:, 0], removed[:, 1]
+    X = model.eigenvectors
+    corrections = np.einsum("e,ek,ek->k", np.full(uu.size, 2.0), X[uu, :], X[vv, :])
     return SpectralModel(
         eigenvalues=model.eigenvalues,
         eigenvectors=model.eigenvectors,

@@ -300,6 +300,16 @@ class TestExitCodes:
         assert "data error: line 3:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["predict", "spectrum"])
+    def test_csv_field_over_size_limit_is_data_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,2,3\n2,3,4\n" + "x" * 200_000 + ",3,5\n")
+        rc = run_cli(command, "--input", bad, "--format", "csv",
+                     "--out-dir", tmp_path / "out")
+        assert rc == 2
+        assert "data error: line 3: field larger than field limit" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text, line_no", [
         ("1\t2\t99999999999999999999\n", 1),
         ("1\t2\t5\n1\t2\t99999999999999999999\n", 2),
@@ -448,20 +458,22 @@ class TestOnePass:
     def test_baselines_are_ranked_once(self, shift_dataset, tmp_path, monkeypatch):
         import pbspm.evaluation as evaluation
 
-        ranked = []
-        real = evaluation.rank_candidates
+        scored = []
 
-        def counting(scores, view, *args):
-            ranked.append(scores)
-            return real(scores, view, *args)
+        def counting(name):
+            real = getattr(evaluation, name)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("pbspm") and getattr(module, "rank_candidates", None) is real:
-                monkeypatch.setattr(module, "rank_candidates", counting)
+            def score(*args, **kwargs):
+                scored.append(name)
+                return real(*args, **kwargs)
+            return score
+
+        for name in ("cn_scores", "aa_scores", "ra_scores", "katz_scores", "srw_scores"):
+            monkeypatch.setattr(evaluation, name, counting(name))
         rc = run_cli("predict", *common_args(shift_dataset, tmp_path / "out"),
-                     "--method", "CN,Katz")
+                     "--method", "CN,Katz,SPM")
         assert rc == 0
-        assert len(ranked) == 2
+        assert scored == ["cn_scores", "katz_scores"]
 
     @pytest.mark.parametrize("args", [
         ("sweep", "--alpha-grid", "0,5", "--p-fresher-grid", "0.1,0.2", "--m-grid", "1,0"),

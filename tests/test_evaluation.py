@@ -6,7 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pbspm.baselines import cn_scores, ra_scores
+from pbspm.baselines import (
+    KatzConfig,
+    WalkConfig,
+    aa_scores,
+    cn_scores,
+    katz_scores,
+    ra_scores,
+    srw_scores,
+)
 from pbspm.errors import UndefinedMetricError, ZeroVarianceError
 from pbspm.evaluation import (
     ExperimentConfig,
@@ -20,7 +28,7 @@ from pbspm.evaluation import (
     sweep,
     sweep_m,
 )
-from pbspm.graph import AdjacencyView, adjacency, simplify
+from pbspm.graph import AdjacencyView, RawEvent, TemporalEventStream, adjacency, simplify
 from pbspm.spectral import (
     ScoreMatrix,
     eigendecompose,
@@ -48,6 +56,33 @@ def score_matrix(values) -> ScoreMatrix:
     return ScoreMatrix(n=v.shape[0], values=v)
 
 
+BASELINE_ORACLES = {
+    "CN": lambda view, cfg: cn_scores(view),
+    "AA": lambda view, cfg: aa_scores(view),
+    "RA": lambda view, cfg: ra_scores(view),
+    "Katz": lambda view, cfg: katz_scores(
+        view, KatzConfig(damping=cfg.katz_damping, max_path_length=cfg.katz_max_path_length)
+    ),
+    "SRW": lambda view, cfg: srw_scores(view, WalkConfig(steps=cfg.srw_steps)),
+}
+
+
+def clique_events(seed, k=4, size=8):
+    """k cliques of ``size`` nodes on a few early cross edges, intra pairs in random order.
+
+    The newest intra pairs close many triangles, so every baseline ranks probe
+    pairs at the very top.
+    """
+    rng = np.random.default_rng(seed)
+    intra = [(c * size + a, c * size + b)
+             for c in range(k) for a in range(size) for b in range(a + 1, size)]
+    cross = [(a, b) for a, b in rng.integers(0, k * size, size=(20, 2)) if a // size != b // size]
+    pairs = cross + [intra[i] for i in rng.permutation(len(intra))]
+    return TemporalEventStream.from_events(
+        [RawEvent(str(a), str(b), t) for t, (a, b) in enumerate(pairs, start=1)]
+    )
+
+
 def engine_oracle(graph, cfg):
     """Per-realization precisions, mean precision and top-L list of one config.
 
@@ -57,8 +92,8 @@ def engine_oracle(graph, cfg):
     split = split_train_probe(graph, SplitConfig(probe_fraction=cfg.probe_fraction))
     view = adjacency(graph, split.train)
     L = cfg.L if cfg.L is not None else len(split.probe)
-    if cfg.method == "RA":
-        top = rank_candidates(ra_scores(view), view, L)
+    if cfg.method in BASELINE_ORACLES:
+        top = rank_candidates(BASELINE_ORACLES[cfg.method](view, cfg), view, L)
         prec = precision_at(top, split.probe, L)
         return (prec,), prec, top
     pop = popularity(graph, split.train, cfg.p_fresher)
@@ -487,10 +522,12 @@ class TestOnePassEngine:
         joint = [report for report, _ in _run_points(shift_graph, cfgs)]
         assert joint == [run_experiment(shift_graph, cfg) for cfg in cfgs]
 
-    @pytest.mark.parametrize("source", ["shift", 0, 1, 2, 3])
+    @pytest.mark.parametrize("source", ["shift", "cliques", 0, 1, 2, 3])
     def test_matches_public_pieces_oracle(self, shift_graph, source):
         if source == "shift":
             graph = shift_graph
+        elif source == "cliques":
+            graph = simplify(clique_events(0))
         else:
             rng = np.random.default_rng(source)
             graph = simplify(random_event_stream(rng, n_labels=30, n_events=300, t_max=1000))
@@ -502,14 +539,24 @@ class TestOnePassEngine:
             replace(base, method="FastPBSPM"),
             replace(base, method="FastPBSPM", m=5, p_fresher=0.3, alpha=7.0),
             replace(base, method="PBSPM", alpha=0.5, score_averaging="matrix", L=17),
+            replace(base, method="CN"),
+            replace(base, method="AA", L=23),
             replace(base, method="RA"),
+            replace(base, method="Katz"),
+            replace(base, method="SRW"),
         ]
         for cfg, (report, top) in zip(cfgs, _run_points(graph, cfgs, keep_top=True)):
             per, mean_precision, mean_top = engine_oracle(graph, cfg)
             assert report.per_realization == per, cfg
             assert report.mean_precision == mean_precision, cfg
             assert np.array_equal(top.pairs, mean_top.pairs), cfg
-            np.testing.assert_allclose(top.scores, mean_top.scores, rtol=1e-12, atol=0)
+            if cfg.method in BASELINE_ORACLES:
+                np.testing.assert_array_equal(top.scores, mean_top.scores)
+                assert report.std_precision == 0.0, cfg
+                assert report.mean_delta_lambda1 is report.mean_delta_cc is None, cfg
+                assert report.resolved_m is None and report.failures == (), cfg
+            else:
+                np.testing.assert_allclose(top.scores, mean_top.scores, rtol=1e-12, atol=0)
 
 
 class TestConfigValidation:

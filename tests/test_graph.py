@@ -62,6 +62,14 @@ class TestParseEdgeStream:
             ("b", "c", 20),
         ]
 
+    def test_csv_field_over_size_limit_names_its_line(self):
+        label = "x" * (csv.field_size_limit() + 1)
+        data = f"a,b,1\n{label},b,2\n".encode()
+        with pytest.raises(ParseError) as exc:
+            parse_edge_stream(io.BytesIO(data), format="csv")
+        assert exc.value.line_no == 2
+        assert "field larger than field limit" in str(exc.value)
+
     def test_malformed_line_reports_line_number(self):
         with pytest.raises(ParseError) as exc:
             parse_edge_stream(io.BytesIO(b"1 2 3\n1 2\n"))

@@ -30,6 +30,14 @@ def uniform_pop(n, value=0.0) -> PopularityVector:
     return PopularityVector(values=np.full(n, value))
 
 
+def edge_matrix(edges, n) -> np.ndarray:
+    """Dense symmetric 0/1 matrix with both orientations of each edge row set."""
+    matrix = np.zeros((n, n))
+    matrix[edges[:, 0], edges[:, 1]] = 1.0
+    matrix[edges[:, 1], edges[:, 0]] = 1.0
+    return matrix
+
+
 def corrected_model(view, rng=None, p_h=0.2, seed=0):
     sample = sample_perturbation(view, view_edges(view), p_h, seed)
     return eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
@@ -40,13 +48,10 @@ class TestSamplePerturbation:
         rng = np.random.default_rng(0)
         view = random_view(rng, 8, p=0.5)
         edges = view_edges(view)[:10]
-        matrix = np.zeros((8, 8))
-        matrix[edges[:, 0], edges[:, 1]] = 1.0
-        matrix += matrix.T
-        view10 = view_from(matrix)
+        view10 = view_from(edge_matrix(edges, 8))
         sample = sample_perturbation(view10, edges, 0.1, seed=1)
-        assert len(sample.removed_edges) == 1
-        assert np.count_nonzero(sample.removed.matrix) == 2
+        assert sample.removed.shape == (1, 2)
+        assert np.count_nonzero(view10.matrix - sample.retained.matrix) == 2
 
     def test_same_seed_same_removal(self):
         rng = np.random.default_rng(1)
@@ -54,18 +59,23 @@ class TestSamplePerturbation:
         edges = view_edges(view)
         a = sample_perturbation(view, edges, 0.2, seed=99)
         b = sample_perturbation(view, edges, 0.2, seed=99)
-        assert a.removed_edges == b.removed_edges
+        np.testing.assert_array_equal(a.removed, b.removed)
         np.testing.assert_array_equal(a.retained.matrix, b.retained.matrix)
 
     def test_retained_plus_removed_is_original(self):
         rng = np.random.default_rng(2)
         view = random_view(rng, 15, p=0.3)
         edges = view_edges(view)
-        sample = sample_perturbation(view, edges, 0.25, seed=5)
+        # Edges given as (max, min) rows in reverse order come back as (min, max), sorted.
+        sample = sample_perturbation(view, edges[::-1, ::-1], 0.25, seed=5)
+        removed = sample.removed
         np.testing.assert_array_equal(
-            sample.retained.matrix + sample.removed.matrix, view.matrix
+            sample.retained.matrix + edge_matrix(removed, 15), view.matrix
         )
-        assert len(sample.removed_edges) == round(0.25 * edges.shape[0])
+        assert removed.shape == (round(0.25 * edges.shape[0]), 2)
+        assert np.all(removed[:, 0] < removed[:, 1])
+        assert [tuple(row) for row in removed] == sorted(tuple(row) for row in removed)
+        assert not removed.flags.writeable and not sample.retained.matrix.flags.writeable
 
     def test_removal_frequency_matches_p_h(self):
         # Monte Carlo oracle: per-edge removal frequency within 3 binomial sigma.
@@ -75,11 +85,12 @@ class TestSamplePerturbation:
         m = edges.shape[0]
         p_eff = round(0.2 * m) / m
         trials = 1500
+        position = {(int(u), int(v)): e for e, (u, v) in enumerate(edges)}
         counts = np.zeros(m)
         for seed in range(trials):
             sample = sample_perturbation(view, edges, 0.2, seed=seed)
-            for e in sample.removed_edges:
-                counts[e] += 1
+            for u, v in sample.removed:
+                counts[position[int(u), int(v)]] += 1
         freq = counts / trials
         sigma = np.sqrt(p_eff * (1 - p_eff) / trials)
         assert np.all(np.abs(freq - p_eff) <= 3.5 * sigma)
@@ -169,11 +180,12 @@ class TestEigenvalueCorrection:
         rng = np.random.default_rng(9)
         view = random_view(rng, 10, p=0.4)
         model = eigendecompose(view)
-        corrected = eigenvalue_correction(model, view_from(np.zeros((10, 10))))
+        corrected = eigenvalue_correction(model, np.empty((0, 2), dtype=np.int64))
+        assert corrected.corrections.shape == (10,)
         assert np.all(corrected.corrections == 0.0)
 
     def test_matches_dense_quadratic_form(self):
-        # Independent oracle: diag(X^T delta X) computed densely.
+        # Independent oracle: diag(X^T dA X) with dA built densely from the edges.
         rng = np.random.default_rng(10)
         for _ in range(10):
             view = random_view(rng, 12, p=0.5)
@@ -182,8 +194,8 @@ class TestEigenvalueCorrection:
             model = eigendecompose(sample.retained)
             corrected = eigenvalue_correction(model, sample.removed)
             X = model.eigenvectors
-            oracle = np.diag(X.T @ sample.removed.matrix @ X)
-            np.testing.assert_allclose(corrected.corrections, oracle, atol=1e-10)
+            oracle = np.diag(X.T @ edge_matrix(sample.removed, 12) @ X)
+            np.testing.assert_allclose(corrected.corrections, oracle, rtol=0, atol=1e-12)
 
     def test_first_order_error_smaller_than_correction(self):
         # Exact re-decomposition oracle on 8-node graphs, one edge removed.
@@ -207,8 +219,9 @@ class TestEigenvalueCorrection:
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(12)
         model = eigendecompose(random_view(rng, 6, p=0.5))
-        with pytest.raises(ValueError):
-            eigenvalue_correction(model, view_from(np.zeros((5, 5))))
+        for edge in ([0, 6], [-1, 2]):  # an endpoint outside the model's n nodes
+            with pytest.raises(ValueError):
+                eigenvalue_correction(model, np.array([[1, 2], edge]))
 
 
 class TestSpmScores:
