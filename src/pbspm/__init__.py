@@ -41,7 +41,6 @@ from .evaluation import (
     sweep_m,
 )
 from .graph import (
-    AdjacencyView,
     RawEvent,
     TemporalEventStream,
     TemporalGraph,
@@ -53,7 +52,6 @@ from .graph import (
 )
 from .spectral import (
     PerturbationSample,
-    ScoreMatrix,
     SpectralModel,
     eigendecompose,
     eigenvalue_correction,
@@ -61,10 +59,8 @@ from .spectral import (
     sample_perturbation,
     select_m,
     spm_scores,
-    truncated_scores,
 )
 from .split import (
-    PopularityVector,
     SplitConfig,
     TrainProbeSplit,
     degree_increment,

@@ -3,8 +3,8 @@
 Common Neighbors, Adamic-Adar, and Resource Allocation score a pair through
 its shared neighbors; Katz accumulates damped walk counts of every length;
 the superposed random walk sums degree-weighted transfer probabilities over
-a short horizon. All five operate on a plain adjacency view and return the
-same symmetric score-matrix type as the spectral methods.
+a short horizon. All five take the dense adjacency matrix and return a
+read-only symmetric n x n score matrix, as the spectral methods do.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalError
-from .graph import AdjacencyView, degrees
-from .spectral import ScoreMatrix, _score_matrix
+from .graph import degrees
+from .spectral import _score_matrix
 
 __all__ = [
     "KatzConfig",
@@ -61,45 +61,43 @@ class WalkConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
 
-def cn_scores(view: AdjacencyView) -> ScoreMatrix:
+def cn_scores(a: np.ndarray) -> np.ndarray:
     """Number of common neighbors; equals the squared adjacency."""
-    a = view.matrix
     return _score_matrix(a @ a)
 
 
-def _weighted_common_neighbors(view: AdjacencyView, weights: np.ndarray) -> ScoreMatrix:
-    a = view.matrix
+def _weighted_common_neighbors(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return _score_matrix((a * weights) @ a)
 
 
-def aa_scores(view: AdjacencyView) -> ScoreMatrix:
+def aa_scores(a: np.ndarray) -> np.ndarray:
     """Common neighbors weighted by the reciprocal log of their degree.
 
     Natural log. Degree-0/1 nodes get weight 0; they can never be a common
     neighbor of a distinct pair, and zeroing keeps the matrix finite.
     """
-    k = degrees(view).astype(np.float64)
-    weights = np.zeros(view.n)
+    k = degrees(a).astype(np.float64)
+    weights = np.zeros(len(a))
     safe = k >= 2
     weights[safe] = 1.0 / np.log(k[safe])
-    return _weighted_common_neighbors(view, weights)
+    return _weighted_common_neighbors(a, weights)
 
 
-def ra_scores(view: AdjacencyView) -> ScoreMatrix:
+def ra_scores(a: np.ndarray) -> np.ndarray:
     """Common neighbors weighted by the reciprocal of their degree."""
-    k = degrees(view).astype(np.float64)
-    weights = np.zeros(view.n)
+    k = degrees(a).astype(np.float64)
+    weights = np.zeros(len(a))
     safe = k >= 1
     weights[safe] = 1.0 / k[safe]
-    return _weighted_common_neighbors(view, weights)
+    return _weighted_common_neighbors(a, weights)
 
 
-def max_eigenvalue(view: AdjacencyView) -> float:
+def max_eigenvalue(a: np.ndarray) -> float:
     """Largest adjacency eigenvalue, the Katz convergence bound."""
-    return float(np.linalg.eigvalsh(view.matrix)[-1])
+    return float(np.linalg.eigvalsh(a)[-1])
 
 
-def katz_scores(view: AdjacencyView, cfg: KatzConfig) -> ScoreMatrix:
+def katz_scores(a: np.ndarray, cfg: KatzConfig) -> np.ndarray:
     """Damped count of walks of every length between each pair.
 
     Closed form ``(I - damping * A)^-1 - I`` by default; with
@@ -110,8 +108,7 @@ def katz_scores(view: AdjacencyView, cfg: KatzConfig) -> ScoreMatrix:
         NumericalError: damping at or beyond the convergence bound, or a
             singular linear system.
     """
-    a = view.matrix
-    lam_max = max_eigenvalue(view)
+    lam_max = max_eigenvalue(a)
     damping = cfg.damping
     if damping is None:
         damping = 0.5 / lam_max if lam_max > 0 else 0.1
@@ -122,19 +119,19 @@ def katz_scores(view: AdjacencyView, cfg: KatzConfig) -> ScoreMatrix:
     if cfg.max_path_length is not None:
         damped = damping * a
         total = np.zeros_like(a)
-        power = np.eye(view.n)
+        power = np.eye(len(a))
         for _ in range(cfg.max_path_length):
             power = power @ damped
             total += power
         return _score_matrix(total)
     try:
-        inv = np.linalg.inv(np.eye(view.n) - damping * a)
+        inv = np.linalg.inv(np.eye(len(a)) - damping * a)
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"Katz linear system is singular: {err}") from err
-    return _score_matrix(inv - np.eye(view.n))
+    return _score_matrix(inv - np.eye(len(a)))
 
 
-def srw_scores(view: AdjacencyView, cfg: WalkConfig) -> ScoreMatrix:
+def srw_scores(a: np.ndarray, cfg: WalkConfig) -> np.ndarray:
     """Superposed random walk over a fixed number of steps.
 
     With row-stochastic transition matrix P and stationary weights
@@ -142,16 +139,16 @@ def srw_scores(view: AdjacencyView, cfg: WalkConfig) -> ScoreMatrix:
     for tau = 1..steps. Zero-degree nodes contribute zero rows: no walk
     leaves an isolated node.
     """
-    k = degrees(view).astype(np.float64)
+    k = degrees(a).astype(np.float64)
     two_e = k.sum()
     if two_e == 0:
-        return _score_matrix(np.zeros_like(view.matrix))
+        return _score_matrix(np.zeros_like(a))
     q = k / two_e
     transition = np.divide(
-        view.matrix, k[:, None], out=np.zeros_like(view.matrix), where=k[:, None] > 0
+        a, k[:, None], out=np.zeros_like(a), where=k[:, None] > 0
     )
     walk = transition
-    total = np.zeros_like(view.matrix)
+    total = np.zeros_like(a)
     for _ in range(cfg.steps):
         weighted = q[:, None] * walk
         total += weighted + weighted.T

@@ -28,9 +28,8 @@ from .baselines import (
     srw_scores,
 )
 from .errors import NumericalError, UndefinedMetricError, ZeroVarianceError
-from .graph import AdjacencyView, TemporalGraph, adjacency
+from .graph import TemporalGraph, adjacency
 from .spectral import (
-    ScoreMatrix,
     SpectralModel,
     eigendecompose,
     eigenvalue_correction,
@@ -83,6 +82,8 @@ class ExperimentConfig:
     to the unfiltered probe size instead. ``score_averaging`` selects whether
     precision is averaged over realizations or computed once on the averaged
     score matrix. ``katz_damping=None`` means half the convergence bound.
+    Every value is range-checked here, for every method, so a bad value fails
+    before any input is read; only ``m <= n`` waits for the graph.
     """
 
     method: str = "PBSPM"
@@ -110,14 +111,27 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if self.realizations < 1:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.alpha < 0:
+            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
         if not 0.0 < self.p_fresher < 1.0:
             raise ValueError(f"p_fresher must be in (0,1), got {self.p_fresher}")
+        if not 0.0 < self.p_h < 1.0:
+            raise ValueError(f"p_h must be in (0,1), got {self.p_h}")
+        if self.m is not None and self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
+        if self.m_threshold < 0:
+            raise ValueError(f"m_threshold must be nonnegative, got {self.m_threshold}")
         if self.L is not None and self.L < 1:
             raise ValueError(f"L must be >= 1, got {self.L}")
         if self.score_averaging not in ("precision", "matrix"):
             raise ValueError(
                 f"score_averaging must be 'precision' or 'matrix', got {self.score_averaging!r}"
             )
+        SplitConfig(probe_fraction=self.probe_fraction)
+        KatzConfig(damping=self.katz_damping, max_path_length=self.katz_max_path_length)
+        WalkConfig(steps=self.srw_steps)
 
 
 @dataclass(frozen=True)
@@ -148,10 +162,10 @@ class SweepPoint:
     report: PrecisionReport
 
 
-def _candidates(train_view: AdjacencyView) -> np.ndarray:
+def _candidates(train_adj: np.ndarray) -> np.ndarray:
     # Flat indices of the upper-triangle non-edges, already (i, j) ascending,
     # so a stable sort on the score alone breaks ties by (i, j).
-    return np.flatnonzero(np.triu(train_view.matrix == 0, 1))
+    return np.flatnonzero(np.triu(train_adj == 0, 1))
 
 
 def _top(scores: np.ndarray, L: Optional[int]) -> np.ndarray:
@@ -180,21 +194,21 @@ def _ranked(flat: np.ndarray, scores: np.ndarray, top: np.ndarray, n: int) -> Ra
 
 
 def rank_candidates(
-    scores: ScoreMatrix, train_view: AdjacencyView, L: Optional[int] = None
+    scores: np.ndarray, train_adj: np.ndarray, L: Optional[int] = None
 ) -> RankedCandidates:
-    """Rank the non-edge pairs of the training view by score.
+    """Rank the non-edge pairs of the training adjacency by score.
 
     Ordering is deterministic: score descending, then (i, j) ascending. With
     ``L`` set, only the top ``min(L, candidates)`` pairs are returned; that
     cut ranking is exactly a prefix of the full one.
     """
-    if scores.n != train_view.n:
-        raise ValueError(f"size mismatch: scores n={scores.n}, view n={train_view.n}")
+    if len(scores) != len(train_adj):
+        raise ValueError(f"size mismatch: scores n={len(scores)}, adjacency n={len(train_adj)}")
     if L is not None and L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
-    flat = _candidates(train_view)
-    sc = scores.values.take(flat)
-    return _ranked(flat, sc, _top(sc, L), train_view.n)
+    flat = _candidates(train_adj)
+    sc = scores.take(flat)
+    return _ranked(flat, sc, _top(sc, L), len(train_adj))
 
 
 def precision_at(ranked: RankedCandidates, probe: Iterable[tuple[int, int]], L: int) -> float:
@@ -247,21 +261,21 @@ def _probe_degree_increment(graph: TemporalGraph, n_train: int) -> np.ndarray:
 
 
 def _baseline_scores(
-    method: str, train_view: AdjacencyView, cfg: ExperimentConfig
-) -> ScoreMatrix:
+    method: str, train_adj: np.ndarray, cfg: ExperimentConfig
+) -> np.ndarray:
     if method == "CN":
-        return cn_scores(train_view)
+        return cn_scores(train_adj)
     if method == "AA":
-        return aa_scores(train_view)
+        return aa_scores(train_adj)
     if method == "RA":
-        return ra_scores(train_view)
+        return ra_scores(train_adj)
     if method == "Katz":
         return katz_scores(
-            train_view,
+            train_adj,
             KatzConfig(damping=cfg.katz_damping, max_path_length=cfg.katz_max_path_length),
         )
     if method == "SRW":
-        return srw_scores(train_view, WalkConfig(steps=cfg.srw_steps))
+        return srw_scores(train_adj, WalkConfig(steps=cfg.srw_steps))
     raise ValueError(f"not a baseline method: {method}")
 
 
@@ -286,20 +300,14 @@ class _Point:
 
 def _validate(cfgs: Sequence[ExperimentConfig], n: int) -> None:
     for cfg in cfgs:
-        if cfg.method in SPECTRAL_METHODS and not 0.0 < cfg.p_h < 1.0:
-            raise ValueError(f"p_h must be in (0,1), got {cfg.p_h}")
-        if cfg.method in ("PBSPM", "FastPBSPM") and cfg.alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {cfg.alpha}")
-        if cfg.method == "FastPBSPM" and cfg.m is not None and not 1 <= cfg.m <= n:
+        if cfg.method == "FastPBSPM" and cfg.m is not None and cfg.m > n:
             raise ValueError(f"m must be in [1, {n}], got {cfg.m}")
-        if cfg.method == "FastPBSPM" and cfg.m is None and cfg.m_threshold < 0:
-            raise ValueError(f"threshold must be nonnegative, got {cfg.m_threshold}")
 
 
 def _score_spectral(
     graph: TemporalGraph,
     split: TrainProbeSplit,
-    train_view: AdjacencyView,
+    train_adj: np.ndarray,
     flat: np.ndarray,
     hit: np.ndarray,
     points: Sequence[_Point],
@@ -313,12 +321,12 @@ def _score_spectral(
     pops = {pf: popularity(graph, split.train, pf) for pf in p_freshers}
     for p in points:
         if p.cfg.method != "SPM":
-            p.boost = 1.0 + p.cfg.alpha * pops[p.cfg.p_fresher].values
+            p.boost = 1.0 + p.cfg.alpha * pops[p.cfg.p_fresher]
         if keep_top or p.cfg.score_averaging == "matrix":
             p.score_sum = np.zeros(flat.size)
     fast = [p for p in points if p.cfg.method == "FastPBSPM"]
     if any(p.cfg.m is None for p in fast):
-        train_lam = eigenvalues(train_view)
+        train_lam = eigenvalues(train_adj)
     for p in fast:
         p.m = p.cfg.m if p.cfg.m is not None else select_m(train_lam, p.cfg.m_threshold)
     ms = dict.fromkeys(p.m for p in points)
@@ -330,7 +338,7 @@ def _score_spectral(
     failures: list[str] = []
     for r in range(shared.realizations):
         try:
-            sample = sample_perturbation(train_view, train_edges, shared.p_h, shared.seed + r)
+            sample = sample_perturbation(train_adj, train_edges, shared.p_h, shared.seed + r)
             model = eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
         except NumericalError as err:
             failures.append(f"realization {r}: {err}")
@@ -339,7 +347,7 @@ def _score_spectral(
             sample = None
         shifts.append(float(model.corrections[0]))
         for m in ms:
-            spm = spm_scores(model, m).values.take(flat)
+            spm = spm_scores(model, m).take(flat)
             for p in (p for p in points if p.m == m):
                 scores, x1 = spm, model.eigenvectors[:, 0]
                 if p.boost is not None:  # as in pbspm_scores: S_ij * f_i * f_j
@@ -365,7 +373,7 @@ def _score_spectral(
             if p.cfg.score_averaging == "matrix":
                 p.precisions.append(np.count_nonzero(hit[top]) / p.L)
             if keep_top:
-                p.ranked = _ranked(flat, p.score_sum, top, train_view.n)
+                p.ranked = _ranked(flat, p.score_sum, top, graph.n)
     return shifts, failures
 
 
@@ -387,9 +395,9 @@ def _run_points(
     """
     _validate(cfgs, graph.n)
     split = split_train_probe(graph, SplitConfig(probe_fraction=cfgs[0].probe_fraction))
-    train_view = adjacency(graph, split.train)
-    flat = _candidates(train_view)
-    hit = np.isin(flat, [u * train_view.n + v for u, v in split.probe])
+    train_adj = adjacency(graph, split.train)
+    flat = _candidates(train_adj)
+    hit = np.isin(flat, [u * graph.n + v for u, v in split.probe])
     points = []
     for cfg in cfgs:
         L = cfg.L
@@ -399,15 +407,15 @@ def _run_points(
             raise ValueError(f"L={L} exceeds candidate count {flat.size}")
         points.append(_Point(cfg, L))
     for p in (p for p in points if p.cfg.method not in SPECTRAL_METHODS):
-        scores = _baseline_scores(p.cfg.method, train_view, p.cfg).values.take(flat)
+        scores = _baseline_scores(p.cfg.method, train_adj, p.cfg).take(flat)
         top = _top(scores, p.L)
         p.precisions.append(np.count_nonzero(hit[top]) / p.L)
         if keep_top:
-            p.ranked = _ranked(flat, scores, top, train_view.n)
+            p.ranked = _ranked(flat, scores, top, graph.n)
         scores = top = None  # free both before the realization loop
     spectral = [p for p in points if p.cfg.method in SPECTRAL_METHODS]
     if spectral:
-        shifts, failures = _score_spectral(graph, split, train_view, flat, hit, spectral, keep_top)
+        shifts, failures = _score_spectral(graph, split, train_adj, flat, hit, spectral, keep_top)
     results = []
     for p in points:
         is_spectral = p.cfg.method in SPECTRAL_METHODS

@@ -24,7 +24,6 @@ __all__ = [
     "RawEvent",
     "TemporalEventStream",
     "TemporalGraph",
-    "AdjacencyView",
     "parse_edge_stream",
     "simplify",
     "adjacency",
@@ -133,14 +132,6 @@ class TemporalGraph:
     @property
     def timestamps(self) -> np.ndarray:
         return self.edges[:, 2]
-
-
-@dataclass(frozen=True)
-class AdjacencyView:
-    """Symmetric 0/1 matrix over the full node set of a graph."""
-
-    n: int
-    matrix: np.ndarray
 
 
 _INT64 = np.iinfo(np.int64)
@@ -371,11 +362,12 @@ def simplify(stream: TemporalEventStream) -> TemporalGraph:
 
 def adjacency(
     graph: TemporalGraph, edge_subset: Optional[Sequence[int]] = None
-) -> AdjacencyView:
+) -> np.ndarray:
     """Binary adjacency over the full node set, restricted to ``edge_subset``.
 
     ``edge_subset`` holds indices into ``graph.edges``; ``None`` means all
-    edges. The matrix is dense float64 so it can feed linear algebra directly.
+    edges. The result is a read-only, symmetric, dense float64 n x n array so
+    it can feed linear algebra directly.
     """
     if edge_subset is None:
         rows = graph.edges
@@ -389,16 +381,16 @@ def adjacency(
         matrix[rows[:, 0], rows[:, 1]] = 1.0
         matrix[rows[:, 1], rows[:, 0]] = 1.0
     matrix.setflags(write=False)
-    return AdjacencyView(n=graph.n, matrix=matrix)
+    return matrix
 
 
-def degree(view: AdjacencyView, node: int) -> int:
-    """Number of neighbors of ``node`` in the view."""
-    if not 0 <= node < view.n:
-        raise IndexError(f"node {node} out of range for n={view.n}")
-    return int(view.matrix[node].sum())
+def degree(adj: np.ndarray, node: int) -> int:
+    """Number of neighbors of ``node`` in the adjacency matrix ``adj``."""
+    if not 0 <= node < len(adj):
+        raise IndexError(f"node {node} out of range for n={len(adj)}")
+    return int(adj[node].sum())
 
 
-def degrees(view: AdjacencyView) -> np.ndarray:
-    """Row sums of the view as an int64 vector."""
-    return view.matrix.sum(axis=1).astype(np.int64)
+def degrees(adj: np.ndarray) -> np.ndarray:
+    """Row sums of the adjacency matrix as an int64 vector."""
+    return adj.sum(axis=1).astype(np.int64)

@@ -7,7 +7,8 @@ matrix S whose large entries mark likely missing edges. The popularity-boosted
 variant scales row i of the eigenvectors by ``f_i = 1 + alpha * popularity_i``,
 which makes its score exactly ``f_i * f_j * S_ij``: it is computed as that
 rescale of S. The fast variant rescales the sum of only the ``m`` leading
-eigenpairs, with ``m`` read off the last large eigenvalue gap.
+eigenpairs, with ``m`` read off the last large eigenvalue gap. Adjacencies,
+popularity vectors and score matrices are plain read-only ndarrays.
 """
 
 from __future__ import annotations
@@ -18,40 +19,37 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegeneratePerturbationError, NumericalError
-from .graph import AdjacencyView
-from .split import PopularityVector
 
 __all__ = [
     "PerturbationSample",
     "SpectralModel",
-    "ScoreMatrix",
     "sample_perturbation",
     "eigendecompose",
     "eigenvalues",
     "eigenvalue_correction",
     "spm_scores",
     "pbspm_scores",
-    "truncated_scores",
     "select_m",
 ]
 
 
 @dataclass(frozen=True)
 class PerturbationSample:
-    """A training view split into a retained view and the removed edges.
+    """A training adjacency split into a retained adjacency and the removed edges.
 
-    ``removed`` is a read-only ``(k, 2)`` int array, one ``(min, max)`` row
-    per removed edge, sorted by ``(u, v)``. Setting both orientations of each
-    row to 1 in ``retained`` gives back the original view.
+    ``retained`` is a read-only n x n float64 array. ``removed`` is a
+    read-only ``(k, 2)`` int array, one ``(min, max)`` row per removed edge,
+    sorted by ``(u, v)``. Setting both orientations of each row to 1 in
+    ``retained`` gives back the training adjacency.
     """
 
-    retained: AdjacencyView
+    retained: np.ndarray
     removed: np.ndarray
 
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """Eigenpairs of a symmetric view, ordered by |eigenvalue| descending.
+    """Eigenpairs of a symmetric matrix, ordered by |eigenvalue| descending.
 
     ``eigenvectors[:, k]`` is the unit eigenvector paired with
     ``eigenvalues[k]``; ``corrections[k]`` is the first-order eigenvalue
@@ -67,32 +65,23 @@ class SpectralModel:
         return self.eigenvalues.shape[0]
 
 
-@dataclass(frozen=True)
-class ScoreMatrix:
-    """Symmetric pair-likelihood scores over all nodes."""
-
-    n: int
-    values: np.ndarray
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
 
-def _score_matrix(values: np.ndarray) -> ScoreMatrix:
+def _score_matrix(values: np.ndarray) -> np.ndarray:
     # (M + M.T) / 2 makes BLAS round-off exactly symmetric.
-    sym = (values + values.T) / 2.0
-    return ScoreMatrix(n=sym.shape[0], values=_frozen(sym))
+    return _frozen((values + values.T) / 2.0)
 
 
 def sample_perturbation(
-    train_view: AdjacencyView, train_edges: np.ndarray, p_h: float, seed: int
+    train_adj: np.ndarray, train_edges: np.ndarray, p_h: float, seed: int
 ) -> PerturbationSample:
     """Remove a uniform random fraction ``p_h`` of the training edges.
 
     ``train_edges`` is an ``(m, >=2)`` array whose first two columns are the
-    edge endpoints backing ``train_view``. The draw is without replacement
+    edge endpoints backing ``train_adj``. The draw is without replacement
     from a generator seeded with ``seed``, so it is reproducible. The drawn
     edges come back as ``PerturbationSample.removed``, an edge list.
 
@@ -112,12 +101,10 @@ def sample_perturbation(
     chosen = train_edges[rng.choice(m, size=k, replace=False), :2]
     removed = np.sort(chosen, axis=1)
     removed = removed[np.lexsort((removed[:, 1], removed[:, 0]))]
-    retained = train_view.matrix.copy()
+    retained = train_adj.copy()
     retained[removed[:, 0], removed[:, 1]] = 0.0
     retained[removed[:, 1], removed[:, 0]] = 0.0
-    return PerturbationSample(
-        retained=AdjacencyView(train_view.n, _frozen(retained)), removed=_frozen(removed)
-    )
+    return PerturbationSample(retained=_frozen(retained), removed=_frozen(removed))
 
 
 def _magnitude_order(lam: np.ndarray) -> np.ndarray:
@@ -125,7 +112,7 @@ def _magnitude_order(lam: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(lam.size), -lam, -np.abs(lam)))
 
 
-def eigenvalues(view: AdjacencyView) -> np.ndarray:
+def eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues alone, in the order ``eigendecompose`` gives them.
 
     Cheaper than the full decomposition when no eigenvectors are needed; the
@@ -133,13 +120,13 @@ def eigenvalues(view: AdjacencyView) -> np.ndarray:
     members of a +x/-x pair.
     """
     try:
-        lam = np.linalg.eigvalsh(view.matrix)
+        lam = np.linalg.eigvalsh(matrix)
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"eigendecomposition failed: {err}") from err
     return _frozen(lam[_magnitude_order(lam)])
 
 
-def eigendecompose(view: AdjacencyView) -> SpectralModel:
+def eigendecompose(matrix: np.ndarray) -> SpectralModel:
     """Full symmetric eigendecomposition, ordered by |eigenvalue| descending.
 
     Ties break by signed eigenvalue descending, then solver order. Each
@@ -147,7 +134,7 @@ def eigendecompose(view: AdjacencyView) -> SpectralModel:
     making downstream results independent of solver sign choices.
     """
     try:
-        lam, vec = np.linalg.eigh(view.matrix)
+        lam, vec = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"eigendecomposition failed: {err}") from err
     order = _magnitude_order(lam)
@@ -185,7 +172,7 @@ def eigenvalue_correction(model: SpectralModel, removed: np.ndarray) -> Spectral
     )
 
 
-def spm_scores(model: SpectralModel, m: Optional[int] = None) -> ScoreMatrix:
+def spm_scores(model: SpectralModel, m: Optional[int] = None) -> np.ndarray:
     """The SPM score matrix S: corrected sum of the leading m eigenpairs, or of all."""
     if m is not None and not 1 <= m <= model.n:
         raise ValueError(f"m must be in [1, {model.n}], got {m}")
@@ -195,8 +182,8 @@ def spm_scores(model: SpectralModel, m: Optional[int] = None) -> ScoreMatrix:
 
 
 def pbspm_scores(
-    model: SpectralModel, s: PopularityVector, alpha: float, m: Optional[int] = None
-) -> ScoreMatrix:
+    model: SpectralModel, s: np.ndarray, alpha: float, m: Optional[int] = None
+) -> np.ndarray:
     """Popularity-boosted scores: ``f_i * f_j * S_ij`` with ``f = 1 + alpha * s``.
 
     Boosting row i of the eigenvectors by ``f_i`` before the reconstruction
@@ -207,16 +194,8 @@ def pbspm_scores(
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     if len(s) != model.n:
         raise ValueError(f"popularity covers {len(s)} nodes, model has {model.n}")
-    f = 1.0 + alpha * s.values
-    values = np.multiply.outer(f, f) * spm_scores(model, m).values
-    return ScoreMatrix(n=model.n, values=_frozen(values))
-
-
-def truncated_scores(
-    model: SpectralModel, s: PopularityVector, alpha: float, m: int
-) -> ScoreMatrix:
-    """Popularity-boosted scores from only the m leading eigenpairs."""
-    return pbspm_scores(model, s, alpha, m)
+    f = 1.0 + alpha * s
+    return _frozen(np.multiply.outer(f, f) * spm_scores(model, m))
 
 
 def select_m(eigenvalues: Sequence[float], threshold: float = 0.05) -> int:

@@ -19,7 +19,6 @@ from .graph import TemporalGraph
 __all__ = [
     "SplitConfig",
     "TrainProbeSplit",
-    "PopularityVector",
     "split_train_probe",
     "degree_increment",
     "popularity",
@@ -54,19 +53,6 @@ class TrainProbeSplit:
     def probe_total(self) -> int:
         """Probe size before unseen-endpoint filtering."""
         return len(self.probe) + self.probe_dropped
-
-
-@dataclass(frozen=True)
-class PopularityVector:
-    """Per-node popularity in [0, 1], indexed by dense node id."""
-
-    values: np.ndarray
-
-    def __getitem__(self, node: int) -> float:
-        return float(self.values[node])
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
 
 def split_train_probe(graph: TemporalGraph, cfg: SplitConfig) -> TrainProbeSplit:
@@ -118,9 +104,10 @@ def degree_increment(graph: TemporalGraph, node: int, t: int, T: int) -> int:
 
 def popularity(
     graph: TemporalGraph, train: Sequence[int], p_fresher: float
-) -> PopularityVector:
+) -> np.ndarray:
     """Fraction of each node's training degree earned in the fresh segment.
 
+    Returns a read-only float64 vector in [0, 1], indexed by dense node id.
     The fresh segment is the last ``round(p_fresher * |train|)`` training
     edges in ``(t, u, v)`` order. Nodes with no training degree score 0.
     """
@@ -138,4 +125,4 @@ def popularity(
     k_fresh = endpoint_counts(graph.edges[fresh_idx])
     values = np.divide(k_fresh, k_all, out=np.zeros(graph.n), where=k_all > 0)
     values.setflags(write=False)
-    return PopularityVector(values=values)
+    return values

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pbspm.graph import AdjacencyView, RawEvent, TemporalEventStream, simplify
+from pbspm.graph import RawEvent, TemporalEventStream, simplify
 
 
 def random_event_stream(rng, n_labels=8, n_events=40, loop_rate=0.1, t_max=100):
@@ -20,18 +20,18 @@ def random_event_stream(rng, n_labels=8, n_events=40, loop_rate=0.1, t_max=100):
     return TemporalEventStream.from_events(events)
 
 
-def random_view(rng, n, p=0.35) -> AdjacencyView:
-    """Adjacency view of a G(n, p) sample."""
+def random_view(rng, n, p=0.35) -> np.ndarray:
+    """Read-only adjacency matrix of a G(n, p) sample."""
     upper = rng.random((n, n)) < p
     matrix = np.triu(upper, k=1).astype(np.float64)
     matrix = matrix + matrix.T
     matrix.setflags(write=False)
-    return AdjacencyView(n=n, matrix=matrix)
+    return matrix
 
 
-def view_edges(view: AdjacencyView) -> np.ndarray:
-    """(m, 2) array of the view's edges with u < v."""
-    uu, vv = np.nonzero(np.triu(view.matrix, k=1))
+def view_edges(view: np.ndarray) -> np.ndarray:
+    """(m, 2) array of the adjacency matrix's edges with u < v."""
+    uu, vv = np.nonzero(np.triu(view, k=1))
     return np.column_stack((uu, vv))
 
 

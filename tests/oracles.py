@@ -15,7 +15,7 @@ from pbspm.graph import RawEvent, TemporalEventStream, TemporalGraph
 
 
 def neighbor_sets(view):
-    return [set(np.nonzero(view.matrix[i])[0]) for i in range(view.n)]
+    return [set(np.nonzero(view[i])[0]) for i in range(len(view))]
 
 
 def katz_walk_oracle(view, x, y, damping, max_len=30):
@@ -35,8 +35,8 @@ def katz_walk_oracle(view, x, y, damping, max_len=30):
 
 def srw_walk_oracle(view, t):
     """Step-by-step walk probabilities in pure Python lists."""
-    n = view.n
-    a = view.matrix.tolist()
+    n = len(view)
+    a = view.tolist()
     k = [sum(row) for row in a]
     two_e = sum(k)
     q = [kx / two_e for kx in k]

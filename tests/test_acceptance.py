@@ -34,9 +34,8 @@ from pbspm.spectral import (
     sample_perturbation,
     select_m,
     spm_scores,
-    truncated_scores,
 )
-from pbspm.split import PopularityVector, SplitConfig, split_train_probe
+from pbspm.split import SplitConfig, split_train_probe
 
 from conftest import random_view, view_edges
 from oracles import katz_walk_oracle, neighbor_sets, srw_walk_oracle
@@ -118,9 +117,9 @@ class TestCriterion1PbspmSpmDegeneracy:
                 continue
             sample = sample_perturbation(view, edges, 0.2, seed=int(rng.integers(1e6)))
             model = eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
-            pop = PopularityVector(values=rng.random(n))
-            spm = spm_scores(model).values
-            pbspm = pbspm_scores(model, pop, alpha=0.0).values
+            pop = rng.random(n)
+            spm = spm_scores(model)
+            pbspm = pbspm_scores(model, pop, alpha=0.0)
             assert np.abs(pbspm - spm).max() <= 1e-10
 
 
@@ -131,7 +130,7 @@ class TestCriterion2SpectralIdentity:
             n = int(rng.integers(20, 201))
             view = random_view(rng, n, p=0.1)
             scores = spm_scores(eigendecompose(view))
-            assert np.abs(scores.values - view.matrix).max() <= 1e-8
+            assert np.abs(scores - view).max() <= 1e-8
 
     def test_full_truncation_equals_pbspm(self):
         rng = np.random.default_rng(102)
@@ -143,9 +142,9 @@ class TestCriterion2SpectralIdentity:
                 continue
             sample = sample_perturbation(view, edges, 0.2, seed=int(rng.integers(1e6)))
             model = eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
-            pop = PopularityVector(values=rng.random(n))
-            full = pbspm_scores(model, pop, alpha=3.0).values
-            trunc = truncated_scores(model, pop, alpha=3.0, m=n).values
+            pop = rng.random(n)
+            full = pbspm_scores(model, pop, alpha=3.0)
+            trunc = pbspm_scores(model, pop, alpha=3.0, m=n)
             assert np.abs(trunc - full).max() <= 1e-10
 
 
@@ -159,15 +158,15 @@ class TestCriterion3BaselineOracles:
             view = random_view(rng, n, p=0.5)
             nbrs = neighbor_sets(view)
             deg = [len(s) for s in nbrs]
-            lam_max = np.linalg.eigvalsh(view.matrix)[-1]
+            lam_max = np.linalg.eigvalsh(view)[-1]
             damping = 0.2 / lam_max if lam_max > 0 else 0.1
 
-            cn = cn_scores(view).values
-            aa = aa_scores(view).values
-            ra = ra_scores(view).values
-            katz = katz_scores(view, KatzConfig(damping=damping)).values
-            srw = srw_scores(view, WalkConfig(steps=3)).values
-            srw_oracle = srw_walk_oracle(view, t=3) if view.matrix.sum() else None
+            cn = cn_scores(view)
+            aa = aa_scores(view)
+            ra = ra_scores(view)
+            katz = katz_scores(view, KatzConfig(damping=damping))
+            srw = srw_scores(view, WalkConfig(steps=3))
+            srw_oracle = srw_walk_oracle(view, t=3) if view.sum() else None
 
             for x in range(n):
                 for y in range(x + 1, n):
@@ -195,7 +194,7 @@ class TestCriterion4FirstOrderSanity:
                 view, edges, 1.0 / edges.shape[0], seed=int(rng.integers(1e6))
             )
             model = eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
-            lam_true = np.linalg.eigvalsh(view.matrix).max()
+            lam_true = np.linalg.eigvalsh(view).max()
             with_corr = abs(lam_true - (model.eigenvalues[0] + model.corrections[0]))
             without = abs(lam_true - model.eigenvalues[0])
             if with_corr < without:

@@ -274,6 +274,29 @@ class TestExitCodes:
         assert "names no format" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("method, flag, value, field", [
+        ("SPM", "--seed", "-1", "seed"),
+        ("CN", "--seed", "-1", "seed"),
+        ("CN", "--p-h", "1.5", "p_h"),
+        ("CN", "--alpha", "-1", "alpha"),
+        ("SRW", "--srw-steps", "0", "steps"),
+        ("Katz", "--katz-damping", "-1", "damping"),
+        ("Katz", "--katz-max-path-length", "0", "max_path_length"),
+        ("SPM", "--p-h", "1.5", "p_h"),
+        ("FastPBSPM", "--m", "0", "m must"),
+        ("FastPBSPM", "--m-threshold", "-1", "m_threshold"),
+        ("SPM", "--probe-fraction", "1.5", "probe_fraction"),
+    ])
+    def test_bad_config_value_fails_before_loading_input(
+        self, tmp_path, capsys, method, flag, value, field
+    ):
+        # The input does not exist: reading it first would be a data error (2).
+        rc = run_cli("predict", "--input", tmp_path / "missing.tsv",
+                     "--out-dir", tmp_path / "out", "--method", method, flag, value)
+        assert rc == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_flag_is_usage_error(self, shift_dataset, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("predict", "--not-a-flag", "x")

@@ -28,9 +28,8 @@ from pbspm.evaluation import (
     sweep,
     sweep_m,
 )
-from pbspm.graph import AdjacencyView, RawEvent, TemporalEventStream, adjacency, simplify
+from pbspm.graph import RawEvent, TemporalEventStream, adjacency, simplify
 from pbspm.spectral import (
-    ScoreMatrix,
     eigendecompose,
     eigenvalue_correction,
     eigenvalues,
@@ -38,22 +37,10 @@ from pbspm.spectral import (
     sample_perturbation,
     select_m,
     spm_scores,
-    truncated_scores,
 )
 from pbspm.split import SplitConfig, popularity, split_train_probe
 
 from conftest import random_event_stream, random_view
-
-
-def view_from(matrix) -> AdjacencyView:
-    m = np.asarray(matrix, dtype=np.float64)
-    m.setflags(write=False)
-    return AdjacencyView(n=m.shape[0], matrix=m)
-
-
-def score_matrix(values) -> ScoreMatrix:
-    v = np.asarray(values, dtype=np.float64)
-    return ScoreMatrix(n=v.shape[0], values=v)
 
 
 BASELINE_ORACLES = {
@@ -109,10 +96,10 @@ def engine_oracle(graph, cfg):
         elif cfg.method == "PBSPM":
             scores = pbspm_scores(model, pop, cfg.alpha)
         else:
-            scores = truncated_scores(model, pop, cfg.alpha, m)
+            scores = pbspm_scores(model, pop, cfg.alpha, m=m)
         per.append(precision_at(rank_candidates(scores, view, L), split.probe, L))
-        total += scores.values
-    top = rank_candidates(ScoreMatrix(n=graph.n, values=total / cfg.realizations), view, L)
+        total += scores
+    top = rank_candidates(total / cfg.realizations, view, L)
     if cfg.score_averaging == "matrix":
         return (), precision_at(top, split.probe, L), top
     return tuple(per), float(np.mean(per)), top
@@ -121,13 +108,13 @@ def engine_oracle(graph, cfg):
 class TestRankCandidates:
     def test_complete_graph_has_no_candidates(self):
         full = np.ones((4, 4)) - np.eye(4)
-        ranked = rank_candidates(score_matrix(np.zeros((4, 4))), view_from(full))
+        ranked = rank_candidates(np.zeros((4, 4)), full)
         assert len(ranked) == 0
 
     def test_three_nodes_one_edge_two_candidates(self):
         train = np.zeros((3, 3))
         train[0, 1] = train[1, 0] = 1.0
-        ranked = rank_candidates(score_matrix(np.zeros((3, 3))), view_from(train))
+        ranked = rank_candidates(np.zeros((3, 3)), train)
         assert len(ranked) == 2
         assert {tuple(p) for p in ranked.pairs} == {(0, 2), (1, 2)}
 
@@ -135,31 +122,31 @@ class TestRankCandidates:
         rng = np.random.default_rng(60)
         for _ in range(10):
             view = random_view(rng, 9, p=0.4)
-            scores = score_matrix(rng.random((9, 9)))
+            scores = rng.random((9, 9))
             ranked = rank_candidates(scores, view)
             expected = {
                 (i, j)
                 for i in range(9)
                 for j in range(i + 1, 9)
-                if view.matrix[i, j] == 0
+                if view[i, j] == 0
             }
             assert {tuple(p) for p in ranked.pairs} == expected
 
     def test_candidates_and_edges_cover_all_pairs(self):
         rng = np.random.default_rng(61)
         view = random_view(rng, 12, p=0.3)
-        ranked = rank_candidates(score_matrix(np.zeros((12, 12))), view)
-        edge_count = int(view.matrix.sum()) // 2
+        ranked = rank_candidates(np.zeros((12, 12)), view)
+        edge_count = int(view.sum()) // 2
         assert len(ranked) + edge_count == 12 * 11 // 2
 
     def test_descending_scores_with_index_tiebreak(self):
         rng = np.random.default_rng(62)
-        view = view_from(np.zeros((5, 5)))
+        view = np.zeros((5, 5))
         values = np.zeros((5, 5))
         values[0, 1] = values[1, 0] = 3.0
         values[2, 3] = values[3, 2] = 3.0
         values[0, 4] = values[4, 0] = 9.0
-        ranked = rank_candidates(score_matrix(values), view)
+        ranked = rank_candidates(values, view)
         assert tuple(ranked.pairs[0]) == (0, 4)
         assert tuple(ranked.pairs[1]) == (0, 1)  # ties: (0,1) before (2,3)
         assert tuple(ranked.pairs[2]) == (2, 3)
@@ -167,15 +154,15 @@ class TestRankCandidates:
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            rank_candidates(score_matrix(np.zeros((3, 3))), view_from(np.zeros((4, 4))))
+            rank_candidates(np.zeros((3, 3)), np.zeros((4, 4)))
 
 
 def ranking_oracle(scores, view):
     """Every non-edge pair in (score desc, i, j) order, by a brute-force lexsort."""
-    iu, ju = np.triu_indices(view.n, k=1)
-    keep = view.matrix[iu, ju] == 0
+    iu, ju = np.triu_indices(len(view), k=1)
+    keep = view[iu, ju] == 0
     ii, jj = iu[keep], ju[keep]
-    sc = scores.values[ii, jj]
+    sc = scores[ii, jj]
     order = np.lexsort((jj, ii, -sc))
     return np.column_stack((ii[order], jj[order])), sc[order]
 
@@ -204,20 +191,20 @@ class TestTopLRanking:
                     self._assert_prefix(scores, view, L)
 
     def test_l_inside_a_tie_block(self):
-        view = view_from(np.zeros((6, 6)))
+        view = np.zeros((6, 6))
         values = np.zeros((6, 6))
         for i, j, v in [(0, 5, 4.0), (1, 2, 2.0), (3, 4, 2.0), (0, 3, 2.0), (2, 5, 2.0)]:
             values[i, j] = values[j, i] = v
         for L in range(1, 17):
-            self._assert_prefix(score_matrix(values), view, L)
-        ranked = rank_candidates(score_matrix(values), view, 3)
+            self._assert_prefix(values, view, L)
+        ranked = rank_candidates(values, view, 3)
         assert [tuple(p) for p in ranked.pairs] == [(0, 5), (0, 3), (1, 2)]
 
     def test_all_zero_scores(self):
         rng = np.random.default_rng(65)
         view = random_view(rng, 15, p=0.3)
         for L in (None, 1, 7, 40, 200):
-            self._assert_prefix(score_matrix(np.zeros((15, 15))), view, L)
+            self._assert_prefix(np.zeros((15, 15)), view, L)
 
     def test_signed_zeros_tie(self):
         rng = np.random.default_rng(66)
@@ -228,34 +215,34 @@ class TestTopLRanking:
         values[2, 7] = 1.0
         assert np.signbit(values[np.triu_indices(12, 1)]).any()
         for L in (None, 1, 2, 10, 66):
-            self._assert_prefix(score_matrix(values), view, L)
+            self._assert_prefix(values, view, L)
 
     def test_nan_scores_rank_last(self):
         rng = np.random.default_rng(67)
-        view = view_from(np.zeros((8, 8)))
+        view = np.zeros((8, 8))
         values = np.round(rng.random((8, 8)) * 3)
         values[rng.random((8, 8)) < 0.4] = np.nan
         values = np.triu(values, 1) + np.triu(values, 1).T
         for L in range(1, 30):
-            self._assert_prefix(score_matrix(values), view, L)
+            self._assert_prefix(values, view, L)
 
     def test_complete_graph_has_no_candidates(self):
         full = np.ones((5, 5)) - np.eye(5)
         for L in (None, 1, 3):
-            ranked = rank_candidates(score_matrix(np.ones((5, 5))), view_from(full), L)
+            ranked = rank_candidates(np.ones((5, 5)), full, L)
             assert len(ranked) == 0
 
     def test_l_beyond_candidates_fails_precision(self):
         train = np.zeros((3, 3))
         train[0, 1] = train[1, 0] = 1.0
-        ranked = rank_candidates(score_matrix(np.zeros((3, 3))), view_from(train), 5)
+        ranked = rank_candidates(np.zeros((3, 3)), train, 5)
         assert len(ranked) == 2
         with pytest.raises(ValueError, match="exceeds candidate count 2"):
             precision_at(ranked, {(0, 2)}, 5)
 
     def test_nonpositive_l_rejected(self):
         with pytest.raises(ValueError):
-            rank_candidates(score_matrix(np.zeros((3, 3))), view_from(np.zeros((3, 3))), 0)
+            rank_candidates(np.zeros((3, 3)), np.zeros((3, 3)), 0)
 
 
 class TestPrecisionAt:
@@ -567,6 +554,10 @@ class TestConfigValidation:
     def test_zero_realizations(self):
         with pytest.raises(ValueError):
             ExperimentConfig(method="SPM", realizations=0)
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig(method="SPM", seed=-1)
 
     def test_bad_averaging(self):
         with pytest.raises(ValueError):

@@ -438,13 +438,13 @@ class TestAdjacency:
         graph = self._graph(("0", "1"), ("1", "2"))
         view = adjacency(graph)
         expected = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
-        np.testing.assert_array_equal(view.matrix, expected)
+        np.testing.assert_array_equal(view, expected)
 
     def test_empty_subset_is_zero_matrix(self):
         graph = self._graph(("0", "1"), ("1", "2"))
         view = adjacency(graph, edge_subset=[])
-        assert not view.matrix.any()
-        assert view.n == 3
+        assert not view.any()
+        assert len(view) == 3
 
     def test_subset_out_of_range(self):
         graph = self._graph(("0", "1"), ("1", "2"))
@@ -464,13 +464,13 @@ class TestAdjacency:
             for i in range(graph.n):
                 for j in range(graph.n):
                     expected = 1.0 if (min(i, j), max(i, j)) in pairs and i != j else 0.0
-                    assert view.matrix[i, j] == expected
+                    assert view[i, j] == expected
 
     def test_symmetric_with_2m_nonzeros(self, shift_graph):
         view = adjacency(shift_graph)
-        assert np.array_equal(view.matrix, view.matrix.T)
-        assert np.count_nonzero(view.matrix) == 2 * shift_graph.m_edges
-        assert not view.matrix.diagonal().any()
+        assert np.array_equal(view, view.T)
+        assert np.count_nonzero(view) == 2 * shift_graph.m_edges
+        assert not view.diagonal().any()
 
 
 class TestDegree:

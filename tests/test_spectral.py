@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pbspm.errors import DegeneratePerturbationError
-from pbspm.graph import AdjacencyView
 from pbspm.spectral import (
     eigendecompose,
     eigenvalue_correction,
@@ -13,21 +12,9 @@ from pbspm.spectral import (
     sample_perturbation,
     select_m,
     spm_scores,
-    truncated_scores,
 )
-from pbspm.split import PopularityVector
 
 from conftest import random_view, view_edges
-
-
-def view_from(matrix) -> AdjacencyView:
-    m = np.asarray(matrix, dtype=np.float64)
-    m.setflags(write=False)
-    return AdjacencyView(n=m.shape[0], matrix=m)
-
-
-def uniform_pop(n, value=0.0) -> PopularityVector:
-    return PopularityVector(values=np.full(n, value))
 
 
 def edge_matrix(edges, n) -> np.ndarray:
@@ -48,10 +35,10 @@ class TestSamplePerturbation:
         rng = np.random.default_rng(0)
         view = random_view(rng, 8, p=0.5)
         edges = view_edges(view)[:10]
-        view10 = view_from(edge_matrix(edges, 8))
+        view10 = edge_matrix(edges, 8)
         sample = sample_perturbation(view10, edges, 0.1, seed=1)
         assert sample.removed.shape == (1, 2)
-        assert np.count_nonzero(view10.matrix - sample.retained.matrix) == 2
+        assert np.count_nonzero(view10 - sample.retained) == 2
 
     def test_same_seed_same_removal(self):
         rng = np.random.default_rng(1)
@@ -60,7 +47,7 @@ class TestSamplePerturbation:
         a = sample_perturbation(view, edges, 0.2, seed=99)
         b = sample_perturbation(view, edges, 0.2, seed=99)
         np.testing.assert_array_equal(a.removed, b.removed)
-        np.testing.assert_array_equal(a.retained.matrix, b.retained.matrix)
+        np.testing.assert_array_equal(a.retained, b.retained)
 
     def test_retained_plus_removed_is_original(self):
         rng = np.random.default_rng(2)
@@ -70,12 +57,12 @@ class TestSamplePerturbation:
         sample = sample_perturbation(view, edges[::-1, ::-1], 0.25, seed=5)
         removed = sample.removed
         np.testing.assert_array_equal(
-            sample.retained.matrix + edge_matrix(removed, 15), view.matrix
+            sample.retained + edge_matrix(removed, 15), view
         )
         assert removed.shape == (round(0.25 * edges.shape[0]), 2)
         assert np.all(removed[:, 0] < removed[:, 1])
         assert [tuple(row) for row in removed] == sorted(tuple(row) for row in removed)
-        assert not removed.flags.writeable and not sample.retained.matrix.flags.writeable
+        assert not removed.flags.writeable and not sample.retained.flags.writeable
 
     def test_removal_frequency_matches_p_h(self):
         # Monte Carlo oracle: per-edge removal frequency within 3 binomial sigma.
@@ -111,7 +98,7 @@ class TestSamplePerturbation:
 
 class TestEigendecompose:
     def test_single_edge_pair(self):
-        model = eigendecompose(view_from([[0, 1], [1, 0]]))
+        model = eigendecompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_allclose(model.eigenvalues, [1.0, -1.0], atol=1e-12)
         np.testing.assert_allclose(
             model.eigenvectors[:, 0], [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12
@@ -119,13 +106,13 @@ class TestEigendecompose:
         assert np.all(model.corrections == 0.0)
 
     def test_empty_graph_all_zero(self):
-        model = eigendecompose(view_from(np.zeros((4, 4))))
+        model = eigendecompose(np.zeros((4, 4)))
         np.testing.assert_array_equal(model.eigenvalues, np.zeros(4))
 
     def test_triangle_spectrum(self):
         # Characteristic polynomial (x - 2)(x + 1)^2 gives {2, -1, -1}.
         triangle = np.ones((3, 3)) - np.eye(3)
-        model = eigendecompose(view_from(triangle))
+        model = eigendecompose(triangle)
         np.testing.assert_allclose(model.eigenvalues, [2.0, -1.0, -1.0], atol=1e-12)
 
     def test_order_is_abs_descending_with_sign_tiebreak(self):
@@ -142,7 +129,7 @@ class TestEigendecompose:
         model = eigendecompose(view)
         gram = model.eigenvectors.T @ model.eigenvectors
         np.testing.assert_allclose(gram, np.eye(40), atol=1e-8)
-        residual = view.matrix @ model.eigenvectors - model.eigenvectors * model.eigenvalues
+        residual = view @ model.eigenvectors - model.eigenvectors * model.eigenvalues
         assert np.abs(residual).max() <= 1e-6
 
     def test_sign_convention(self):
@@ -171,7 +158,7 @@ class TestEigenvalues:
 
     def test_triangle_spectrum(self):
         triangle = np.ones((3, 3)) - np.eye(3)
-        np.testing.assert_allclose(eigenvalues(view_from(triangle)), [2.0, -1.0, -1.0],
+        np.testing.assert_allclose(eigenvalues(triangle), [2.0, -1.0, -1.0],
                                    atol=1e-12)
 
 
@@ -210,7 +197,7 @@ class TestEigenvalueCorrection:
             p_h = 1.0 / edges.shape[0]
             sample = sample_perturbation(view, edges, p_h, seed=int(rng.integers(10_000)))
             model = eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
-            lam_true = np.linalg.eigvalsh(view.matrix).max()
+            lam_true = np.linalg.eigvalsh(view).max()
             lam_est = model.eigenvalues[0] + model.corrections[0]
             if abs(lam_true - lam_est) < abs(lam_true - model.eigenvalues[0]):
                 wins += 1
@@ -229,13 +216,13 @@ class TestSpmScores:
         rng = np.random.default_rng(13)
         view = random_view(rng, 30, p=0.3)
         scores = spm_scores(eigendecompose(view))
-        np.testing.assert_allclose(scores.values, view.matrix, atol=1e-8)
+        np.testing.assert_allclose(scores, view, atol=1e-8)
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(14)
         view = random_view(rng, 25, p=0.3)
         scores = spm_scores(corrected_model(view))
-        assert np.array_equal(scores.values, scores.values.T)
+        assert np.array_equal(scores, scores.T)
 
     def test_matches_outer_product_oracle(self):
         rng = np.random.default_rng(15)
@@ -246,7 +233,7 @@ class TestSpmScores:
             w = model.eigenvalues[k] + model.corrections[k]
             x = model.eigenvectors[:, k]
             expected += w * np.outer(x, x)
-        np.testing.assert_allclose(spm_scores(model).values, expected, atol=1e-10)
+        np.testing.assert_allclose(spm_scores(model), expected, atol=1e-10)
 
 
 class TestBoostEigenvectors:
@@ -255,14 +242,14 @@ class TestBoostEigenvectors:
     def test_alpha_zero_is_identity(self):
         rng = np.random.default_rng(16)
         model = eigendecompose(random_view(rng, 10, p=0.4))
-        boosted = pbspm_scores(model, uniform_pop(10, 0.7), alpha=0.0)
-        np.testing.assert_array_equal(boosted.values, spm_scores(model).values)
+        boosted = pbspm_scores(model, np.full(10, 0.7), alpha=0.0)
+        np.testing.assert_array_equal(boosted, spm_scores(model))
 
     def test_component_arithmetic(self):
-        model = eigendecompose(view_from([[0, 1], [1, 0]]))
-        fake = PopularityVector(values=np.array([1.0, 0.0]))
-        boosted = pbspm_scores(model, fake, alpha=7.0).values
-        plain = spm_scores(model).values
+        model = eigendecompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        fake = np.array([1.0, 0.0])
+        boosted = pbspm_scores(model, fake, alpha=7.0)
+        plain = spm_scores(model)
         # Node 0's components scale by (1 + 7*1) = 8, node 1's by 1.
         assert boosted[0, 0] == pytest.approx(plain[0, 0] * 64.0)
         assert boosted[0, 1] == pytest.approx(plain[0, 1] * 8.0)
@@ -273,10 +260,9 @@ class TestBoostEigenvectors:
         rng = np.random.default_rng(17)
         model = eigendecompose(random_view(rng, 9, p=0.5))
         s = rng.random(9)
-        pop = PopularityVector(values=s)
         for m in (None, 1, 4):
-            boosted = pbspm_scores(model, pop, alpha=3.5, m=m).values
-            plain = spm_scores(model, m).values
+            boosted = pbspm_scores(model, s, alpha=3.5, m=m)
+            plain = spm_scores(model, m)
             for i in range(9):
                 for j in range(9):
                     expected = (1 + 3.5 * s[i]) * (1 + 3.5 * s[j]) * plain[i, j]
@@ -286,13 +272,13 @@ class TestBoostEigenvectors:
         rng = np.random.default_rng(18)
         model = eigendecompose(random_view(rng, 5, p=0.5))
         with pytest.raises(ValueError, match="alpha"):
-            pbspm_scores(model, uniform_pop(5), alpha=-0.1)
+            pbspm_scores(model, np.zeros(5), alpha=-0.1)
 
     def test_size_mismatch_rejected(self):
         rng = np.random.default_rng(19)
         model = eigendecompose(random_view(rng, 5, p=0.5))
         with pytest.raises(ValueError, match="popularity covers 4 nodes"):
-            pbspm_scores(model, uniform_pop(4), alpha=1.0)
+            pbspm_scores(model, np.zeros(4), alpha=1.0)
 
 
 class TestPbspmScores:
@@ -300,20 +286,20 @@ class TestPbspmScores:
         rng = np.random.default_rng(20)
         view = random_view(rng, 20, p=0.3)
         model = corrected_model(view, p_h=0.15, seed=3)
-        pop = PopularityVector(values=rng.random(20))
+        pop = rng.random(20)
         spm = spm_scores(model)
         pbspm = pbspm_scores(model, pop, alpha=0.0)
-        np.testing.assert_allclose(pbspm.values, spm.values, atol=1e-10)
+        np.testing.assert_allclose(pbspm, spm, atol=1e-10)
 
     def test_uniform_popularity_scales_scores(self):
         rng = np.random.default_rng(21)
         view = random_view(rng, 12, p=0.4)
         model = corrected_model(view, p_h=0.2, seed=4)
         c, alpha = 0.6, 2.0
-        boosted = pbspm_scores(model, uniform_pop(12, c), alpha)
+        boosted = pbspm_scores(model, np.full(12, c), alpha)
         base = spm_scores(model)
         np.testing.assert_allclose(
-            boosted.values, (1 + alpha * c) ** 2 * base.values, atol=1e-10
+            boosted, (1 + alpha * c) ** 2 * base, atol=1e-10
         )
 
     def test_matches_outer_product_oracle(self):
@@ -329,9 +315,9 @@ class TestPbspmScores:
                 w = model.eigenvalues[k] + model.corrections[k]
                 x = model.eigenvectors[:, k] * (1 + alpha * s)
                 expected += w * np.outer(x, x)
-            got = pbspm_scores(model, PopularityVector(values=s), alpha, m)
-            np.testing.assert_allclose(got.values, expected, atol=1e-10)
-            assert np.array_equal(got.values, got.values.T)
+            got = pbspm_scores(model, s, alpha, m)
+            np.testing.assert_allclose(got, expected, atol=1e-10)
+            assert np.array_equal(got, got.T)
 
 
 class TestTruncatedScores:
@@ -339,17 +325,17 @@ class TestTruncatedScores:
         rng = np.random.default_rng(23)
         view = random_view(rng, 14, p=0.4)
         model = corrected_model(view, p_h=0.2, seed=6)
-        pop = PopularityVector(values=rng.random(14))
+        pop = rng.random(14)
         full = pbspm_scores(model, pop, alpha=2.5)
-        trunc = truncated_scores(model, pop, alpha=2.5, m=14)
-        np.testing.assert_allclose(trunc.values, full.values, atol=1e-10)
+        trunc = pbspm_scores(model, pop, alpha=2.5, m=14)
+        np.testing.assert_allclose(trunc, full, atol=1e-10)
 
     def test_rank_one_all_minors_vanish(self):
         rng = np.random.default_rng(24)
         view = random_view(rng, 8, p=0.5)
         model = corrected_model(view, p_h=0.2, seed=7)
-        pop = PopularityVector(values=rng.random(8))
-        s = truncated_scores(model, pop, alpha=1.5, m=1).values
+        pop = rng.random(8)
+        s = pbspm_scores(model, pop, alpha=1.5, m=1)
         for i in range(8):
             for k in range(i + 1, 8):
                 for j in range(8):
@@ -362,11 +348,11 @@ class TestTruncatedScores:
         for alpha in (0.0, 3.0):
             view = random_view(rng, 16, p=0.4)
             model = corrected_model(view, p_h=0.2, seed=8)
-            pop = PopularityVector(values=rng.random(16))
-            full = pbspm_scores(model, pop, alpha).values
+            pop = rng.random(16)
+            full = pbspm_scores(model, pop, alpha)
             norms = []
             for m in range(1, 17):
-                part = truncated_scores(model, pop, alpha, m).values
+                part = pbspm_scores(model, pop, alpha, m=m)
                 norms.append(np.linalg.norm(part - full))
             assert norms[-1] < 1e-10
             assert all(b <= a + 1e-9 for a, b in zip(norms, norms[1:]))
@@ -375,11 +361,11 @@ class TestTruncatedScores:
         rng = np.random.default_rng(26)
         view = random_view(rng, 6, p=0.5)
         model = corrected_model(view, p_h=0.3, seed=9)
-        pop = uniform_pop(6)
+        pop = np.zeros(6)
         with pytest.raises(ValueError):
-            truncated_scores(model, pop, alpha=1.0, m=0)
+            pbspm_scores(model, pop, alpha=1.0, m=0)
         with pytest.raises(ValueError):
-            truncated_scores(model, pop, alpha=1.0, m=7)
+            pbspm_scores(model, pop, alpha=1.0, m=7)
 
 
 class TestSelectM:

@@ -162,8 +162,8 @@ class TestPopularity:
             graph = random_temporal_graph(rng)
             split = split_train_probe(graph, SplitConfig())
             pop = popularity(graph, split.train, 0.25)
-            assert np.all(pop.values >= 0.0)
-            assert np.all(pop.values <= 1.0)
+            assert np.all(pop >= 0.0)
+            assert np.all(pop <= 1.0)
             n_fresh = round(0.25 * split.train.size)
             fresh = graph.edges[split.train[split.train.size - n_fresh :]]
             k_fresh = np.bincount(
