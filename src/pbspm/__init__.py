@@ -59,6 +59,7 @@ from .spectral import (
     sample_perturbation,
     select_m,
     spm_scores,
+    truncated_scores,
 )
 from .split import (
     SplitConfig,

@@ -129,9 +129,20 @@ class ExperimentConfig:
             raise ValueError(
                 f"score_averaging must be 'precision' or 'matrix', got {self.score_averaging!r}"
             )
-        SplitConfig(probe_fraction=self.probe_fraction)
-        KatzConfig(damping=self.katz_damping, max_path_length=self.katz_max_path_length)
-        WalkConfig(steps=self.srw_steps)
+        _check_part("", SplitConfig, probe_fraction=self.probe_fraction)
+        _check_part(
+            "katz_", KatzConfig, damping=self.katz_damping, max_path_length=self.katz_max_path_length
+        )
+        _check_part("srw_", WalkConfig, steps=self.srw_steps)
+
+
+def _check_part(prefix: str, config, **values) -> None:
+    # A sub-config message starts with its own field name, which is the
+    # ExperimentConfig field without ``prefix``.
+    try:
+        config(**values)
+    except ValueError as err:
+        raise ValueError(f"{prefix}{err}") from err
 
 
 @dataclass(frozen=True)

@@ -279,11 +279,11 @@ class TestExitCodes:
         ("CN", "--seed", "-1", "seed"),
         ("CN", "--p-h", "1.5", "p_h"),
         ("CN", "--alpha", "-1", "alpha"),
-        ("SRW", "--srw-steps", "0", "steps"),
-        ("Katz", "--katz-damping", "-1", "damping"),
-        ("Katz", "--katz-max-path-length", "0", "max_path_length"),
+        ("SRW", "--srw-steps", "0", "srw_steps must"),
+        ("Katz", "--katz-damping", "-1", "katz_damping must"),
+        ("Katz", "--katz-max-path-length", "0", "katz_max_path_length must"),
         ("SPM", "--p-h", "1.5", "p_h"),
-        ("FastPBSPM", "--m", "0", "m must"),
+        ("FastPBSPM", "--m", "0", "m must be >= 1"),
         ("FastPBSPM", "--m-threshold", "-1", "m_threshold"),
         ("SPM", "--probe-fraction", "1.5", "probe_fraction"),
     ])

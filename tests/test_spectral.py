@@ -12,6 +12,7 @@ from pbspm.spectral import (
     sample_perturbation,
     select_m,
     spm_scores,
+    truncated_scores,
 )
 
 from conftest import random_view, view_edges
@@ -366,6 +367,15 @@ class TestTruncatedScores:
             pbspm_scores(model, pop, alpha=1.0, m=0)
         with pytest.raises(ValueError):
             pbspm_scores(model, pop, alpha=1.0, m=7)
+
+    def test_alias_is_pbspm_with_m(self):
+        rng = np.random.default_rng(27)
+        view = random_view(rng, 10, p=0.4)
+        model = corrected_model(view, p_h=0.2, seed=10)
+        pop = rng.random(10)
+        np.testing.assert_array_equal(
+            truncated_scores(model, pop, 2.0, 3), pbspm_scores(model, pop, 2.0, m=3)
+        )
 
 
 class TestSelectM:
