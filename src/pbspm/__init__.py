@@ -6,15 +6,7 @@ it in time into training and probe sets, score the unobserved training pairs
 one of five classical indices), and evaluate precision on the probe set.
 """
 
-from .baselines import (
-    KatzConfig,
-    WalkConfig,
-    aa_scores,
-    cn_scores,
-    katz_scores,
-    ra_scores,
-    srw_scores,
-)
+from .baselines import aa_scores, cn_scores, katz_scores, ra_scores, srw_scores
 from .errors import (
     DataError,
     DegeneratePerturbationError,
@@ -61,12 +53,6 @@ from .spectral import (
     spm_scores,
     truncated_scores,
 )
-from .split import (
-    SplitConfig,
-    TrainProbeSplit,
-    degree_increment,
-    popularity,
-    split_train_probe,
-)
+from .split import TrainProbeSplit, degree_increment, popularity, split_train_probe
 
 __version__ = "0.1.0"

@@ -4,12 +4,13 @@ Common Neighbors, Adamic-Adar, and Resource Allocation score a pair through
 its shared neighbors; Katz accumulates damped walk counts of every length;
 the superposed random walk sums degree-weighted transfer probabilities over
 a short horizon. All five take the dense adjacency matrix and return a
-read-only symmetric n x n score matrix, as the spectral methods do.
+read-only symmetric n x n score matrix, as the spectral methods do. Katz's
+damping and path length and SRW's step count are plain arguments, each
+range-checked here; an experiment takes them from ``ExperimentConfig``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,8 +20,6 @@ from .graph import degrees
 from .spectral import _score_matrix
 
 __all__ = [
-    "KatzConfig",
-    "WalkConfig",
     "cn_scores",
     "aa_scores",
     "ra_scores",
@@ -28,37 +27,6 @@ __all__ = [
     "srw_scores",
     "max_eigenvalue",
 ]
-
-
-@dataclass(frozen=True)
-class KatzConfig:
-    """Damping factor and optional series truncation for the Katz index.
-
-    ``damping`` must stay below the reciprocal of the largest adjacency
-    eigenvalue for the walk series to converge; None means half that bound
-    (0.1 when the largest eigenvalue is not positive). ``max_path_length``
-    switches from the closed form to an explicit truncated series.
-    """
-
-    damping: Optional[float] = None
-    max_path_length: Optional[int] = None
-
-    def __post_init__(self):
-        if self.damping is not None and self.damping <= 0:
-            raise ValueError(f"damping must be positive, got {self.damping}")
-        if self.max_path_length is not None and self.max_path_length < 1:
-            raise ValueError(f"max_path_length must be >= 1, got {self.max_path_length}")
-
-
-@dataclass(frozen=True)
-class WalkConfig:
-    """Horizon of the superposed random walk."""
-
-    steps: int = 3
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
 
 
 def cn_scores(a: np.ndarray) -> np.ndarray:
@@ -97,30 +65,38 @@ def max_eigenvalue(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(a)[-1])
 
 
-def katz_scores(a: np.ndarray, cfg: KatzConfig) -> np.ndarray:
+def katz_scores(
+    a: np.ndarray, damping: Optional[float] = None, max_path_length: Optional[int] = None
+) -> np.ndarray:
     """Damped count of walks of every length between each pair.
 
-    Closed form ``(I - damping * A)^-1 - I`` by default; with
-    ``max_path_length`` set, the explicit series over walk lengths
-    ``1..max_path_length`` instead.
+    ``damping`` must stay below the reciprocal of the largest adjacency
+    eigenvalue for the walk series to converge; None means half that bound
+    (0.1 when the largest eigenvalue is not positive). Closed form
+    ``(I - damping * A)^-1 - I`` by default; with ``max_path_length`` set,
+    the explicit series over walk lengths ``1..max_path_length`` instead.
 
     Raises:
+        ValueError: ``damping`` not positive or ``max_path_length`` below 1.
         NumericalError: damping at or beyond the convergence bound, or a
             singular linear system.
     """
+    if damping is not None and damping <= 0:
+        raise ValueError(f"damping must be positive, got {damping}")
+    if max_path_length is not None and max_path_length < 1:
+        raise ValueError(f"max_path_length must be >= 1, got {max_path_length}")
     lam_max = max_eigenvalue(a)
-    damping = cfg.damping
     if damping is None:
         damping = 0.5 / lam_max if lam_max > 0 else 0.1
     if lam_max > 0 and damping >= 1.0 / lam_max:
         raise NumericalError(
             f"damping {damping} >= 1/lambda_max = {1.0 / lam_max:.6g}, series diverges"
         )
-    if cfg.max_path_length is not None:
+    if max_path_length is not None:
         damped = damping * a
         total = np.zeros_like(a)
         power = np.eye(len(a))
-        for _ in range(cfg.max_path_length):
+        for _ in range(max_path_length):
             power = power @ damped
             total += power
         return _score_matrix(total)
@@ -131,14 +107,16 @@ def katz_scores(a: np.ndarray, cfg: KatzConfig) -> np.ndarray:
     return _score_matrix(inv - np.eye(len(a)))
 
 
-def srw_scores(a: np.ndarray, cfg: WalkConfig) -> np.ndarray:
-    """Superposed random walk over a fixed number of steps.
+def srw_scores(a: np.ndarray, steps: int) -> np.ndarray:
+    """Superposed random walk over ``steps`` >= 1 steps.
 
     With row-stochastic transition matrix P and stationary weights
     ``q_x = k_x / 2|E|``, accumulates ``q_x P^tau[x, y] + q_y P^tau[y, x]``
     for tau = 1..steps. Zero-degree nodes contribute zero rows: no walk
     leaves an isolated node.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     k = degrees(a).astype(np.float64)
     two_e = k.sum()
     if two_e == 0:
@@ -149,7 +127,7 @@ def srw_scores(a: np.ndarray, cfg: WalkConfig) -> np.ndarray:
     )
     walk = transition
     total = np.zeros_like(a)
-    for _ in range(cfg.steps):
+    for _ in range(steps):
         weighted = q[:, None] * walk
         total += weighted + weighted.T
         walk = walk @ transition

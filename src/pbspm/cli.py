@@ -31,7 +31,7 @@ from .evaluation import (
     ExperimentConfig,
     PrecisionReport,
     _run_points,
-    _sweep_grids,
+    _sweep_configs,
     rank_candidates,  # noqa: F401  (perfbench's tracer test wraps it here)
     run_experiment,
 )
@@ -41,7 +41,7 @@ from .spectral import (
     eigenvalues,
     select_m,
 )
-from .split import SplitConfig, split_train_probe
+from .split import split_train_probe
 
 __all__ = ["main", "cmd_predict", "cmd_sweep", "cmd_spectrum", "cmd_diagnose"]
 
@@ -175,17 +175,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     names = [f"{pf:g}" for pf in p_freshers]
     if len(set(names)) != len(names):
         raise ValueError(f"--p-fresher-grid values repeat at 6 significant digits: {names}")
+    cfgs = _sweep_configs(cfgs[0], args.alpha_grid, p_freshers, args.m_grid)
     graph = _load_graph(args)
-    points, m_results = _sweep_grids(graph, cfgs[0], args.alpha_grid, p_freshers, args.m_grid)
+    reports = [report for report, _ in _run_points(graph, cfgs)]
+    n_grid = len(reports) - len(args.m_grid)
+    grid, m_reports = reports[:n_grid], reports[n_grid:]
     args.out_dir.mkdir(parents=True, exist_ok=True)
     payload: dict = {"dataset": args.input.stem, "input": str(args.input)}
 
     if args.alpha_grid:
         for pf in p_freshers:
             rows = [
-                [p.alpha, p.report.mean_precision, p.report.std_precision]
-                for p in points
-                if p.p_fresher == pf
+                [r.config.alpha, r.mean_precision, r.std_precision]
+                for r in grid
+                if r.config.p_fresher == pf
             ]
             if "csv" in emit:
                 _write_csv(
@@ -195,12 +198,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 )
         payload["alpha_sweep"] = [
             {
-                "alpha": p.alpha,
-                "p_fresher": p.p_fresher,
-                "mean_precision": p.report.mean_precision,
-                "std_precision": p.report.std_precision,
+                "alpha": r.config.alpha,
+                "p_fresher": r.config.p_fresher,
+                "mean_precision": r.mean_precision,
+                "std_precision": r.std_precision,
             }
-            for p in points
+            for r in grid
         ]
 
     if args.m_grid:
@@ -208,11 +211,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             _write_csv(
                 args.out_dir / "sweep_m.csv",
                 ["m_over_n", "mean_precision"],
-                [[m / graph.n, r.mean_precision] for m, r in m_results],
+                [[r.config.m / graph.n, r.mean_precision] for r in m_reports],
             )
         payload["m_sweep"] = [
-            {"m": m, "m_over_n": m / graph.n, "mean_precision": r.mean_precision}
-            for m, r in m_results
+            {"m": r.config.m, "m_over_n": r.config.m / graph.n, "mean_precision": r.mean_precision}
+            for r in m_reports
         ]
 
     if "json" in emit:
@@ -225,7 +228,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     (cfg,) = _configs(args)
     emit = _emit(args)
     graph = _load_graph(args)
-    split = split_train_probe(graph, SplitConfig(probe_fraction=cfg.probe_fraction))
+    split = split_train_probe(graph, cfg.probe_fraction)
     lam = eigenvalues(adjacency(graph, split.train))
     abs_lam = [abs(v) for v in lam]
     gaps = [abs_lam[i] - abs_lam[i + 1] for i in range(len(lam) - 1)]

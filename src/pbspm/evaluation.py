@@ -18,15 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .baselines import (
-    KatzConfig,
-    WalkConfig,
-    aa_scores,
-    cn_scores,
-    katz_scores,
-    ra_scores,
-    srw_scores,
-)
+from .baselines import aa_scores, cn_scores, katz_scores, ra_scores, srw_scores
 from .errors import NumericalError, UndefinedMetricError, ZeroVarianceError
 from .graph import TemporalGraph, adjacency
 from .spectral import (
@@ -38,7 +30,7 @@ from .spectral import (
     select_m,
     spm_scores,
 )
-from .split import SplitConfig, TrainProbeSplit, popularity, split_train_probe
+from .split import TrainProbeSplit, _endpoint_counts, popularity, split_train_probe
 
 __all__ = [
     "METHODS",
@@ -78,12 +70,15 @@ class RankedCandidates:
 class ExperimentConfig:
     """Everything a single experiment needs besides the graph itself.
 
-    ``L`` defaults to the filtered probe size; ``count_dropped_in_L`` switches
-    to the unfiltered probe size instead. ``score_averaging`` selects whether
-    precision is averaged over realizations or computed once on the averaged
-    score matrix. ``katz_damping=None`` means half the convergence bound.
-    Every value is range-checked here, for every method, so a bad value fails
-    before any input is read; only ``m <= n`` waits for the graph.
+    The only config type: it holds the one copy of every default, and the
+    layers below take its fields as plain values. ``L`` defaults to the
+    filtered probe size; ``count_dropped_in_L`` switches to the unfiltered
+    probe size instead. ``score_averaging`` selects whether precision is
+    averaged over realizations or computed once on the averaged score matrix.
+    ``katz_damping=None`` means half the convergence bound, and
+    ``katz_max_path_length=None`` the closed form. Every value is
+    range-checked here, for every method, so a bad value fails before any
+    input is read; only ``m <= n`` waits for the graph.
     """
 
     method: str = "PBSPM"
@@ -129,20 +124,14 @@ class ExperimentConfig:
             raise ValueError(
                 f"score_averaging must be 'precision' or 'matrix', got {self.score_averaging!r}"
             )
-        _check_part("", SplitConfig, probe_fraction=self.probe_fraction)
-        _check_part(
-            "katz_", KatzConfig, damping=self.katz_damping, max_path_length=self.katz_max_path_length
-        )
-        _check_part("srw_", WalkConfig, steps=self.srw_steps)
-
-
-def _check_part(prefix: str, config, **values) -> None:
-    # A sub-config message starts with its own field name, which is the
-    # ExperimentConfig field without ``prefix``.
-    try:
-        config(**values)
-    except ValueError as err:
-        raise ValueError(f"{prefix}{err}") from err
+        if not 0.0 < self.probe_fraction < 1.0:
+            raise ValueError(f"probe_fraction must be in (0,1), got {self.probe_fraction}")
+        if self.katz_damping is not None and self.katz_damping <= 0:
+            raise ValueError(f"katz_damping must be positive, got {self.katz_damping}")
+        if self.katz_max_path_length is not None and self.katz_max_path_length < 1:
+            raise ValueError(f"katz_max_path_length must be >= 1, got {self.katz_max_path_length}")
+        if self.srw_steps < 1:
+            raise ValueError(f"srw_steps must be >= 1, got {self.srw_steps}")
 
 
 @dataclass(frozen=True)
@@ -265,12 +254,6 @@ def delta_cc(
     return boosted - base
 
 
-def _probe_degree_increment(graph: TemporalGraph, n_train: int) -> np.ndarray:
-    rows = graph.edges[n_train:]
-    ends = np.concatenate([rows[:, 0], rows[:, 1]])
-    return np.bincount(ends, minlength=graph.n).astype(np.float64)
-
-
 def _baseline_scores(
     method: str, train_adj: np.ndarray, cfg: ExperimentConfig
 ) -> np.ndarray:
@@ -281,12 +264,9 @@ def _baseline_scores(
     if method == "RA":
         return ra_scores(train_adj)
     if method == "Katz":
-        return katz_scores(
-            train_adj,
-            KatzConfig(damping=cfg.katz_damping, max_path_length=cfg.katz_max_path_length),
-        )
+        return katz_scores(train_adj, cfg.katz_damping, cfg.katz_max_path_length)
     if method == "SRW":
-        return srw_scores(train_adj, WalkConfig(steps=cfg.srw_steps))
+        return srw_scores(train_adj, cfg.srw_steps)
     raise ValueError(f"not a baseline method: {method}")
 
 
@@ -341,7 +321,7 @@ def _score_spectral(
     for p in fast:
         p.m = p.cfg.m if p.cfg.m is not None else select_m(train_lam, p.cfg.m_threshold)
     ms = dict.fromkeys(p.m for p in points)
-    probe_inc = _probe_degree_increment(graph, n_train=split.train.size)
+    probe_inc = _endpoint_counts(graph.edges[split.train.size :], graph.n)
 
     shared = points[0].cfg
     train_edges = graph.edges[split.train]
@@ -405,7 +385,7 @@ def _run_points(
     (of the scores averaged over the realizations, for spectral methods).
     """
     _validate(cfgs, graph.n)
-    split = split_train_probe(graph, SplitConfig(probe_fraction=cfgs[0].probe_fraction))
+    split = split_train_probe(graph, cfgs[0].probe_fraction)
     train_adj = adjacency(graph, split.train)
     flat = _candidates(train_adj)
     hit = np.isin(flat, [u * graph.n + v for u, v in split.probe])
@@ -458,28 +438,23 @@ def run_experiment(graph: TemporalGraph, cfg: ExperimentConfig) -> PrecisionRepo
     return _run_points(graph, [cfg])[0][0]
 
 
-def _sweep_grids(
-    graph: TemporalGraph,
+def _sweep_configs(
     base_cfg: ExperimentConfig,
     alphas: Sequence[float],
     p_freshers: Sequence[float],
     ms: Sequence[int],
-) -> tuple[list[SweepPoint], list[tuple[int, PrecisionReport]]]:
-    """The (alpha, p_fresher) sweep and the m sweep from one engine call.
+) -> list[ExperimentConfig]:
+    """The (alpha, p_fresher) grid's configs, p_fresher outermost, then the m sweep's.
 
-    An empty ``alphas`` or ``ms`` skips that sweep; ``p_freshers`` must be
-    non-empty when ``alphas`` is not. Every point averages precision over
-    the realizations, whatever ``score_averaging`` says.
+    An empty ``alphas`` or ``ms`` skips that sweep. Every config averages
+    precision over the realizations, whatever ``score_averaging`` says, and
+    every value is range-checked here, before any input is read.
     """
     base = replace(base_cfg, score_averaging="precision")
     if len(alphas) and base.method not in ("PBSPM", "FastPBSPM"):
         raise ValueError(f"sweep requires a popularity-boosted method, got {base.method}")
-    grid = [(alpha, pf) for pf in p_freshers for alpha in alphas]
-    cfgs = [replace(base, alpha=alpha, p_fresher=pf) for alpha, pf in grid]
-    cfgs += [replace(base, method="FastPBSPM", m=m) for m in ms]
-    reports = [report for report, _ in _run_points(graph, cfgs)]
-    points = [SweepPoint(alpha=a, p_fresher=pf, report=r) for (a, pf), r in zip(grid, reports)]
-    return points, list(zip(ms, reports[len(grid):]))
+    cfgs = [replace(base, alpha=alpha, p_fresher=pf) for pf in p_freshers for alpha in alphas]
+    return cfgs + [replace(base, method="FastPBSPM", m=m) for m in ms]
 
 
 def sweep(
@@ -497,7 +472,8 @@ def sweep(
     """
     if len(alphas) == 0 or len(p_freshers) == 0:
         raise ValueError("alpha and p_fresher grids must be non-empty")
-    return _sweep_grids(graph, base_cfg, alphas, p_freshers, ())[0]
+    results = _run_points(graph, _sweep_configs(base_cfg, alphas, p_freshers, ()))
+    return [SweepPoint(r.config.alpha, r.config.p_fresher, r) for r, _ in results]
 
 
 def sweep_m(
@@ -506,4 +482,4 @@ def sweep_m(
     """Precision of the truncated reconstruction for each requested m."""
     if len(ms) == 0:
         raise ValueError("m grid must be non-empty")
-    return _sweep_grids(graph, base_cfg, (), (), ms)[1]
+    return [(r.config.m, r) for r, _ in _run_points(graph, _sweep_configs(base_cfg, (), (), ms))]

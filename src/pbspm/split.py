@@ -3,7 +3,8 @@
 The probe split hides the newest fraction of edges from every predictor. The
 popularity of a node is the share of its training degree acquired in the
 freshest slice of the training window: 1 for a node whose every training
-contact is recent, 0 for one that went quiet.
+contact is recent, 0 for one that went quiet. Both take their fraction as a
+plain float and range-check it; an experiment takes it from ``ExperimentConfig``.
 """
 
 from __future__ import annotations
@@ -17,23 +18,11 @@ from .errors import DegenerateSplitError
 from .graph import TemporalGraph
 
 __all__ = [
-    "SplitConfig",
     "TrainProbeSplit",
     "split_train_probe",
     "degree_increment",
     "popularity",
 ]
-
-
-@dataclass(frozen=True)
-class SplitConfig:
-    """Fraction of the newest edges held out as the probe set."""
-
-    probe_fraction: float = 0.10
-
-    def __post_init__(self):
-        if not 0.0 < self.probe_fraction < 1.0:
-            raise ValueError(f"probe_fraction must be in (0,1), got {self.probe_fraction}")
 
 
 @dataclass(frozen=True)
@@ -55,23 +44,26 @@ class TrainProbeSplit:
         return len(self.probe) + self.probe_dropped
 
 
-def split_train_probe(graph: TemporalGraph, cfg: SplitConfig) -> TrainProbeSplit:
-    """Split edges into the oldest training fraction and the newest probe.
+def split_train_probe(graph: TemporalGraph, probe_fraction: float) -> TrainProbeSplit:
+    """Hold out the newest ``probe_fraction`` of edges as the probe set.
 
     Edges are already ordered by ``(t, u, v)``, so the split is deterministic;
     equal timestamps at the boundary are resolved by the ``(u, v)`` tie-break.
 
     Raises:
+        ValueError: ``probe_fraction`` outside (0, 1).
         DegenerateSplitError: fewer than 10 edges, an empty side, or no
             probe pair with both endpoints seen in training.
     """
+    if not 0.0 < probe_fraction < 1.0:
+        raise ValueError(f"probe_fraction must be in (0,1), got {probe_fraction}")
     m = graph.m_edges
     if m < 10:
         raise DegenerateSplitError(f"need at least 10 edges to split, got {m}")
-    n_train = round((1.0 - cfg.probe_fraction) * m)
+    n_train = round((1.0 - probe_fraction) * m)
     if n_train == 0 or n_train == m:
         raise DegenerateSplitError(
-            f"probe_fraction={cfg.probe_fraction} leaves an empty side for m={m}"
+            f"probe_fraction={probe_fraction} leaves an empty side for m={m}"
         )
     train = np.arange(n_train, dtype=np.intp)
     train.setflags(write=False)
@@ -89,6 +81,11 @@ def split_train_probe(graph: TemporalGraph, cfg: SplitConfig) -> TrainProbeSplit
             f"every probe pair touches a node unseen in training ({dropped} dropped)"
         )
     return TrainProbeSplit(train=train, probe=frozenset(probe), probe_dropped=dropped)
+
+
+def _endpoint_counts(rows: np.ndarray, n: int) -> np.ndarray:
+    """How many of the edge ``rows`` touch each of the ``n`` nodes, as float64."""
+    return np.bincount(rows[:, :2].ravel(), minlength=n).astype(np.float64)
 
 
 def degree_increment(graph: TemporalGraph, node: int, t: int, T: int) -> int:
@@ -116,13 +113,8 @@ def popularity(
     idx = np.sort(np.asarray(list(train), dtype=np.intp))
     n_fresh = round(p_fresher * idx.size)
     fresh_idx = idx[idx.size - n_fresh :] if n_fresh else idx[:0]
-
-    def endpoint_counts(rows: np.ndarray) -> np.ndarray:
-        ends = np.concatenate([rows[:, 0], rows[:, 1]]) if rows.size else np.empty(0, np.int64)
-        return np.bincount(ends, minlength=graph.n).astype(np.float64)
-
-    k_all = endpoint_counts(graph.edges[idx])
-    k_fresh = endpoint_counts(graph.edges[fresh_idx])
+    k_all = _endpoint_counts(graph.edges[idx], graph.n)
+    k_fresh = _endpoint_counts(graph.edges[fresh_idx], graph.n)
     values = np.divide(k_fresh, k_all, out=np.zeros(graph.n), where=k_all > 0)
     values.setflags(write=False)
     return values

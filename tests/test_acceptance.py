@@ -15,15 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pbspm.baselines import (
-    KatzConfig,
-    WalkConfig,
-    aa_scores,
-    cn_scores,
-    katz_scores,
-    ra_scores,
-    srw_scores,
-)
+from pbspm.baselines import aa_scores, cn_scores, katz_scores, ra_scores, srw_scores
 from pbspm.cli import main
 from pbspm.evaluation import ExperimentConfig, run_experiment, sweep
 from pbspm.graph import adjacency, parse_edge_stream, simplify
@@ -35,7 +27,7 @@ from pbspm.spectral import (
     select_m,
     spm_scores,
 )
-from pbspm.split import SplitConfig, split_train_probe
+from pbspm.split import split_train_probe
 
 from conftest import random_view, view_edges
 from oracles import katz_walk_oracle, neighbor_sets, srw_walk_oracle
@@ -164,8 +156,8 @@ class TestCriterion3BaselineOracles:
             cn = cn_scores(view)
             aa = aa_scores(view)
             ra = ra_scores(view)
-            katz = katz_scores(view, KatzConfig(damping=damping))
-            srw = srw_scores(view, WalkConfig(steps=3))
+            katz = katz_scores(view, damping=damping)
+            srw = srw_scores(view, steps=3)
             srw_oracle = srw_walk_oracle(view, t=3) if view.sum() else None
 
             for x in range(n):
@@ -269,7 +261,7 @@ class TestCriterion8DiagnosticSigns:
 class TestCriterion9EigengapSelection:
     def test_auto_m_matches_reference(self, name):
         graph = dataset_graph(name)
-        split = split_train_probe(graph, SplitConfig())
+        split = split_train_probe(graph, 0.10)
         model = eigendecompose(adjacency(graph, split.train))
         assert select_m(model.eigenvalues) == DATASETS[name]["m"]
 

@@ -5,15 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pbspm.baselines import (
-    KatzConfig,
-    WalkConfig,
-    aa_scores,
-    cn_scores,
-    katz_scores,
-    ra_scores,
-    srw_scores,
-)
+from pbspm.baselines import aa_scores, cn_scores, katz_scores, ra_scores, srw_scores
 from pbspm.errors import NumericalError
 
 from conftest import random_view
@@ -106,16 +98,16 @@ class TestResourceAllocation:
 
 class TestKatz:
     def test_isolated_pair_scores_zero(self):
-        scores = katz_scores(np.zeros((2, 2)), KatzConfig(damping=0.1))
+        scores = katz_scores(np.zeros((2, 2)), damping=0.1)
         assert scores[0, 1] == 0.0
 
     def test_two_node_closed_form(self):
-        scores = katz_scores(np.array([[0.0, 1.0], [1.0, 0.0]]), KatzConfig(damping=0.1))
+        scores = katz_scores(np.array([[0.0, 1.0], [1.0, 0.0]]), damping=0.1)
         assert scores[0, 1] == pytest.approx(0.1 / (1 - 0.01), abs=1e-12)
 
     def test_path_matches_walk_enumeration(self):
         view = PATH3
-        scores = katz_scores(view, KatzConfig(damping=0.1))
+        scores = katz_scores(view, damping=0.1)
         oracle = katz_walk_oracle(view, 0, 2, damping=0.1, max_len=20)
         assert scores[0, 2] == pytest.approx(oracle, abs=1e-8)
 
@@ -125,7 +117,7 @@ class TestKatz:
             view = random_view(rng, int(rng.integers(3, 9)), p=0.5)
             lam_max = np.linalg.eigvalsh(view)[-1]
             damping = 0.2 / lam_max if lam_max > 0 else 0.1
-            scores = katz_scores(view, KatzConfig(damping=damping))
+            scores = katz_scores(view, damping=damping)
             for x in range(len(view)):
                 for y in range(x + 1, len(view)):
                     oracle = katz_walk_oracle(view, x, y, damping)
@@ -136,12 +128,10 @@ class TestKatz:
         view = random_view(rng, 10, p=0.4)
         lam_max = np.linalg.eigvalsh(view)[-1]
         damping = 0.5 / lam_max
-        closed = katz_scores(view, KatzConfig(damping=damping))
+        closed = katz_scores(view, damping=damping)
         gaps = []
         for length in (2, 5, 10, 20, 40, 80):
-            series = katz_scores(
-                view, KatzConfig(damping=damping, max_path_length=length)
-            )
+            series = katz_scores(view, damping=damping, max_path_length=length)
             gaps.append(np.abs(series - closed).max())
         assert all(b <= a + 1e-15 for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-6
@@ -150,33 +140,33 @@ class TestKatz:
         view = PATH3
         lam_max = np.linalg.eigvalsh(view)[-1]
         with pytest.raises(NumericalError):
-            katz_scores(view, KatzConfig(damping=1.0 / lam_max))
+            katz_scores(view, damping=1.0 / lam_max)
 
     def test_default_damping_is_half_the_bound(self):
         rng = np.random.default_rng(57)
         view = random_view(rng, 10, p=0.4)
         lam_max = np.linalg.eigvalsh(view)[-1]
-        default = katz_scores(view, KatzConfig())
-        explicit = katz_scores(view, KatzConfig(damping=0.5 / lam_max))
+        default = katz_scores(view)
+        explicit = katz_scores(view, damping=0.5 / lam_max)
         assert np.array_equal(default, explicit)
 
     def test_default_damping_on_empty_graph(self):
         empty = np.zeros((3, 3))
         assert np.array_equal(
-            katz_scores(empty, KatzConfig()),
-            katz_scores(empty, KatzConfig(damping=0.1)),
+            katz_scores(empty),
+            katz_scores(empty, damping=0.1),
         )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            KatzConfig(damping=0.0)
+            katz_scores(PATH3, damping=0.0)
         with pytest.raises(ValueError):
-            KatzConfig(damping=0.1, max_path_length=0)
+            katz_scores(PATH3, damping=0.1, max_path_length=0)
 
 
 class TestSrw:
     def test_single_edge_one_step(self):
-        scores = srw_scores(np.array([[0.0, 1.0], [1.0, 0.0]]), WalkConfig(steps=1))
+        scores = srw_scores(np.array([[0.0, 1.0], [1.0, 0.0]]), steps=1)
         assert scores[0, 1] == pytest.approx(1.0)
 
     def test_one_step_scores_zero_on_non_edges(self):
@@ -185,7 +175,7 @@ class TestSrw:
         m_edges = int(view.sum()) // 2
         if m_edges == 0:
             pytest.skip("empty sample")
-        scores = srw_scores(view, WalkConfig(steps=1))
+        scores = srw_scores(view, steps=1)
         non_edges = (view == 0) & ~np.eye(8, dtype=bool)
         assert np.all(scores[non_edges] == 0.0)
         edges = view == 1
@@ -197,19 +187,19 @@ class TestSrw:
             view = random_view(rng, int(rng.integers(3, 9)), p=0.5)
             if view.sum() == 0:
                 continue
-            scores = srw_scores(view, WalkConfig(steps=3))
+            scores = srw_scores(view, steps=3)
             oracle = srw_walk_oracle(view, t=3)
             np.testing.assert_allclose(scores, oracle, atol=1e-10)
 
     def test_isolated_node_row_is_zero(self):
         matrix = np.zeros((3, 3))
         matrix[0, 1] = matrix[1, 0] = 1.0
-        scores = srw_scores(matrix, WalkConfig(steps=3))
+        scores = srw_scores(matrix, steps=3)
         assert np.all(scores[2] == 0.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            WalkConfig(steps=0)
+            srw_scores(PATH3, steps=0)
 
 
 class TestSymmetryInvariant:
@@ -221,8 +211,8 @@ class TestSymmetryInvariant:
             cn_scores(view),
             aa_scores(view),
             ra_scores(view),
-            katz_scores(view, KatzConfig(damping=0.5 / lam_max)),
-            srw_scores(view, WalkConfig(steps=3)),
+            katz_scores(view, damping=0.5 / lam_max),
+            srw_scores(view, steps=3),
         ]
         for scores in outputs:
             assert np.array_equal(scores, scores.T)

@@ -297,6 +297,22 @@ class TestExitCodes:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("method, grid, field", [
+        ("PBSPM", ("--m-grid", "0,2"), "m must be >= 1"),
+        ("PBSPM", ("--alpha-grid", "1", "--p-fresher-grid", "1.5"), "p_fresher"),
+        ("PBSPM", ("--alpha-grid=-1,2",), "alpha"),
+        ("CN", ("--alpha-grid", "1"), "popularity-boosted method"),
+    ], ids=["m-grid-0", "p-fresher-grid-1.5", "alpha-grid-negative", "alpha-grid-CN"])
+    def test_bad_sweep_grid_fails_before_loading_input(
+        self, tmp_path, capsys, method, grid, field
+    ):
+        # The input does not exist: reading it first would be a data error (2).
+        rc = run_cli("sweep", "--input", tmp_path / "missing.tsv",
+                     "--out-dir", tmp_path / "out", "--method", method, *grid)
+        assert rc == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_flag_is_usage_error(self, shift_dataset, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("predict", "--not-a-flag", "x")

@@ -6,15 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pbspm.baselines import (
-    KatzConfig,
-    WalkConfig,
-    aa_scores,
-    cn_scores,
-    katz_scores,
-    ra_scores,
-    srw_scores,
-)
+from pbspm.baselines import aa_scores, cn_scores, katz_scores, ra_scores, srw_scores
 from pbspm.errors import UndefinedMetricError, ZeroVarianceError
 from pbspm.evaluation import (
     ExperimentConfig,
@@ -38,7 +30,7 @@ from pbspm.spectral import (
     select_m,
     spm_scores,
 )
-from pbspm.split import SplitConfig, popularity, split_train_probe
+from pbspm.split import popularity, split_train_probe
 
 from conftest import random_event_stream, random_view
 
@@ -47,10 +39,8 @@ BASELINE_ORACLES = {
     "CN": lambda view, cfg: cn_scores(view),
     "AA": lambda view, cfg: aa_scores(view),
     "RA": lambda view, cfg: ra_scores(view),
-    "Katz": lambda view, cfg: katz_scores(
-        view, KatzConfig(damping=cfg.katz_damping, max_path_length=cfg.katz_max_path_length)
-    ),
-    "SRW": lambda view, cfg: srw_scores(view, WalkConfig(steps=cfg.srw_steps)),
+    "Katz": lambda view, cfg: katz_scores(view, cfg.katz_damping, cfg.katz_max_path_length),
+    "SRW": lambda view, cfg: srw_scores(view, cfg.srw_steps),
 }
 
 
@@ -76,7 +66,7 @@ def engine_oracle(graph, cfg):
     Built from the public pieces one realization and one config at a time:
     perturb, decompose, correct, reconstruct, rank, count hits.
     """
-    split = split_train_probe(graph, SplitConfig(probe_fraction=cfg.probe_fraction))
+    split = split_train_probe(graph, cfg.probe_fraction)
     view = adjacency(graph, split.train)
     L = cfg.L if cfg.L is not None else len(split.probe)
     if cfg.method in BASELINE_ORACLES:
