@@ -66,13 +66,18 @@ def max_eigenvalue(a: np.ndarray) -> float:
 
 
 def katz_scores(
-    a: np.ndarray, damping: Optional[float] = None, max_path_length: Optional[int] = None
+    a: np.ndarray,
+    damping: Optional[float] = None,
+    max_path_length: Optional[int] = None,
+    lam_max: Optional[float] = None,
 ) -> np.ndarray:
     """Damped count of walks of every length between each pair.
 
     ``damping`` must stay below the reciprocal of the largest adjacency
     eigenvalue for the walk series to converge; None means half that bound
-    (0.1 when the largest eigenvalue is not positive). Closed form
+    (0.1 when the largest eigenvalue is not positive). ``lam_max`` is that
+    eigenvalue when the caller already has it; None computes it with
+    :func:`max_eigenvalue`. Closed form
     ``(I - damping * A)^-1 - I`` by default; with ``max_path_length`` set,
     the explicit series over walk lengths ``1..max_path_length`` instead.
 
@@ -85,7 +90,8 @@ def katz_scores(
         raise ValueError(f"damping must be positive, got {damping}")
     if max_path_length is not None and max_path_length < 1:
         raise ValueError(f"max_path_length must be >= 1, got {max_path_length}")
-    lam_max = max_eigenvalue(a)
+    if lam_max is None:
+        lam_max = max_eigenvalue(a)
     if damping is None:
         damping = 0.5 / lam_max if lam_max > 0 else 0.1
     if lam_max > 0 and damping >= 1.0 / lam_max:

@@ -20,7 +20,6 @@ import csv
 import hashlib
 import json
 import sys
-import urllib.request
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -292,6 +291,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 def cmd_fetch(args: argparse.Namespace) -> int:
     """Download a dataset file and require its sha256 to match."""
+    import urllib.request  # only here: the import costs every other command time
+
     with urllib.request.urlopen(args.url) as response:
         payload = response.read()
     digest = hashlib.sha256(payload).hexdigest()

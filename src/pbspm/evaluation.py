@@ -255,7 +255,7 @@ def delta_cc(
 
 
 def _baseline_scores(
-    method: str, train_adj: np.ndarray, cfg: ExperimentConfig
+    method: str, train_adj: np.ndarray, cfg: ExperimentConfig, lam_max: Optional[float]
 ) -> np.ndarray:
     if method == "CN":
         return cn_scores(train_adj)
@@ -264,7 +264,7 @@ def _baseline_scores(
     if method == "RA":
         return ra_scores(train_adj)
     if method == "Katz":
-        return katz_scores(train_adj, cfg.katz_damping, cfg.katz_max_path_length)
+        return katz_scores(train_adj, cfg.katz_damping, cfg.katz_max_path_length, lam_max)
     if method == "SRW":
         return srw_scores(train_adj, cfg.srw_steps)
     raise ValueError(f"not a baseline method: {method}")
@@ -299,6 +299,7 @@ def _score_spectral(
     graph: TemporalGraph,
     split: TrainProbeSplit,
     train_adj: np.ndarray,
+    train_lam: Optional[np.ndarray],
     flat: np.ndarray,
     hit: np.ndarray,
     points: Sequence[_Point],
@@ -306,7 +307,9 @@ def _score_spectral(
 ) -> tuple[list[float], list[str]]:
     """Score every point from each realization's one corrected spectrum.
 
-    Returns the realizations' leading-eigenvalue shifts and their failures.
+    ``train_lam`` holds the training eigenvalues, which a FastPBSPM point
+    without an ``m`` reads. Returns the realizations' leading-eigenvalue
+    shifts and their failures.
     """
     p_freshers = dict.fromkeys(p.cfg.p_fresher for p in points)
     pops = {pf: popularity(graph, split.train, pf) for pf in p_freshers}
@@ -316,8 +319,6 @@ def _score_spectral(
         if keep_top or p.cfg.score_averaging == "matrix":
             p.score_sum = np.zeros(flat.size)
     fast = [p for p in points if p.cfg.method == "FastPBSPM"]
-    if any(p.cfg.m is None for p in fast):
-        train_lam = eigenvalues(train_adj)
     for p in fast:
         p.m = p.cfg.m if p.cfg.m is not None else select_m(train_lam, p.cfg.m_threshold)
     ms = dict.fromkeys(p.m for p in points)
@@ -377,7 +378,9 @@ def _run_points(
     ``probe_fraction``, which fix the split and the perturbations, and may
     differ in everything else; all are validated before anything is
     scored. Every method is taken over one candidate list, cut with ``_top``
-    and counted with one probe-hit mask. Baselines are scored once. Each
+    and counted with one probe-hit mask. The training eigenvalues are
+    computed at most once, for Katz's bound and FastPBSPM's auto-m.
+    Baselines are scored once. Each
     realization is then perturbed, decomposed and corrected once; its SPM
     scores are reconstructed once per distinct truncation, and every
     spectral config is scored as that vector, rescaled by the config's
@@ -397,8 +400,13 @@ def _run_points(
         if L > flat.size:
             raise ValueError(f"L={L} exceeds candidate count {flat.size}")
         points.append(_Point(cfg, L))
+    train_lam = lam_max = None
+    if any(p.cfg.method == "Katz" or (p.cfg.method == "FastPBSPM" and p.cfg.m is None)
+           for p in points):
+        train_lam = eigenvalues(train_adj)
+        lam_max = float(train_lam.max())
     for p in (p for p in points if p.cfg.method not in SPECTRAL_METHODS):
-        scores = _baseline_scores(p.cfg.method, train_adj, p.cfg).take(flat)
+        scores = _baseline_scores(p.cfg.method, train_adj, p.cfg, lam_max).take(flat)
         top = _top(scores, p.L)
         p.precisions.append(np.count_nonzero(hit[top]) / p.L)
         if keep_top:
@@ -406,7 +414,9 @@ def _run_points(
         scores = top = None  # free both before the realization loop
     spectral = [p for p in points if p.cfg.method in SPECTRAL_METHODS]
     if spectral:
-        shifts, failures = _score_spectral(graph, split, train_adj, flat, hit, spectral, keep_top)
+        shifts, failures = _score_spectral(
+            graph, split, train_adj, train_lam, flat, hit, spectral, keep_top
+        )
     results = []
     for p in points:
         is_spectral = p.cfg.method in SPECTRAL_METHODS

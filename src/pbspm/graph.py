@@ -102,9 +102,14 @@ def _coded(
     code = dict(zip(labels, range(len(labels)))).__getitem__
     source = np.fromiter(map(code, sources), np.int64, len(timestamp))
     target = np.fromiter(map(code, targets), np.int64, len(timestamp))
-    for column in (source, target, timestamp, weight, weighted):
+    return _frozen(labels, source, target, timestamp, weight, weighted)
+
+
+def _frozen(labels: tuple[str, ...], *columns: np.ndarray) -> TemporalEventStream:
+    """The stream of these labels and columns, the columns made read-only."""
+    for column in columns:
         column.setflags(write=False)
-    return TemporalEventStream(labels, source, target, timestamp, weight, weighted)
+    return TemporalEventStream(labels, *columns)
 
 
 @dataclass(frozen=True)
@@ -137,17 +142,14 @@ class TemporalGraph:
 _INT64 = np.iinfo(np.int64)
 
 
-def _decode(reader: IO) -> str:
-    data = reader.read()
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as err:
-            # The bad byte sits on the line after the last break before it;
-            # the appended character gives that line its entry in splitlines.
-            line_no = len((data[: err.start].decode("utf-8") + "x").splitlines())
-            raise ParseError(f"invalid UTF-8 byte 0x{data[err.start]:02x}", line_no) from None
-    return data
+def _decode(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # The bad byte sits on the line after the last break before it;
+        # the appended character gives that line its entry in splitlines.
+        line_no = len((data[: err.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"invalid UTF-8 byte 0x{data[err.start]:02x}", line_no) from None
 
 
 def _timestamp(token: str) -> int:
@@ -176,7 +178,10 @@ def parse_edge_stream(reader: IO, format: str = "tsv") -> TemporalEventStream:
     an integer in the int64 range, possibly written as a float (``50.0``).
 
     The whole file is parsed column by column; only a file that fails is
-    read again line by line, to name its first bad line.
+    read again line by line, to name its first bad line. A TSV byte input
+    whose only whitespace is space, tab, LF and CR before LF is parsed
+    from its bytes with array operations; any other input is decoded and
+    split as text. Both give the same stream and the same errors.
 
     Raises:
         ParseError: a non-comment line does not fit the 3/4-field layout or
@@ -186,12 +191,210 @@ def parse_edge_stream(reader: IO, format: str = "tsv") -> TemporalEventStream:
     """
     if format not in ("tsv", "csv"):
         raise ValueError(f"unknown format {format!r}")
-    text = _decode(reader)
+    data = reader.read()
+    by_bytes = isinstance(data, bytes) and format == "tsv" and _ascii_separated(data)
+    if by_bytes:
+        text = None  # decoded only to name a bad line
+    elif isinstance(data, bytes):
+        text = _decode(data)
+    else:
+        text = data
     try:
-        return _parse_columns(text, format)
+        return _parse_tsv_bytes(data) if by_bytes else _parse_columns(text, format)
     except (ValueError, OverflowError, csv.Error):
-        _raise_first_bad_line(text, format)
+        _raise_first_bad_line(data.decode("utf-8") if text is None else text, format)
         raise
+
+
+# The whitespace of str.split() and the line ends of str.splitlines() (a subset)
+# beyond space, tab, LF and CR: ASCII bytes, then non-ASCII code points.
+_OTHER_ASCII_SPACES = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_WIDE_SPACES = np.array(
+    [0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000],
+    dtype=np.uint32,
+)
+
+
+def _ascii_separated(data: bytes) -> bool:
+    """Whether ``data`` is UTF-8 whose only whitespace is space, tab, LF and
+    CR directly before LF, so that its bytes split into the tokens and lines
+    that ``str.split`` and ``str.splitlines`` find in its text.
+    """
+    if any(space in data for space in _OTHER_ASCII_SPACES):
+        return False
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        return False  # a lone CR ends a line
+    if not data.isascii():
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            return False  # the text parse names the bad byte's line
+        code_points = np.frombuffer(text.encode("utf-32-le"), np.uint32)
+        if np.isin(code_points[code_points > 0x7F], _WIDE_SPACES).any():
+            return False
+    return True
+
+
+def _parse_tsv_bytes(data: bytes) -> TemporalEventStream:
+    """Parse a TSV file that passes ``_ascii_separated`` from its bytes.
+
+    Tokens are the runs of bytes other than space, tab, CR and LF, and a line
+    is the tokens between two LFs, so a UTF-8 character never straddles a
+    token's edge. A malformed line raises ValueError without saying which
+    line it is.
+    """
+    buf = np.frombuffer(data, np.uint8)
+    start, end = _token_bounds(buf)
+    first, n_fields = _event_lines(buf, start)
+    weighted = n_fields == 4
+    if not (weighted | (n_fields == 3)).all():
+        raise ValueError("a line does not have 3 or 4 fields")
+    weight = np.full(first.size, np.nan)
+    weight[weighted] = [float(token) for token in _tokens(data, start, end, first[weighted] + 2)]
+    stamp = first + n_fields - 1
+    timestamp = _read_stamps(data, buf, start[stamp], end[stamp])
+    label = np.column_stack((first, first + 1)).ravel()  # source, target, source, ...
+    del first, n_fields, stamp
+    start, end = start[label], end[label]  # frees the other tokens' bounds
+    del label
+    coded = _label_codes(data, start, end)
+    if coded is None:  # a hash collision between two labels
+        tokens = _tokens(data, start, end, slice(None))
+        return _coded(tokens[0::2], tokens[1::2], timestamp, weight, weighted)
+    labels, codes = coded
+    return _frozen(labels, codes[0::2], codes[1::2], timestamp, weight, weighted)
+
+
+def _token_bounds(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each token of ``buf`` starts, and where it ends (exclusive)."""
+    in_token = (buf != 32) & (buf != 9) & (buf != 10) & (buf != 13)
+    edges = np.flatnonzero(np.diff(in_token, prepend=False, append=False))
+    return edges[0::2], edges[1::2]
+
+
+def _event_lines(buf: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first token and the token count of each event line: each line
+    that has a token and is not a comment.
+
+    Raises:
+        EmptyInputError: no line is an event line.
+    """
+    # A token opens a line when an LF lies between it and the token before it.
+    opens = np.zeros(start.size + 1, dtype=bool)
+    opens[np.searchsorted(start, np.flatnonzero(buf == 10))] = True
+    opens[0] = True
+    first = np.flatnonzero(opens[:-1])
+    n_fields = np.diff(first, append=start.size)
+    lead = buf[start[first]]
+    event = (lead != ord("%")) & (lead != ord("#"))
+    if not event.any():
+        raise EmptyInputError("edge stream contains no events")
+    return first[event], n_fields[event]
+
+
+def _tokens(data: bytes, start: np.ndarray, end: np.ndarray, which) -> list[str]:
+    """The tokens ``which`` of ``data``, decoded one by one."""
+    return [data[s:e].decode("utf-8") for s, e in zip(start[which].tolist(), end[which].tolist())]
+
+
+def _read_stamps(data: bytes, buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The int64 values of the timestamp tokens ``[start, end)``.
+
+    Up to 18 ASCII digits are read by a Horner loop over digit columns,
+    right-aligned; anything else (a sign, ``50.0``, ``1e3``, or 19 digits or
+    more, which may overflow) goes through ``_timestamp`` one by one.
+    """
+    length = end - start
+    value = np.zeros(start.size, dtype=np.int64)
+    other = length > 18
+    shortest = int(length.min())
+    width = min(int(length.max()), 18)
+    at = end - width  # end - 1 - place: each token's digit in column `place`
+    for place in range(width - 1, -1, -1):
+        # For a token shorter than place + 1, `at` falls before it, or wraps
+        # round to the end of `buf`; `has` masks that byte out.
+        digit = buf[at]
+        digit -= ord("0")
+        if place < shortest:  # every token has this column
+            other |= digit > 9
+        else:
+            has = length > place
+            other |= has & (digit > 9)
+            digit *= has
+        # A non-digit's column may overflow `value`; `other` replaces it below.
+        value *= 10
+        value += digit
+        at += 1
+    slow = np.flatnonzero(other)
+    if slow.size:
+        value[slow] = [_timestamp(token) for token in _tokens(data, start, end, slow)]
+    return value
+
+
+# Masks of the low 0..8 bytes of a little-endian 64-bit word, and a hash multiplier.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _label_codes(
+    data: bytes, start: np.ndarray, end: np.ndarray
+) -> Optional[tuple[tuple[str, ...], np.ndarray]]:
+    """Code the label tokens ``[start, end)`` of ``data`` by first appearance.
+
+    Returns the distinct labels, each decoded once, and every token's int64
+    code; or None when two distinct labels share a 64-bit key.
+
+    A token of up to 7 bytes is keyed exactly, by its bytes and its length.
+    A longer one is keyed by a hash of its length and 8-byte words; then
+    every token is compared byte for byte with the first token of its key.
+    """
+    length = end - start
+    padded = data + bytes(8)
+    # words[i] holds data[i:i + 8] as a little-endian integer.
+    words = np.ndarray((len(data) + 1,), dtype="<u8", buffer=padded, strides=(1,))
+    columns = _word_columns(words, start, length)
+    _, key = next(columns)
+    # The top byte is free below 8 bytes, where the first word is the whole token.
+    key += length.astype(np.uint64) << np.uint64(56)
+    for live, word in columns:
+        key[live] = key[live] * _MIX + word
+
+    order = np.argsort(key)
+    key = key[order]
+    new = np.empty(key.size, dtype=bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    del key
+    group = np.empty(new.size, dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    first = np.minimum.reduceat(order, np.flatnonzero(new))  # each key's first token
+    del order, new
+    if length.max() > 7:
+        other = first[group]
+        if (length[other] != length).any():
+            return None
+        columns = zip(_word_columns(words, start, length), _word_columns(words, start[other], length))
+        if any((mine != theirs).any() for (_, mine), (_, theirs) in columns):
+            return None
+    by_appearance = np.argsort(first)
+    code = np.empty(first.size, dtype=np.int64)
+    code[by_appearance] = np.arange(first.size)
+    labels = tuple(_tokens(data, start, end, first[by_appearance]))
+    return labels, code[group]
+
+
+def _word_columns(words: np.ndarray, start: np.ndarray, length: np.ndarray):
+    """Yield, for each 8-byte column of the tokens ``[start, start + length)``,
+    the tokens that reach it (a slice of all, or their indices) and their
+    bytes there as little-endian words, zero above the token's end.
+    """
+    live = slice(None)
+    for offset in range(0, int(length.max()), 8):
+        if length.min() <= offset:
+            reach = np.flatnonzero(length > offset)
+            live = reach if isinstance(live, slice) else live[reach]
+            start, length = start[reach], length[reach]
+        yield live, words[start + offset] & _LOW_BYTES[np.minimum(length - offset, 8)]
 
 
 def _parse_columns(text: str, format: str) -> TemporalEventStream:
@@ -372,7 +575,7 @@ def adjacency(
     if edge_subset is None:
         rows = graph.edges
     else:
-        idx = np.asarray(list(edge_subset), dtype=np.intp)
+        idx = np.asarray(edge_subset, dtype=np.intp)
         if idx.size and (idx.min() < 0 or idx.max() >= graph.m_edges):
             raise IndexError("edge_subset index out of range")
         rows = graph.edges[idx]

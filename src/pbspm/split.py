@@ -110,7 +110,7 @@ def popularity(
     """
     if not 0.0 < p_fresher < 1.0:
         raise ValueError(f"p_fresher must be in (0,1), got {p_fresher}")
-    idx = np.sort(np.asarray(list(train), dtype=np.intp))
+    idx = np.sort(np.asarray(train, dtype=np.intp))
     n_fresh = round(p_fresher * idx.size)
     fresh_idx = idx[idx.size - n_fresh :] if n_fresh else idx[:0]
     k_all = _endpoint_counts(graph.edges[idx], graph.n)

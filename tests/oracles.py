@@ -133,7 +133,7 @@ def per_line_ingest_oracle(
     contacts keyed by label pair. Returns the events and their simple graph,
     or raises what that ingest raised.
 
-    It predates the int64 range check, so keep its inputs' stamps in range.
+    Its only addition to that ingest is the int64 range check on stamps.
     """
     events = _oracle_parse_edge_stream(reader, format)
     return events, _oracle_simplify(events)
@@ -154,16 +154,18 @@ def _oracle_decode_lines(reader: IO) -> Iterable[str]:
 
 def _oracle_parse_timestamp(token: str, line_no: int) -> int:
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
-        pass
-    try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(f"bad timestamp {token!r}", line_no) from None
-    if not np.isfinite(value) or value != int(value):
-        raise ParseError(f"non-integer timestamp {token!r}", line_no)
-    return int(value)
+        try:
+            real = float(token)
+        except ValueError:
+            raise ParseError(f"bad timestamp {token!r}", line_no) from None
+        if not np.isfinite(real) or real != int(real):
+            raise ParseError(f"non-integer timestamp {token!r}", line_no)
+        value = int(real)
+    if not -(2**63) <= value < 2**63:
+        raise ParseError(f"timestamp {token!r} is outside the int64 range", line_no)
+    return value
 
 
 def _oracle_parse_edge_stream(reader: IO, format: str = "tsv") -> tuple[RawEvent, ...]:

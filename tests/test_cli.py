@@ -453,6 +453,13 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert "predict" in proc.stdout
 
+    def test_import_leaves_fetch_and_scipy_modules_unloaded(self):
+        # Every command pays for what `import pbspm.cli` loads.
+        code = "import sys, pbspm.cli; print(sorted({'urllib.request', 'scipy'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 @pytest.fixture()
 def eigh_calls(monkeypatch):
@@ -513,6 +520,34 @@ class TestOnePass:
                      "--method", "CN,Katz,SPM")
         assert rc == 0
         assert scored == ["cn_scores", "katz_scores"]
+
+    @pytest.mark.parametrize("methods, spectra", [
+        (("--method", "Katz,FastPBSPM"), 1),
+        (("--method", "Katz"), 1),
+        (("--method", "FastPBSPM"), 1),
+        (("--method", "CN,FastPBSPM", "--m", "2"), 0),
+    ])
+    def test_one_training_spectrum_serves_katz_and_auto_m(
+        self, shift_dataset, tmp_path, monkeypatch, methods, spectra
+    ):
+        import pbspm.baselines as baselines
+        import pbspm.evaluation as evaluation
+
+        calls = []
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def spectrum(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return spectrum
+
+        monkeypatch.setattr(evaluation, "eigenvalues", counting(evaluation, "eigenvalues"))
+        monkeypatch.setattr(baselines, "max_eigenvalue", counting(baselines, "max_eigenvalue"))
+        rc = run_cli("predict", *common_args(shift_dataset, tmp_path / "out"), *methods)
+        assert rc == 0
+        assert calls == ["eigenvalues"] * spectra
 
     @pytest.mark.parametrize("args", [
         ("sweep", "--alpha-grid", "0,5", "--p-fresher-grid", "0.1,0.2", "--m-grid", "1,0"),

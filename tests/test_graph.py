@@ -148,6 +148,39 @@ class TestParseEdgeStream:
         assert np.isnan(stream.weight[0]) and stream.weight[1] == 0.5
         assert [ev.weight for ev in stream.events] == [None, 0.5]
 
+    @pytest.mark.parametrize(
+        "space",
+        [chr(c) for c in range(0x110000) if chr(c).isspace()],
+        ids=lambda c: f"U+{ord(c):04X}",
+    )
+    def test_every_unicode_space_splits_as_text(self, space):
+        # Fields and lines as str.split and str.splitlines find them, on either parse.
+        data = f"a{space}b 1{space}\nc d{space}2\n".encode()
+
+        def columnar():
+            stream = parse_edge_stream(io.BytesIO(data))
+            return stream.events, simplify(stream)
+
+        want = ingest_outcome(lambda: per_line_ingest_oracle(io.BytesIO(data)))
+        assert ingest_outcome(columnar) == want
+
+    def test_labels_with_colliding_hashes_stay_apart(self, monkeypatch):
+        # The Thue-Morse word over two 8-byte blocks and its complement have the
+        # same polynomial hash modulo 2**64 for any odd multiplier.
+        import pbspm.graph as graph
+
+        fallbacks = []
+        coded = graph._coded
+        monkeypatch.setattr(graph, "_coded", lambda *args: fallbacks.append(1) or coded(*args))
+        bits = [bin(i).count("1") % 2 for i in range(2048)]
+        one = b"".join(b"aaaaaaaa" if bit else b"bbbbbbbb" for bit in bits)
+        other = b"".join(b"bbbbbbbb" if bit else b"aaaaaaaa" for bit in bits)
+        stream = parse_edge_stream(io.BytesIO(one + b" " + other + b" 1\n" + other + b" c 2\n"))
+        assert fallbacks == [1]  # the byte parse saw the collision and coded by dict
+        assert stream.labels == (one.decode(), other.decode(), "c")
+        assert stream.source.tolist() == [0, 1]
+        assert stream.target.tolist() == [1, 2]
+
     def test_valid_tsv_builds_no_raw_event(self, monkeypatch):
         # The per-line objects stay off the ingest path of a valid file.
         def refuse(self, *args, **kwargs):
@@ -161,24 +194,46 @@ class TestParseEdgeStream:
         assert graph.m_edges > 0
 
 
+# Whitespace that only the text parse splits on as str.split and
+# str.splitlines do: two ASCII separators (\x0b also ends a line), two
+# non-ASCII spaces, and a CR that ends a line on its own.
+TEXT_ONLY_SPACES = ["\x0b", "\x1f", "\xa0", "\u3000", "\r"]
+
+
 def random_contact_file(rng, fmt):
     """A random TSV or CSV contact file as bytes, with at most one bad line.
 
     Few labels and stamps make repeated pairs and large equal-stamp groups;
     lines mix 3 and 4 fields, separators, comments, blank lines, CRLF and
-    stamps written as floats. Returns the bytes and the kind of bad line.
+    stamps written as floats, with signs or with leading zeros. Labels
+    include long ones that share a prefix with shorter ones. Half the TSV
+    files also hold one kind of whitespace from ``TEXT_ONLY_SPACES``, which
+    keeps them off the byte parse. Returns the bytes, the kind of bad line
+    and whether the file is a TSV file meant for the byte parse.
     """
-    pool = ["1", "2", "17", "a", "Node", "κόμβος", "节点", "ü", "x.y"]
+    pool = ["1", "2", "17", "0017", "node-000000000017", "node-000000000018", "a", "Node",
+            "κόμβος", "节点", "ü", "x.y"]
     labels = list(rng.choice(pool, size=int(rng.integers(2, len(pool) + 1)), replace=False))
     t_max = int(rng.integers(1, 6))
     sep = "," if fmt == "csv" else "\t"
+    separators, line_ends = [" ", "\t", "  ", " \t"], ["\n", "\r\n"]
+    text_only = None
+    if fmt == "tsv" and rng.random() < 0.5:
+        text_only = TEXT_ONLY_SPACES[int(rng.integers(len(TEXT_ONLY_SPACES)))]
+        # \x0b splits a line, so it only ends lines, as a lone CR does.
+        (line_ends if text_only in "\x0b\r" else separators).append(text_only)
 
     def pick(options):
         return options[int(rng.integers(len(options)))]
 
     def event_fields():
         stamp = int(rng.integers(-1, t_max))
-        fields = [pick(labels), pick(labels), pick([str(stamp), f"{stamp}.0", f"{stamp}e0"])]
+        if rng.random() < 0.03:  # 19 digits, at the edges of the int64 range
+            stamp_token = pick([str(2**63 - 1), str(-(2**63))])
+        else:
+            stamp_token = pick([str(stamp), f"{stamp}.0", f"{stamp}e0", f"{stamp:+d}",
+                                f"{stamp:03d}", "-0" if stamp == 0 else str(stamp)])
+        fields = [pick(labels), pick(labels), stamp_token]
         if rng.random() < 0.3:
             fields.insert(2, pick(["1", "0.5", "2e-3", "nan", "-inf", "7"]))
         return fields
@@ -188,7 +243,7 @@ def random_contact_file(rng, fmt):
             if rng.random() < 0.2:  # a comma inside quotes, which must open the line
                 return ",".join([f'"{fields[0]},{fields[0]}"', *fields[1:]])
             return pick(["", " "]) + pick([",", ", ", " ,"]).join(fields)
-        seps = [pick([" ", "\t", "  ", " \t"]) for _ in fields[1:]]
+        seps = [pick(separators) for _ in fields[1:]]
         return pick(["", " "]) + "".join(f + s for f, s in zip(fields, seps)) + fields[-1]
 
     lines = []
@@ -200,7 +255,7 @@ def random_contact_file(rng, fmt):
             lines.append(pick(["", "  ", "\t"]) + pick(["%", "#"]) + pick(["", " note 1 2 3"]))
         else:
             lines.append(join(event_fields()) + pick(["", " ", "\t"]))
-    kinds = ["fields", "weight", "stamp", "non-integer stamp", "utf-8"]
+    kinds = ["fields", "weight", "stamp", "non-integer stamp", "int64 stamp", "utf-8"]
     if fmt == "csv":
         kinds.append("empty label")
     kind = pick(kinds) if rng.random() < 0.5 else None
@@ -212,6 +267,7 @@ def random_contact_file(rng, fmt):
         "weight": [a, b, "w", "1"],
         "stamp": [a, b, "soon"],
         "non-integer stamp": [a, b, pick(["1.5", "inf", "nan"])],
+        "int64 stamp": [a, b, pick([str(2**63), str(-(2**63) - 1)])],
         "empty label": ["", b, "1"],
         "utf-8": [a, b, "1"],
     }[kind]
@@ -222,8 +278,12 @@ def random_contact_file(rng, fmt):
         encoded[at] = encoded[at][:1] + pick([b"\xff", b"\xc3"]) + encoded[at][1:]
     data = b""
     for line in encoded:
-        data += line + pick([b"\n", b"\r\n"])
-    return (data if rng.random() < 0.8 else data.rstrip(b"\r\n")), kind
+        data += line + pick(line_ends).encode()
+    if rng.random() < 0.2:
+        data = data.rstrip(b"\r\n")
+    if text_only is not None:  # at least once, whatever was picked above
+        data += text_only.encode()
+    return data, kind, fmt == "tsv" and text_only is None
 
 
 def ingest_outcome(ingest):
@@ -240,25 +300,41 @@ class TestColumnarIngestMatchesPerLine:
     """The columnar parse and simplify against the per-line ingest they replaced."""
 
     @pytest.mark.parametrize("fmt", ["tsv", "csv"])
-    def test_random_files(self, fmt):
+    def test_random_files(self, fmt, monkeypatch):
+        import pbspm.graph as graph
+
+        byte_parses = []
+        parse_bytes = graph._parse_tsv_bytes
+
+        def counting(data):
+            byte_parses.append(data)
+            return parse_bytes(data)
+
+        monkeypatch.setattr(graph, "_parse_tsv_bytes", counting)
         rng = np.random.default_rng(43 if fmt == "tsv" else 47)
-        outcomes = []
+        outcomes, paths = [], []
         for _ in range(300):
-            data, kind = random_contact_file(rng, fmt)
+            data, kind, for_bytes = random_contact_file(rng, fmt)
 
             def columnar():
                 stream = parse_edge_stream(io.BytesIO(data), fmt)
                 return stream.events, simplify(stream)
 
             want = ingest_outcome(lambda: per_line_ingest_oracle(io.BytesIO(data), fmt))
+            byte_parses.clear()
             got = ingest_outcome(columnar)
             assert got == want, data
+            if kind != "utf-8":  # a bad byte is reported before either parse runs
+                assert bool(byte_parses) == for_bytes, data
             if kind is None and not isinstance(want[0], type):
                 stream = parse_edge_stream(io.BytesIO(data), fmt)
                 assert_same_graph(simplify(stream), greedy_simplify_oracle(stream))
             outcomes.append(want[0] if isinstance(want[0], type) else "graph")
+            paths.append(for_bytes)
         assert outcomes.count(ParseError) >= 100
         assert outcomes.count("graph") >= 100
+        if fmt == "tsv":
+            assert 100 <= paths.count(True) <= 200
 
 
 class TestSimplify:
