@@ -163,9 +163,18 @@ class SweepPoint:
 
 
 def _candidates(train_adj: np.ndarray) -> np.ndarray:
-    # Flat indices of the upper-triangle non-edges, already (i, j) ascending,
-    # so a stable sort on the score alone breaks ties by (i, j).
-    return np.flatnonzero(np.triu(train_adj == 0, 1))
+    # The upper-triangle non-edges as an n x n boolean mask. Indexing with it
+    # reads the pairs row-major, (i, j) ascending, so a stable sort on the
+    # score alone breaks ties by (i, j).
+    return np.triu(train_adj == 0, 1)
+
+
+def _hits(cand: np.ndarray, probe: Iterable[tuple[int, int]]) -> np.ndarray:
+    """Which candidates, in ``cand``'s order, are ``probe`` pairs."""
+    pairs = np.array(list(probe), dtype=np.intp).reshape(-1, 2)
+    is_probe = np.zeros_like(cand)
+    is_probe[pairs[:, 0], pairs[:, 1]] = True
+    return is_probe[cand]
 
 
 def _top(scores: np.ndarray, L: Optional[int]) -> np.ndarray:
@@ -184,9 +193,9 @@ def _top(scores: np.ndarray, L: Optional[int]) -> np.ndarray:
     return keep[np.argsort(neg[keep], kind="stable")[:L]]
 
 
-def _ranked(flat: np.ndarray, scores: np.ndarray, top: np.ndarray, n: int) -> RankedCandidates:
-    """The candidate pairs ``flat`` and their ``scores`` at the positions ``top``."""
-    pairs = np.column_stack(np.divmod(flat[top], n))
+def _ranked(cand: np.ndarray, scores: np.ndarray, top: np.ndarray) -> RankedCandidates:
+    """The pairs of the candidate mask ``cand`` and their ``scores`` at the positions ``top``."""
+    pairs = np.column_stack(np.divmod(np.flatnonzero(cand)[top], len(cand)))
     pairs.setflags(write=False)
     ranked_scores = scores[top]
     ranked_scores.setflags(write=False)
@@ -206,9 +215,9 @@ def rank_candidates(
         raise ValueError(f"size mismatch: scores n={len(scores)}, adjacency n={len(train_adj)}")
     if L is not None and L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
-    flat = _candidates(train_adj)
-    sc = scores.take(flat)
-    return _ranked(flat, sc, _top(sc, L), len(train_adj))
+    cand = _candidates(train_adj)
+    sc = scores[cand]
+    return _ranked(cand, sc, _top(sc, L))
 
 
 def precision_at(ranked: RankedCandidates, probe: Iterable[tuple[int, int]], L: int) -> float:
@@ -282,11 +291,20 @@ class _Point:
     cfg: ExperimentConfig
     L: int
     m: Optional[int] = None
-    boost: Optional[np.ndarray] = None  # 1 + alpha * popularity; None for SPM
-    score_sum: Optional[np.ndarray] = None
     precisions: list[float] = field(default_factory=list)
     delta_ccs: list[Optional[float]] = field(default_factory=list)
     ranked: Optional[RankedCandidates] = None
+
+
+@dataclass
+class _Vector:
+    """The spectral points that share one score vector: one truncation, one boost."""
+
+    m: Optional[int]
+    boost: Optional[np.ndarray]  # 1 + alpha * popularity; None for SPM and alpha = 0
+    points: list[_Point] = field(default_factory=list)
+    score_sum: Optional[np.ndarray] = None
+    delta_ccs: list[Optional[float]] = field(default_factory=list)
 
 
 def _validate(cfgs: Sequence[ExperimentConfig], n: int) -> None:
@@ -295,33 +313,64 @@ def _validate(cfgs: Sequence[ExperimentConfig], n: int) -> None:
             raise ValueError(f"m must be in [1, {n}], got {cfg.m}")
 
 
+def _score_vectors(
+    graph: TemporalGraph,
+    split: TrainProbeSplit,
+    train_lam: Optional[np.ndarray],
+    n_cand: int,
+    points: Sequence[_Point],
+    keep_top: bool,
+) -> list[_Vector]:
+    """Group the spectral points by the score vector they are scored as.
+
+    Points of one truncation whose boost is the same, or absent (SPM, and
+    alpha = 0 where ``f = 1``), have equal score vectors, so they share one
+    vector, its delta-CC list and, when any of them needs it, its score sum.
+    ``train_lam`` holds the training eigenvalues, which a FastPBSPM point
+    without an ``m`` reads.
+    """
+    pops: dict[float, np.ndarray] = {}
+    vectors: dict[tuple, _Vector] = {}
+    for p in points:
+        if p.cfg.method == "FastPBSPM":
+            p.m = p.cfg.m if p.cfg.m is not None else select_m(train_lam, p.cfg.m_threshold)
+        boosted = p.cfg.method != "SPM" and p.cfg.alpha != 0
+        key = (p.m, (p.cfg.alpha, p.cfg.p_fresher) if boosted else None)
+        vec = vectors.get(key)
+        if vec is None:
+            boost = None
+            if boosted:
+                pf = p.cfg.p_fresher
+                if pf not in pops:
+                    pops[pf] = popularity(graph, split.train, pf)
+                boost = 1.0 + p.cfg.alpha * pops[pf]
+            vec = vectors[key] = _Vector(p.m, boost)
+        vec.points.append(p)
+        p.delta_ccs = vec.delta_ccs
+        if vec.score_sum is None and (keep_top or p.cfg.score_averaging == "matrix"):
+            vec.score_sum = np.zeros(n_cand)
+    return list(vectors.values())
+
+
 def _score_spectral(
     graph: TemporalGraph,
     split: TrainProbeSplit,
-    train_adj: np.ndarray,
     train_lam: Optional[np.ndarray],
-    flat: np.ndarray,
+    cand: np.ndarray,
     hit: np.ndarray,
     points: Sequence[_Point],
     keep_top: bool,
 ) -> tuple[list[float], list[str]]:
     """Score every point from each realization's one corrected spectrum.
 
-    ``train_lam`` holds the training eigenvalues, which a FastPBSPM point
-    without an ``m`` reads. Returns the realizations' leading-eigenvalue
+    Each realization's retained adjacency is built from the training edge
+    list, so no dense training matrix is held here. Points sharing a score
+    vector share its reconstruction, boost and delta-CC, and those that also
+    share L one ``_top`` cut. Returns the realizations' leading-eigenvalue
     shifts and their failures.
     """
-    p_freshers = dict.fromkeys(p.cfg.p_fresher for p in points)
-    pops = {pf: popularity(graph, split.train, pf) for pf in p_freshers}
-    for p in points:
-        if p.cfg.method != "SPM":
-            p.boost = 1.0 + p.cfg.alpha * pops[p.cfg.p_fresher]
-        if keep_top or p.cfg.score_averaging == "matrix":
-            p.score_sum = np.zeros(flat.size)
-    fast = [p for p in points if p.cfg.method == "FastPBSPM"]
-    for p in fast:
-        p.m = p.cfg.m if p.cfg.m is not None else select_m(train_lam, p.cfg.m_threshold)
-    ms = dict.fromkeys(p.m for p in points)
+    vectors = _score_vectors(graph, split, train_lam, hit.size, points, keep_top)
+    ms = dict.fromkeys(vec.m for vec in vectors)
     probe_inc = _endpoint_counts(graph.edges[split.train.size :], graph.n)
 
     shared = points[0].cfg
@@ -330,42 +379,61 @@ def _score_spectral(
     failures: list[str] = []
     for r in range(shared.realizations):
         try:
-            sample = sample_perturbation(train_adj, train_edges, shared.p_h, shared.seed + r)
-            model = eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
+            sample = sample_perturbation(graph.n, train_edges, shared.p_h, shared.seed + r)
+            model = eigendecompose(sample.retained)
+            removed, sample = sample.removed, None  # retained goes before the correction
+            model = eigenvalue_correction(model, removed)
         except NumericalError as err:
             failures.append(f"realization {r}: {err}")
             continue
         finally:
             sample = None
         shifts.append(float(model.corrections[0]))
+        x1 = model.eigenvectors[:, 0]
+        try:  # the unboosted term of every point's delta_cc
+            base_cc = pearson_cc(x1, probe_inc)
+        except ZeroVarianceError:
+            base_cc = None
         for m in ms:
-            spm = spm_scores(model, m).take(flat)
-            for p in (p for p in points if p.m == m):
-                scores, x1 = spm, model.eigenvectors[:, 0]
-                if p.boost is not None:  # as in pbspm_scores: S_ij * f_i * f_j
-                    scores = spm * np.multiply.outer(p.boost, p.boost).take(flat)
-                    x1 = x1 * p.boost
-                try:
-                    p.delta_ccs.append(delta_cc(model, x1, probe_inc))
-                except ZeroVarianceError:
-                    p.delta_ccs.append(None)
-                if p.cfg.score_averaging == "precision":
-                    p.precisions.append(np.count_nonzero(hit[_top(scores, p.L)]) / p.L)
-                if p.score_sum is not None:
-                    p.score_sum += scores
-        # Free the eigenvectors (x1 may be a view of them) before the next eigh.
+            spm = spm_scores(model, m)[cand]
+            for vec in (vec for vec in vectors if vec.m == m):
+                scores, dcc = spm, None if base_cc is None else 0.0
+                if vec.boost is not None:  # as in pbspm_scores: S_ij * f_i * f_j
+                    scores = spm * np.multiply.outer(vec.boost, vec.boost)[cand]
+                    if base_cc is not None:
+                        try:
+                            dcc = pearson_cc(x1 * vec.boost, probe_inc) - base_cc
+                        except ZeroVarianceError:
+                            dcc = None
+                vec.delta_ccs.append(dcc)
+                cut: dict[int, float] = {}
+                for p in vec.points:
+                    if p.cfg.score_averaging == "precision":
+                        if p.L not in cut:
+                            cut[p.L] = np.count_nonzero(hit[_top(scores, p.L)]) / p.L
+                        p.precisions.append(cut[p.L])
+                if vec.score_sum is not None:
+                    vec.score_sum += scores
+        # Free the eigenvectors (x1 is a view of them) before the next eigh.
         model = spm = scores = x1 = None
     if not shifts:
         raise NumericalError(f"all {shared.realizations} realizations failed: {failures}")
 
-    for p in points:
-        if p.score_sum is not None:
-            p.score_sum /= len(shifts)
-            top = _top(p.score_sum, p.L)
-            if p.cfg.score_averaging == "matrix":
-                p.precisions.append(np.count_nonzero(hit[top]) / p.L)
+    for vec in vectors:
+        if vec.score_sum is None:
+            continue
+        vec.score_sum /= len(shifts)
+        tops: dict[int, np.ndarray] = {}
+        for p in vec.points:
+            matrix = p.cfg.score_averaging == "matrix"
+            if not (matrix or keep_top):
+                continue
+            if p.L not in tops:
+                tops[p.L] = _top(vec.score_sum, p.L)
+            if matrix:
+                p.precisions.append(np.count_nonzero(hit[tops[p.L]]) / p.L)
             if keep_top:
-                p.ranked = _ranked(flat, p.score_sum, top, graph.n)
+                p.ranked = _ranked(cand, vec.score_sum, tops[p.L])
     return shifts, failures
 
 
@@ -377,28 +445,29 @@ def _run_points(
     The configs must agree on ``realizations``, ``seed``, ``p_h`` and
     ``probe_fraction``, which fix the split and the perturbations, and may
     differ in everything else; all are validated before anything is
-    scored. Every method is taken over one candidate list, cut with ``_top``
+    scored. Every method is taken over one candidate mask, cut with ``_top``
     and counted with one probe-hit mask. The training eigenvalues are
     computed at most once, for Katz's bound and FastPBSPM's auto-m.
-    Baselines are scored once. Each
-    realization is then perturbed, decomposed and corrected once; its SPM
-    scores are reconstructed once per distinct truncation, and every
-    spectral config is scored as that vector, rescaled by the config's
-    popularity boost. ``keep_top`` pairs each report with its top-L ranking
-    (of the scores averaged over the realizations, for spectral methods).
+    Baselines are scored once, and then the dense training adjacency is
+    dropped. Each realization is then perturbed, decomposed and corrected
+    once; its SPM scores are reconstructed once per distinct truncation,
+    and every spectral config is scored as that vector, rescaled by the
+    config's popularity boost. ``keep_top`` pairs each report with its top-L
+    ranking (of the scores averaged over the realizations, for spectral
+    methods).
     """
     _validate(cfgs, graph.n)
     split = split_train_probe(graph, cfgs[0].probe_fraction)
     train_adj = adjacency(graph, split.train)
-    flat = _candidates(train_adj)
-    hit = np.isin(flat, [u * graph.n + v for u, v in split.probe])
+    cand = _candidates(train_adj)
+    hit = _hits(cand, split.probe)
     points = []
     for cfg in cfgs:
         L = cfg.L
         if L is None:
             L = split.probe_total if cfg.count_dropped_in_L else len(split.probe)
-        if L > flat.size:
-            raise ValueError(f"L={L} exceeds candidate count {flat.size}")
+        if L > hit.size:
+            raise ValueError(f"L={L} exceeds candidate count {hit.size}")
         points.append(_Point(cfg, L))
     train_lam = lam_max = None
     if any(p.cfg.method == "Katz" or (p.cfg.method == "FastPBSPM" and p.cfg.m is None)
@@ -406,16 +475,19 @@ def _run_points(
         train_lam = eigenvalues(train_adj)
         lam_max = float(train_lam.max())
     for p in (p for p in points if p.cfg.method not in SPECTRAL_METHODS):
-        scores = _baseline_scores(p.cfg.method, train_adj, p.cfg, lam_max).take(flat)
+        scores = _baseline_scores(p.cfg.method, train_adj, p.cfg, lam_max)[cand]
         top = _top(scores, p.L)
         p.precisions.append(np.count_nonzero(hit[top]) / p.L)
         if keep_top:
-            p.ranked = _ranked(flat, scores, top, graph.n)
-        scores = top = None  # free both before the realization loop
+            p.ranked = _ranked(cand, scores, top)
+        scores = top = None  # free both before the next baseline runs
+    # Each realization builds its retained adjacency from the edge list, so
+    # the training matrix goes before the first eigensolve.
+    train_adj = None
     spectral = [p for p in points if p.cfg.method in SPECTRAL_METHODS]
     if spectral:
         shifts, failures = _score_spectral(
-            graph, split, train_adj, train_lam, flat, hit, spectral, keep_top
+            graph, split, train_lam, cand, hit, spectral, keep_top
         )
     results = []
     for p in points:

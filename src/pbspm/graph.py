@@ -579,7 +579,13 @@ def adjacency(
         if idx.size and (idx.min() < 0 or idx.max() >= graph.m_edges):
             raise IndexError("edge_subset index out of range")
         rows = graph.edges[idx]
-    matrix = np.zeros((graph.n, graph.n), dtype=np.float64)
+    return _symmetric_adjacency(rows, graph.n)
+
+
+def _symmetric_adjacency(rows: np.ndarray, n: int) -> np.ndarray:
+    """Read-only binary n x n float64 matrix with a 1 at both orientations of
+    each ``(u, v)`` in the first two columns of ``rows``."""
+    matrix = np.zeros((n, n), dtype=np.float64)
     if rows.shape[0]:
         matrix[rows[:, 0], rows[:, 1]] = 1.0
         matrix[rows[:, 1], rows[:, 0]] = 1.0

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegeneratePerturbationError, NumericalError
+from .graph import _symmetric_adjacency
 
 __all__ = [
     "PerturbationSample",
@@ -66,6 +67,10 @@ class SpectralModel:
         return self.eigenvalues.shape[0]
 
 
+# Removed edges whose eigenvector rows eigenvalue_correction gathers at once.
+_CORRECTION_ROWS = 256
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -77,35 +82,40 @@ def _score_matrix(values: np.ndarray) -> np.ndarray:
 
 
 def sample_perturbation(
-    train_adj: np.ndarray, train_edges: np.ndarray, p_h: float, seed: int
+    n: int, train_edges: np.ndarray, p_h: float, seed: int
 ) -> PerturbationSample:
     """Remove a uniform random fraction ``p_h`` of the training edges.
 
     ``train_edges`` is an ``(m, >=2)`` array whose first two columns are the
-    edge endpoints backing ``train_adj``. The draw is without replacement
-    from a generator seeded with ``seed``, so it is reproducible. The drawn
-    edges come back as ``PerturbationSample.removed``, an edge list.
+    endpoints, in ``[0, n)``, of m distinct edges. The draw is without
+    replacement from a generator seeded with ``seed``, so it is
+    reproducible. The drawn edges come back as ``PerturbationSample.removed``,
+    an edge list; ``retained`` is the n x n adjacency of the edges not drawn,
+    built from the list, so no caller has to hold the training adjacency.
 
     Raises:
+        ValueError: ``p_h`` outside (0, 1), or an endpoint outside ``[0, n)``.
         DegeneratePerturbationError: ``round(p_h * m)`` is zero.
     """
     if not 0.0 < p_h < 1.0:
         raise ValueError(f"p_h must be in (0,1), got {p_h}")
-    train_edges = np.asarray(train_edges)
-    m = train_edges.shape[0]
+    ends = np.asarray(train_edges)[:, :2]
+    if ends.size and (ends.min() < 0 or ends.max() >= n):
+        raise ValueError(f"training edge endpoint outside [0, {n})")
+    m = ends.shape[0]
     k = round(p_h * m)
     if k < 1:
         raise DegeneratePerturbationError(
             f"p_h={p_h} removes zero of {m} training edges"
         )
     rng = np.random.default_rng(seed)
-    chosen = train_edges[rng.choice(m, size=k, replace=False), :2]
-    removed = np.sort(chosen, axis=1)
+    drawn = rng.choice(m, size=k, replace=False)
+    removed = np.sort(ends[drawn], axis=1)
     removed = removed[np.lexsort((removed[:, 1], removed[:, 0]))]
-    retained = train_adj.copy()
-    retained[removed[:, 0], removed[:, 1]] = 0.0
-    retained[removed[:, 1], removed[:, 0]] = 0.0
-    return PerturbationSample(retained=_frozen(retained), removed=_frozen(removed))
+    kept = np.ones(m, dtype=bool)
+    kept[drawn] = False
+    retained = _symmetric_adjacency(ends[kept], n)
+    return PerturbationSample(retained=retained, removed=_frozen(removed))
 
 
 def _magnitude_order(lam: np.ndarray) -> np.ndarray:
@@ -144,7 +154,7 @@ def eigendecompose(matrix: np.ndarray) -> SpectralModel:
     peak = np.argmax(np.abs(vec), axis=0)
     signs = np.sign(vec[peak, np.arange(vec.shape[1])])
     signs[signs == 0] = 1.0
-    vec = vec * signs
+    vec *= signs
     return SpectralModel(
         eigenvalues=_frozen(lam),
         eigenvectors=_frozen(vec),
@@ -158,14 +168,23 @@ def eigenvalue_correction(model: SpectralModel, removed: np.ndarray) -> Spectral
     ``removed`` holds one ``(u, v)`` row per edge, as in
     ``PerturbationSample.removed``. For unit eigenvectors the shift of pair
     ``k`` is ``x_k^T dA x_k = 2 * sum of x_k[u] * x_k[v]`` over the rows, so
-    the cost scales with the removed edge count, not with n^2.
+    the cost scales with the removed edge count, not with n^2. The rows are
+    gathered ``_CORRECTION_ROWS`` at a time, so memory stays at a few hundred
+    rows of n, whatever the removed edge count.
     """
     removed = np.asarray(removed)
     if removed.size and (removed.min() < 0 or removed.max() >= model.n):
         raise ValueError(f"removed edge endpoint outside [0, {model.n})")
-    uu, vv = removed[:, 0], removed[:, 1]
     X = model.eigenvectors
-    corrections = np.einsum("e,ek,ek->k", np.full(uu.size, 2.0), X[uu, :], X[vv, :])
+    corrections = np.zeros(X.shape[1])
+    for start in range(0, removed.shape[0], _CORRECTION_ROWS):
+        rows = removed[start : start + _CORRECTION_ROWS]
+        # The running total goes into the first row, and one sum down axis 0
+        # then adds the terms sequentially in edge order, as one einsum over
+        # all rows would.
+        terms = 2.0 * X[rows[:, 0]] * X[rows[:, 1]]
+        terms[0] += corrections
+        corrections = np.add.reduce(terms, axis=0)
     return SpectralModel(
         eigenvalues=model.eigenvalues,
         eigenvectors=model.eigenvectors,

@@ -107,7 +107,7 @@ class TestCriterion1PbspmSpmDegeneracy:
             edges = view_edges(view)
             if edges.shape[0] < 5:
                 continue
-            sample = sample_perturbation(view, edges, 0.2, seed=int(rng.integers(1e6)))
+            sample = sample_perturbation(len(view), edges, 0.2, seed=int(rng.integers(1e6)))
             model = eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
             pop = rng.random(n)
             spm = spm_scores(model)
@@ -132,7 +132,7 @@ class TestCriterion2SpectralIdentity:
             edges = view_edges(view)
             if edges.shape[0] < 5:
                 continue
-            sample = sample_perturbation(view, edges, 0.2, seed=int(rng.integers(1e6)))
+            sample = sample_perturbation(len(view), edges, 0.2, seed=int(rng.integers(1e6)))
             model = eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
             pop = rng.random(n)
             full = pbspm_scores(model, pop, alpha=3.0)
@@ -183,7 +183,7 @@ class TestCriterion4FirstOrderSanity:
                 continue
             trials += 1
             sample = sample_perturbation(
-                view, edges, 1.0 / edges.shape[0], seed=int(rng.integers(1e6))
+                len(view), edges, 1.0 / edges.shape[0], seed=int(rng.integers(1e6))
             )
             model = eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
             lam_true = np.linalg.eigvalsh(view).max()

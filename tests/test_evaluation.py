@@ -1,6 +1,7 @@
 """Ranking, precision, correlation, and the experiment runner."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -79,7 +80,7 @@ def engine_oracle(graph, cfg):
         m = select_m(eigenvalues(view), cfg.m_threshold)
     per, total = [], np.zeros((graph.n, graph.n))
     for r in range(cfg.realizations):
-        sample = sample_perturbation(view, graph.edges[split.train], cfg.p_h, cfg.seed + r)
+        sample = sample_perturbation(graph.n, graph.edges[split.train], cfg.p_h, cfg.seed + r)
         model = eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
         if cfg.method == "SPM":
             scores = spm_scores(model)
@@ -495,9 +496,47 @@ class TestOnePassEngine:
             replace(base, method="FastPBSPM", m=7, p_fresher=0.3),
             replace(base, method="PBSPM", score_averaging="matrix"),
             replace(base, method="CN"),
+            # alpha = 0 is unboosted: these share SPM's score vector, and
+            # those with one L its cut, as duplicates share theirs.
+            replace(base, method="PBSPM", alpha=0.0),
+            replace(base, method="PBSPM", alpha=0.0, p_fresher=0.3, L=9),
+            replace(base, method="SPM", L=9),
+            replace(base, method="PBSPM", alpha=0.0, score_averaging="matrix"),
+            replace(base, method="FastPBSPM", alpha=0.0, m=7),
+            replace(base, method="PBSPM"),
+            replace(base, method="PBSPM", L=9),
         ]
-        joint = [report for report, _ in _run_points(shift_graph, cfgs)]
-        assert joint == [run_experiment(shift_graph, cfg) for cfg in cfgs]
+        separate = [run_experiment(shift_graph, cfg) for cfg in cfgs]
+        assert [report for report, _ in _run_points(shift_graph, cfgs)] == separate
+        joint = _run_points(shift_graph, cfgs, keep_top=True)
+        assert [report for report, _ in joint] == separate
+        for cfg, (report, top) in zip(cfgs, joint):
+            ((alone, alone_top),) = _run_points(shift_graph, [cfg], keep_top=True)
+            assert report == alone, cfg
+            assert np.array_equal(top.pairs, alone_top.pairs), cfg
+            assert np.array_equal(top.scores, alone_top.scores), cfg
+
+    def test_unboosted_points_share_one_cut_and_one_correlation(self, shift_graph, monkeypatch):
+        import pbspm.evaluation as evaluation
+
+        calls = dict.fromkeys(("_top", "pearson_cc"), 0)
+        for name in calls:
+            def counted(*args, _real=getattr(evaluation, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(evaluation, name, counted)
+        base = ExperimentConfig(method="PBSPM", alpha=0.0, seed=3, realizations=3)
+        cfgs = [replace(base, p_fresher=pf) for pf in (0.05, 0.1, 0.2, 0.3)]
+        cfgs += [replace(base, method="SPM"), replace(base, alpha=5.0)]
+        reports = [report for report, _ in _run_points(shift_graph, cfgs)]
+        # Per realization: one cut for the five unboosted points and one for
+        # the boosted one; one unboosted correlation and one boosted.
+        assert calls == {"_top": 2 * 3, "pearson_cc": 2 * 3}
+        for report in reports[:5]:
+            assert report.per_realization == reports[4].per_realization
+            assert report.mean_delta_cc == 0.0
+        assert reports[5].mean_delta_cc != 0.0
 
     @pytest.mark.parametrize("source", ["shift", "cliques", 0, 1, 2, 3])
     def test_matches_public_pieces_oracle(self, shift_graph, source):
@@ -534,6 +573,39 @@ class TestOnePassEngine:
                 assert report.resolved_m is None and report.failures == (), cfg
             else:
                 np.testing.assert_allclose(top.scores, mean_top.scores, rtol=1e-12, atol=0)
+
+
+# Tracked (tracemalloc) peak of one keep_top _run_points call at R=2, in n x n
+# float64 arrays, per method set. It counts every numpy array; the LAPACK
+# workspace numpy's eigh allocates outside them (its input copy and two n x n
+# of dsyevd work) is untracked, and adds about 3 to the resident peak.
+PEAK_NXN = {
+    "PBSPM": 4.1,
+    "FastPBSPM": 4.1,
+    "SPM": 4.1,
+    "CN": 3.5,
+    "AA": 3.5,
+    "RA": 3.5,
+    "Katz": 4.5,
+    "SRW": 6.5,
+    "PBSPM,SPM,FastPBSPM,CN,Katz": 5.5,
+}
+
+
+@pytest.mark.parametrize("methods", sorted(PEAK_NXN))
+def test_engine_peak_within_its_nxn_budget(methods):
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        graph = simplify(random_event_stream(rng, n_labels=300, n_events=3000, t_max=10**6))
+        base = ExperimentConfig(alpha=5.0, realizations=2, seed=seed)
+        cfgs = [replace(base, method=method) for method in methods.split(",")]
+        tracemalloc.start()
+        try:
+            _run_points(graph, cfgs, keep_top=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= PEAK_NXN[methods] * graph.n ** 2 * 8, (seed, peak / (graph.n ** 2 * 8))
 
 
 class TestConfigValidation:

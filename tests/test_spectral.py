@@ -5,6 +5,7 @@ import pytest
 
 from pbspm.errors import DegeneratePerturbationError
 from pbspm.spectral import (
+    SpectralModel,
     eigendecompose,
     eigenvalue_correction,
     eigenvalues,
@@ -27,7 +28,7 @@ def edge_matrix(edges, n) -> np.ndarray:
 
 
 def corrected_model(view, rng=None, p_h=0.2, seed=0):
-    sample = sample_perturbation(view, view_edges(view), p_h, seed)
+    sample = sample_perturbation(len(view), view_edges(view), p_h, seed)
     return eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
 
 
@@ -37,7 +38,7 @@ class TestSamplePerturbation:
         view = random_view(rng, 8, p=0.5)
         edges = view_edges(view)[:10]
         view10 = edge_matrix(edges, 8)
-        sample = sample_perturbation(view10, edges, 0.1, seed=1)
+        sample = sample_perturbation(8, edges, 0.1, seed=1)
         assert sample.removed.shape == (1, 2)
         assert np.count_nonzero(view10 - sample.retained) == 2
 
@@ -45,8 +46,8 @@ class TestSamplePerturbation:
         rng = np.random.default_rng(1)
         view = random_view(rng, 12, p=0.4)
         edges = view_edges(view)
-        a = sample_perturbation(view, edges, 0.2, seed=99)
-        b = sample_perturbation(view, edges, 0.2, seed=99)
+        a = sample_perturbation(len(view), edges, 0.2, seed=99)
+        b = sample_perturbation(len(view), edges, 0.2, seed=99)
         np.testing.assert_array_equal(a.removed, b.removed)
         np.testing.assert_array_equal(a.retained, b.retained)
 
@@ -55,7 +56,7 @@ class TestSamplePerturbation:
         view = random_view(rng, 15, p=0.3)
         edges = view_edges(view)
         # Edges given as (max, min) rows in reverse order come back as (min, max), sorted.
-        sample = sample_perturbation(view, edges[::-1, ::-1], 0.25, seed=5)
+        sample = sample_perturbation(len(view), edges[::-1, ::-1], 0.25, seed=5)
         removed = sample.removed
         np.testing.assert_array_equal(
             sample.retained + edge_matrix(removed, 15), view
@@ -76,7 +77,7 @@ class TestSamplePerturbation:
         position = {(int(u), int(v)): e for e, (u, v) in enumerate(edges)}
         counts = np.zeros(m)
         for seed in range(trials):
-            sample = sample_perturbation(view, edges, 0.2, seed=seed)
+            sample = sample_perturbation(len(view), edges, 0.2, seed=seed)
             for u, v in sample.removed:
                 counts[position[int(u), int(v)]] += 1
         freq = counts / trials
@@ -88,13 +89,21 @@ class TestSamplePerturbation:
         view = random_view(rng, 20, p=0.3)
         edges = view_edges(view)
         with pytest.raises(DegeneratePerturbationError):
-            sample_perturbation(view, edges, 1e-4, seed=0)
+            sample_perturbation(len(view), edges, 1e-4, seed=0)
 
     def test_p_h_bounds(self):
         rng = np.random.default_rng(5)
         view = random_view(rng, 6, p=0.5)
         with pytest.raises(ValueError):
-            sample_perturbation(view, view_edges(view), 1.2, seed=0)
+            sample_perturbation(len(view), view_edges(view), 1.2, seed=0)
+
+    def test_endpoint_outside_n_rejected(self):
+        edges = np.array([[0, 1], [1, 2], [2, 5]])
+        for n in (5, 3):
+            with pytest.raises(ValueError, match="outside"):
+                sample_perturbation(n, edges, 0.5, seed=0)
+        with pytest.raises(ValueError, match="outside"):
+            sample_perturbation(6, edges - 1, 0.5, seed=0)
 
 
 class TestEigendecompose:
@@ -178,7 +187,7 @@ class TestEigenvalueCorrection:
         for _ in range(10):
             view = random_view(rng, 12, p=0.5)
             edges = view_edges(view)
-            sample = sample_perturbation(view, edges, 0.2, seed=int(rng.integers(1000)))
+            sample = sample_perturbation(len(view), edges, 0.2, seed=int(rng.integers(1000)))
             model = eigendecompose(sample.retained)
             corrected = eigenvalue_correction(model, sample.removed)
             X = model.eigenvectors
@@ -196,13 +205,25 @@ class TestEigenvalueCorrection:
             if edges.shape[0] < 5:
                 continue
             p_h = 1.0 / edges.shape[0]
-            sample = sample_perturbation(view, edges, p_h, seed=int(rng.integers(10_000)))
+            sample = sample_perturbation(len(view), edges, p_h, seed=int(rng.integers(10_000)))
             model = eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
             lam_true = np.linalg.eigvalsh(view).max()
             lam_est = model.eigenvalues[0] + model.corrections[0]
             if abs(lam_true - lam_est) < abs(lam_true - model.eigenvalues[0]):
                 wins += 1
         assert wins >= 0.9 * trials
+
+    def test_chunked_sum_equals_one_einsum(self):
+        # Reference: one einsum over every removed edge at once, bit for bit,
+        # with edge counts on both sides of the gather's chunk size.
+        rng = np.random.default_rng(13)
+        for n, k in [(2, 1), (7, 300), (40, 256), (40, 257), (60, 1000), (5, 0)]:
+            X = rng.standard_normal((n, n))
+            removed = rng.integers(0, n, size=(k, 2))
+            oracle = np.einsum("e,ek,ek->k", np.full(k, 2.0), X[removed[:, 0]], X[removed[:, 1]])
+            model = SpectralModel(eigenvalues=np.zeros(n), eigenvectors=X, corrections=np.zeros(n))
+            got = eigenvalue_correction(model, removed).corrections
+            assert np.array_equal(got.view(np.int64), oracle.view(np.int64)), (n, k)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(12)
