@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .graph import degrees
-from .spectral import _score_matrix
+from .spectral import _frozen, _score_matrix
 
 __all__ = [
     "cn_scores",
@@ -30,8 +30,14 @@ __all__ = [
 
 
 def cn_scores(a: np.ndarray) -> np.ndarray:
-    """Number of common neighbors; equals the squared adjacency."""
-    return _score_matrix(a @ a)
+    """Number of common neighbors; equals the squared adjacency.
+
+    For a 0/1 adjacency the counts are integers of at most n, which float32
+    holds exactly, so the product is taken in float32 and is exactly
+    symmetric.
+    """
+    a32 = a.astype(np.float32)
+    return _frozen((a32 @ a32).astype(np.float64))
 
 
 def _weighted_common_neighbors(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -106,11 +112,18 @@ def katz_scores(
             power = power @ damped
             total += power
         return _score_matrix(total)
+    # I - damping * A, built as 0 - damping * A plus 1 on the diagonal so that
+    # every zero stays +0, as in the subtraction from the identity.
+    system = damping * a
+    np.subtract(0.0, system, out=system)
+    system.flat[:: len(a) + 1] += 1.0
     try:
-        inv = np.linalg.inv(np.eye(len(a)) - damping * a)
+        inv = np.linalg.inv(system)
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"Katz linear system is singular: {err}") from err
-    return _score_matrix(inv - np.eye(len(a)))
+    system = None
+    inv.flat[:: len(a) + 1] -= 1.0
+    return _score_matrix(inv)
 
 
 def srw_scores(a: np.ndarray, steps: int) -> np.ndarray:

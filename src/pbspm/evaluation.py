@@ -26,9 +26,10 @@ from .spectral import (
     eigendecompose,
     eigenvalue_correction,
     eigenvalues,
+    _leading_pairs,
+    _pair_sum,
     sample_perturbation,
     select_m,
-    spm_scores,
 )
 from .split import TrainProbeSplit, _endpoint_counts, popularity, split_train_probe
 
@@ -303,7 +304,7 @@ class _Vector:
     m: Optional[int]
     boost: Optional[np.ndarray]  # 1 + alpha * popularity; None for SPM and alpha = 0
     points: list[_Point] = field(default_factory=list)
-    score_sum: Optional[np.ndarray] = None
+    averaged: bool = False  # some point ranks or counts the realizations' mean scores
     delta_ccs: list[Optional[float]] = field(default_factory=list)
 
 
@@ -317,7 +318,6 @@ def _score_vectors(
     graph: TemporalGraph,
     split: TrainProbeSplit,
     train_lam: Optional[np.ndarray],
-    n_cand: int,
     points: Sequence[_Point],
     keep_top: bool,
 ) -> list[_Vector]:
@@ -325,9 +325,8 @@ def _score_vectors(
 
     Points of one truncation whose boost is the same, or absent (SPM, and
     alpha = 0 where ``f = 1``), have equal score vectors, so they share one
-    vector, its delta-CC list and, when any of them needs it, its score sum.
-    ``train_lam`` holds the training eigenvalues, which a FastPBSPM point
-    without an ``m`` reads.
+    vector and its delta-CC list. ``train_lam`` holds the training
+    eigenvalues, which a FastPBSPM point without an ``m`` reads.
     """
     pops: dict[float, np.ndarray] = {}
     vectors: dict[tuple, _Vector] = {}
@@ -347,9 +346,16 @@ def _score_vectors(
             vec = vectors[key] = _Vector(p.m, boost)
         vec.points.append(p)
         p.delta_ccs = vec.delta_ccs
-        if vec.score_sum is None and (keep_top or p.cfg.score_averaging == "matrix"):
-            vec.score_sum = np.zeros(n_cand)
+        vec.averaged |= keep_top or p.cfg.score_averaging == "matrix"
     return list(vectors.values())
+
+
+def _on_candidates(matrix: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """``((M + M.T) / 2)[cand]``, bit for bit, without the symmetrized n x n matrix."""
+    scores = matrix[cand]
+    scores += matrix.T[cand]
+    scores /= 2.0
+    return scores
 
 
 def _score_spectral(
@@ -366,11 +372,19 @@ def _score_spectral(
     Each realization's retained adjacency is built from the training edge
     list, so no dense training matrix is held here. Points sharing a score
     vector share its reconstruction, boost and delta-CC, and those that also
-    share L one ``_top`` cut. Returns the realizations' leading-eigenvalue
-    shifts and their failures.
+    share L one ``_top`` cut. The boost ``f_i * f_j`` is the same in every
+    realization, so the mean of boosted scores is the boost of the mean SPM
+    scores: the full spectrum keeps one unboosted candidate-length sum, and
+    each truncation m keeps its realizations' m leading eigenpairs, whose
+    one product after the loop is the sum. Returns the realizations'
+    leading-eigenvalue shifts and their failures.
     """
-    vectors = _score_vectors(graph, split, train_lam, hit.size, points, keep_top)
+    vectors = _score_vectors(graph, split, train_lam, points, keep_top)
     ms = dict.fromkeys(vec.m for vec in vectors)
+    averaged = dict.fromkeys(vec.m for vec in vectors if vec.averaged)
+    # Allocated before the first eigensolve, so it leaves no hole at its peak.
+    total = np.zeros(hit.size) if None in averaged else None
+    stacks = {m: [] for m in averaged if m is not None}
     probe_inc = _endpoint_counts(graph.edges[split.train.size :], graph.n)
 
     shared = points[0].cfg
@@ -395,7 +409,12 @@ def _score_spectral(
         except ZeroVarianceError:
             base_cc = None
         for m in ms:
-            spm = spm_scores(model, m)[cand]
+            leading, weights = _leading_pairs(model, m)
+            if m in stacks:
+                stacks[m].append((leading.copy(), weights.copy()))
+            spm = _on_candidates(_pair_sum(leading, weights), cand)
+            if m is None and total is not None:
+                total += spm
             for vec in (vec for vec in vectors if vec.m == m):
                 scores, dcc = spm, None if base_cc is None else 0.0
                 if vec.boost is not None:  # as in pbspm_scores: S_ij * f_i * f_j
@@ -412,28 +431,35 @@ def _score_spectral(
                         if p.L not in cut:
                             cut[p.L] = np.count_nonzero(hit[_top(scores, p.L)]) / p.L
                         p.precisions.append(cut[p.L])
-                if vec.score_sum is not None:
-                    vec.score_sum += scores
-        # Free the eigenvectors (x1 is a view of them) before the next eigh.
-        model = spm = scores = x1 = None
+        # Free the eigenvectors (x1 and leading are views of them) before the next eigh.
+        model = leading = spm = scores = x1 = None
     if not shifts:
         raise NumericalError(f"all {shared.realizations} realizations failed: {failures}")
 
-    for vec in vectors:
-        if vec.score_sum is None:
-            continue
-        vec.score_sum /= len(shifts)
-        tops: dict[int, np.ndarray] = {}
-        for p in vec.points:
-            matrix = p.cfg.score_averaging == "matrix"
-            if not (matrix or keep_top):
-                continue
-            if p.L not in tops:
-                tops[p.L] = _top(vec.score_sum, p.L)
-            if matrix:
-                p.precisions.append(np.count_nonzero(hit[tops[p.L]]) / p.L)
-            if keep_top:
-                p.ranked = _ranked(cand, vec.score_sum, tops[p.L])
+    for m in averaged:
+        if m is None:
+            mean, total = total, None
+        else:
+            leading, weights = zip(*stacks.pop(m))
+            leading, weights = np.hstack(leading), np.concatenate(weights)
+            mean = _on_candidates(_pair_sum(leading, weights), cand)
+        mean /= len(shifts)
+        for vec in (vec for vec in vectors if vec.m == m and vec.averaged):
+            scores = mean
+            if vec.boost is not None:
+                scores = mean * np.multiply.outer(vec.boost, vec.boost)[cand]
+            tops: dict[int, np.ndarray] = {}
+            for p in vec.points:
+                matrix = p.cfg.score_averaging == "matrix"
+                if not (matrix or keep_top):
+                    continue
+                if p.L not in tops:
+                    tops[p.L] = _top(scores, p.L)
+                if matrix:
+                    p.precisions.append(np.count_nonzero(hit[tops[p.L]]) / p.L)
+                if keep_top:
+                    p.ranked = _ranked(cand, scores, tops[p.L])
+        mean = scores = None
     return shifts, failures
 
 

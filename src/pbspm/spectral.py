@@ -192,13 +192,21 @@ def eigenvalue_correction(model: SpectralModel, removed: np.ndarray) -> Spectral
     )
 
 
+def _pair_sum(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # sum_k weights[k] * outer(vectors[:, k], vectors[:, k]), before symmetrizing.
+    return (vectors * weights) @ vectors.T
+
+
+def _leading_pairs(model: SpectralModel, m: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+    # The leading m (or all) eigenvectors, a view, and their corrected eigenvalues.
+    return model.eigenvectors[:, :m], (model.eigenvalues + model.corrections)[:m]
+
+
 def spm_scores(model: SpectralModel, m: Optional[int] = None) -> np.ndarray:
     """The SPM score matrix S: corrected sum of the leading m eigenpairs, or of all."""
     if m is not None and not 1 <= m <= model.n:
         raise ValueError(f"m must be in [1, {model.n}], got {m}")
-    vectors = model.eigenvectors[:, :m]
-    weights = (model.eigenvalues + model.corrections)[:m]
-    return _score_matrix((vectors * weights) @ vectors.T)
+    return _score_matrix(_pair_sum(*_leading_pairs(model, m)))
 
 
 def pbspm_scores(

@@ -40,6 +40,20 @@ class TestCommonNeighbors:
                         continue
                     assert scores[x, y] == len(nbrs[x] & nbrs[y])
 
+    @pytest.mark.parametrize("n", [7, 150, 400])
+    def test_bitwise_equal_to_the_float64_square(self, n):
+        # Node 0 is a hub adjacent to every other node, so its row holds the
+        # largest counts; the float32 product must still be exact.
+        rng = np.random.default_rng(n)
+        view = np.array(random_view(rng, n, p=0.05))
+        view[0, 1:] = view[1:, 0] = 1.0
+        square = view @ view
+        expected = (square + square.T) / 2.0
+        scores = cn_scores(view)
+        assert scores.dtype == np.float64 and not scores.flags.writeable
+        assert scores.tobytes() == expected.tobytes()
+        assert scores[0, 0] == n - 1
+
 
 class TestAdamicAdar:
     def test_star_leaves(self):
@@ -122,6 +136,16 @@ class TestKatz:
                 for y in range(x + 1, len(view)):
                     oracle = katz_walk_oracle(view, x, y, damping)
                     assert scores[x, y] == pytest.approx(oracle, abs=1e-8)
+
+    def test_closed_form_bitwise_equal_to_identity_subtraction(self):
+        rng = np.random.default_rng(56)
+        for n in (2, 9, 120):
+            view = random_view(rng, n, p=0.1)
+            damping = 0.5 / max(float(np.linalg.eigvalsh(view)[-1]), 1.0)
+            eye = np.eye(n)
+            walks = np.linalg.inv(eye - damping * view) - eye
+            expected = (walks + walks.T) / 2.0
+            assert katz_scores(view, damping).tobytes() == expected.tobytes()
 
     def test_series_mode_converges_to_closed_form(self):
         rng = np.random.default_rng(56)

@@ -5,16 +5,18 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import pbspm
 from pbspm.cli import build_parser, main
-from pbspm.evaluation import ExperimentConfig
+from pbspm.evaluation import METHODS, ExperimentConfig
 
 SCHEMA_PATH = Path(pbspm.__file__).parent / "schemas" / "report.schema.json"
 
@@ -459,6 +461,48 @@ class TestModuleEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestBlasThreadCount:
+    """``predict`` at one and at two BLAS threads, each in a fresh process.
+
+    Precisions, resolved m and the top-L pairs must be equal; every other
+    float (delta-lambda1, delta-CC, prediction scores) within 1e-12 relative.
+    """
+
+    FLOAT_REL = 1e-12
+
+    def run_at(self, threads, dataset, out):
+        env = dict(os.environ, PYTHONPATH=str(Path(pbspm.__file__).parents[1]))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pbspm.cli", "predict", *map(str, common_args(dataset, out)),
+             "--method", ",".join(METHODS)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return out
+
+    def test_one_and_two_threads_agree(self, shift_dataset, tmp_path):
+        one, two = (self.run_at(t, shift_dataset, tmp_path / f"t{t}") for t in (1, 2))
+        reports = [json.loads((out / "report.json").read_text())["reports"] for out in (one, two)]
+        assert [r["method"] for r in reports[0]] == list(METHODS)
+        for a, b in zip(*reports):
+            for key in ("per_realization", "mean_precision", "std_precision", "resolved_m",
+                        "L", "failures"):
+                assert a[key] == b[key], (a["method"], key)
+            for key in ("mean_delta_lambda1", "mean_delta_cc"):
+                if a[key] is None:
+                    assert b[key] is None, (a["method"], key)
+                else:
+                    assert b[key] == pytest.approx(a[key], rel=self.FLOAT_REL, abs=1e-15)
+        for method in METHODS:
+            texts = [(out / f"predictions_{method}.txt").read_text() for out in (one, two)]
+            rows = [[line.split("\t") for line in text.splitlines()] for text in texts]
+            assert [r[:2] for r in rows[0]] == [r[:2] for r in rows[1]], method
+            scores = [np.array([float(r[2]) for r in rs]) for rs in rows]
+            np.testing.assert_allclose(scores[1], scores[0], rtol=self.FLOAT_REL, atol=0)
 
 
 @pytest.fixture()

@@ -575,20 +575,65 @@ class TestOnePassEngine:
                 np.testing.assert_allclose(top.scores, mean_top.scores, rtol=1e-12, atol=0)
 
 
+class TestAveragedScores:
+    """The engine's mean boosted scores against the mean of the boosted matrices.
+
+    The engine boosts the averaged SPM scores, and averages a truncation from
+    its stacked eigenpairs; the oracle sums ``f_i * f_j * S_ij`` matrices
+    realization by realization, as ``pbspm_scores`` gives them.
+    """
+
+    @pytest.mark.parametrize("source", ["shift", 0, 1, 2])
+    def test_boost_of_mean_matches_mean_of_boosted(self, shift_graph, source):
+        if source == "shift":
+            graph = shift_graph
+        else:
+            rng = np.random.default_rng(source)
+            graph = simplify(random_event_stream(rng, n_labels=40, n_events=500, t_max=1000))
+        split = split_train_probe(graph, 0.1)
+        n_cand = int(np.count_nonzero(np.triu(adjacency(graph, split.train) == 0, 1)))
+        base = ExperimentConfig(method="PBSPM", alpha=4.0, p_fresher=0.2, seed=5,
+                                realizations=4)
+        cfgs = [
+            base,
+            replace(base, method="FastPBSPM", m=1),
+            replace(base, method="FastPBSPM", m=6, alpha=9.0, p_fresher=0.3),
+            replace(base, method="FastPBSPM"),
+            replace(base, score_averaging="matrix"),
+            replace(base, method="FastPBSPM", m=6, score_averaging="matrix"),
+        ]
+        for cfg, (report, top) in zip(cfgs, _run_points(graph, cfgs, keep_top=True)):
+            per, mean_precision, mean_top = engine_oracle(graph, cfg)
+            assert report.per_realization == per, cfg
+            assert report.mean_precision == mean_precision, cfg
+            assert np.array_equal(top.pairs, mean_top.pairs), cfg
+        # Every candidate's mean score, matched by pair, not by rank.
+        every = [replace(cfg, L=n_cand) for cfg in cfgs]
+        for cfg, (_, top) in zip(every, _run_points(graph, every, keep_top=True)):
+            mean_top = engine_oracle(graph, cfg)[2]
+            got = top.scores[np.lexsort(top.pairs.T[::-1])]
+            want = mean_top.scores[np.lexsort(mean_top.pairs.T[::-1])]
+            assert got.size == want.size == n_cand
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), cfg
+
+
 # Tracked (tracemalloc) peak of one keep_top _run_points call at R=2, in n x n
 # float64 arrays, per method set. It counts every numpy array; the LAPACK
 # workspace numpy's eigh allocates outside them (its input copy and two n x n
 # of dsyevd work) is untracked, and adds about 3 to the resident peak.
+# ``FastPBSPM:k`` is FastPBSPM at m = k; plain FastPBSPM takes the auto m.
 PEAK_NXN = {
-    "PBSPM": 4.1,
-    "FastPBSPM": 4.1,
-    "SPM": 4.1,
-    "CN": 3.5,
+    "PBSPM": 3.9,
+    "FastPBSPM": 3.4,
+    "FastPBSPM:1": 3.4,
+    "FastPBSPM:8": 3.45,
+    "SPM": 3.9,
+    "CN": 3.3,
     "AA": 3.5,
     "RA": 3.5,
-    "Katz": 4.5,
+    "Katz": 3.4,
     "SRW": 6.5,
-    "PBSPM,SPM,FastPBSPM,CN,Katz": 5.5,
+    "PBSPM,SPM,FastPBSPM,CN,Katz": 4.3,
 }
 
 
@@ -598,7 +643,10 @@ def test_engine_peak_within_its_nxn_budget(methods):
         rng = np.random.default_rng(seed)
         graph = simplify(random_event_stream(rng, n_labels=300, n_events=3000, t_max=10**6))
         base = ExperimentConfig(alpha=5.0, realizations=2, seed=seed)
-        cfgs = [replace(base, method=method) for method in methods.split(",")]
+        cfgs = []
+        for spec in methods.split(","):
+            method, _, m = spec.partition(":")
+            cfgs.append(replace(base, method=method, m=int(m) if m else None))
         tracemalloc.start()
         try:
             _run_points(graph, cfgs, keep_top=True)
