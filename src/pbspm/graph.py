@@ -4,6 +4,9 @@ A contact dataset is a sequence of ``(source, target, [weight,] timestamp)``
 events. Scoring operates on the simple graph obtained by dropping self-loops
 and collapsing repeated contacts of a pair onto the pair's earliest event,
 which is the time the edge entered the network.
+
+Every TSV file is tokenized from its bytes by one array parser; a file that
+is not plain ASCII is decoded and rebuilt for it first. CSV is split as text.
 """
 
 from __future__ import annotations
@@ -178,10 +181,12 @@ def parse_edge_stream(reader: IO, format: str = "tsv") -> TemporalEventStream:
     an integer in the int64 range, possibly written as a float (``50.0``).
 
     The whole file is parsed column by column; only a file that fails is
-    read again line by line, to name its first bad line. A TSV byte input
-    whose only whitespace is space, tab, LF and CR before LF is parsed
-    from its bytes with array operations; any other input is decoded and
-    split as text. Both give the same stream and the same errors.
+    read again line by line, to name its first bad line. Every TSV input is
+    tokenized from bytes with array operations. An ASCII byte input whose
+    only whitespace is space, tab, LF and CR before LF goes in as it is; any
+    other is decoded, and its ``str.splitlines`` lines and ``str.split``
+    fields are rebuilt with single spaces and LFs first. CSV is decoded and
+    split as text.
 
     Raises:
         ParseError: a non-comment line does not fit the 3/4-field layout or
@@ -192,51 +197,42 @@ def parse_edge_stream(reader: IO, format: str = "tsv") -> TemporalEventStream:
     if format not in ("tsv", "csv"):
         raise ValueError(f"unknown format {format!r}")
     data = reader.read()
-    by_bytes = isinstance(data, bytes) and format == "tsv" and _ascii_separated(data)
-    if by_bytes:
-        text = None  # decoded only to name a bad line
-    elif isinstance(data, bytes):
-        text = _decode(data)
-    else:
+    text = None  # decoded only to name a bad line
+    if not isinstance(data, bytes):
         text = data
+    elif format == "csv" or not _ascii_separated(data):
+        text = _decode(data)
+    if format == "tsv" and text is not None:
+        # str.splitlines' lines of str.split's fields, rejoined by LF and
+        # space; a text reader's lone surrogates pass through.
+        lines = map(" ".join, map(str.split, text.splitlines()))
+        data = "\n".join(lines).encode("utf-8", "surrogatepass")
     try:
-        return _parse_tsv_bytes(data) if by_bytes else _parse_columns(text, format)
+        return _parse_columns(text) if format == "csv" else _parse_tsv_bytes(data)
     except (ValueError, OverflowError, csv.Error):
         _raise_first_bad_line(data.decode("utf-8") if text is None else text, format)
         raise
 
 
-# The whitespace of str.split() and the line ends of str.splitlines() (a subset)
-# beyond space, tab, LF and CR: ASCII bytes, then non-ASCII code points.
+# The whitespace of str.split() and the line ends of str.splitlines() among
+# ASCII bytes, beyond space, tab, LF and CR.
 _OTHER_ASCII_SPACES = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-_WIDE_SPACES = np.array(
-    [0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000],
-    dtype=np.uint32,
-)
 
 
 def _ascii_separated(data: bytes) -> bool:
-    """Whether ``data`` is UTF-8 whose only whitespace is space, tab, LF and
+    """Whether ``data`` is ASCII whose only whitespace is space, tab, LF and
     CR directly before LF, so that its bytes split into the tokens and lines
     that ``str.split`` and ``str.splitlines`` find in its text.
     """
-    if any(space in data for space in _OTHER_ASCII_SPACES):
+    if not data.isascii() or any(space in data for space in _OTHER_ASCII_SPACES):
         return False
-    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
-        return False  # a lone CR ends a line
-    if not data.isascii():
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError:
-            return False  # the text parse names the bad byte's line
-        code_points = np.frombuffer(text.encode("utf-32-le"), np.uint32)
-        if np.isin(code_points[code_points > 0x7F], _WIDE_SPACES).any():
-            return False
-    return True
+    # A lone CR ends a line.
+    return b"\r" not in data or data.count(b"\r") == data.count(b"\r\n")
 
 
 def _parse_tsv_bytes(data: bytes) -> TemporalEventStream:
-    """Parse a TSV file that passes ``_ascii_separated`` from its bytes.
+    """Parse a TSV file from its bytes: ASCII that passes ``_ascii_separated``,
+    or the UTF-8 (surrogates passed) of a rebuilt text.
 
     Tokens are the runs of bytes other than space, tab, CR and LF, and a line
     is the tokens between two LFs, so a UTF-8 character never straddles a
@@ -258,7 +254,7 @@ def _parse_tsv_bytes(data: bytes) -> TemporalEventStream:
     start, end = start[label], end[label]  # frees the other tokens' bounds
     del label
     coded = _label_codes(data, start, end)
-    if coded is None:  # a hash collision between two labels
+    if coded is None:  # a label longer than 7 bytes
         tokens = _tokens(data, start, end, slice(None))
         return _coded(tokens[0::2], tokens[1::2], timestamp, weight, weighted)
     labels, codes = coded
@@ -294,7 +290,8 @@ def _event_lines(buf: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _tokens(data: bytes, start: np.ndarray, end: np.ndarray, which) -> list[str]:
     """The tokens ``which`` of ``data``, decoded one by one."""
-    return [data[s:e].decode("utf-8") for s, e in zip(start[which].tolist(), end[which].tolist())]
+    bounds = zip(start[which].tolist(), end[which].tolist())
+    return [data[s:e].decode("utf-8", "surrogatepass") for s, e in bounds]
 
 
 def _read_stamps(data: bytes, buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -331,9 +328,8 @@ def _read_stamps(data: bytes, buf: np.ndarray, start: np.ndarray, end: np.ndarra
     return value
 
 
-# Masks of the low 0..8 bytes of a little-endian 64-bit word, and a hash multiplier.
-_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
-_MIX = np.uint64(0x9E3779B97F4A7C15)
+# Masks of the low 0..7 bytes of a little-endian 64-bit word.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.uint64)
 
 
 def _label_codes(
@@ -342,40 +338,24 @@ def _label_codes(
     """Code the label tokens ``[start, end)`` of ``data`` by first appearance.
 
     Returns the distinct labels, each decoded once, and every token's int64
-    code; or None when two distinct labels share a 64-bit key.
-
-    A token of up to 7 bytes is keyed exactly, by its bytes and its length.
-    A longer one is keyed by a hash of its length and 8-byte words; then
-    every token is compared byte for byte with the first token of its key.
+    code; or None when a label is longer than 7 bytes. A label is keyed
+    exactly by one 64-bit word: its bytes, and its length in the top byte.
     """
     length = end - start
-    padded = data + bytes(8)
+    if length.max() > 7:
+        return None
     # words[i] holds data[i:i + 8] as a little-endian integer.
-    words = np.ndarray((len(data) + 1,), dtype="<u8", buffer=padded, strides=(1,))
-    columns = _word_columns(words, start, length)
-    _, key = next(columns)
-    # The top byte is free below 8 bytes, where the first word is the whole token.
+    words = np.ndarray((len(data) + 1,), dtype="<u8", buffer=data + bytes(8), strides=(1,))
+    key = words[start] & _LOW_BYTES[length]
     key += length.astype(np.uint64) << np.uint64(56)
-    for live, word in columns:
-        key[live] = key[live] * _MIX + word
-
     order = np.argsort(key)
     key = key[order]
-    new = np.empty(key.size, dtype=bool)
-    new[0] = True
-    np.not_equal(key[1:], key[:-1], out=new[1:])
+    new = np.r_[True, key[1:] != key[:-1]]
     del key
     group = np.empty(new.size, dtype=np.intp)
     group[order] = np.cumsum(new) - 1
     first = np.minimum.reduceat(order, np.flatnonzero(new))  # each key's first token
     del order, new
-    if length.max() > 7:
-        other = first[group]
-        if (length[other] != length).any():
-            return None
-        columns = zip(_word_columns(words, start, length), _word_columns(words, start[other], length))
-        if any((mine != theirs).any() for (_, mine), (_, theirs) in columns):
-            return None
     by_appearance = np.argsort(first)
     code = np.empty(first.size, dtype=np.int64)
     code[by_appearance] = np.arange(first.size)
@@ -383,50 +363,28 @@ def _label_codes(
     return labels, code[group]
 
 
-def _word_columns(words: np.ndarray, start: np.ndarray, length: np.ndarray):
-    """Yield, for each 8-byte column of the tokens ``[start, start + length)``,
-    the tokens that reach it (a slice of all, or their indices) and their
-    bytes there as little-endian words, zero above the token's end.
-    """
-    live = slice(None)
-    for offset in range(0, int(length.max()), 8):
-        if length.min() <= offset:
-            reach = np.flatnonzero(length > offset)
-            live = reach if isinstance(live, slice) else live[reach]
-            start, length = start[reach], length[reach]
-        yield live, words[start + offset] & _LOW_BYTES[np.minimum(length - offset, 8)]
-
-
-def _parse_columns(text: str, format: str) -> TemporalEventStream:
-    """Parse a whole decoded file at once, column by column.
+def _parse_columns(text: str) -> TemporalEventStream:
+    """Parse a whole decoded CSV file at once, column by column.
 
     A malformed line raises ValueError, OverflowError or csv.Error without
     saying which line it is.
     """
     lines = text.splitlines()
-    # Every line break is whitespace, so text.split() lists the lines' fields in order.
-    n_fields = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
-    data = n_fields > 0
+    data = np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))
     if "%" in text or "#" in text:
         comment = map(str.startswith, map(str.lstrip, lines), repeat(("%", "#")))
         data &= ~np.fromiter(comment, bool, len(lines))
-    if format == "csv":
-        # Parsed one line per reader, so a quote never reaches the next line.
-        records = list(map(next, map(csv.reader, zip(compress(lines, data)))))
-        n_fields = np.fromiter(map(len, records), np.intp, len(records))
-        data = np.ones(len(records), dtype=bool)
-        fields = list(map(str.strip, chain.from_iterable(records)))
-        del lines, records
-    else:
-        del lines
-        fields = text.split()
-    start = (np.cumsum(n_fields) - n_fields)[data]
-    n_fields = n_fields[data]
+    # Parsed one line per reader, so a quote never reaches the next line.
+    records = list(map(next, map(csv.reader, zip(compress(lines, data)))))
+    del lines
+    n_fields = np.fromiter(map(len, records), np.intp, len(records))
     if not n_fields.size:
         raise EmptyInputError("edge stream contains no events")
     if not np.isin(n_fields, (3, 4)).all():
         raise ValueError("a line does not have 3 or 4 fields")
-    fields = np.fromiter(fields, object, len(fields))
+    fields = np.fromiter(map(str.strip, chain.from_iterable(records)), object, n_fields.sum())
+    del records
+    start = np.cumsum(n_fields) - n_fields
 
     weighted = n_fields == 4
     weight = np.full(len(start), np.nan)

@@ -166,7 +166,8 @@ class TestParseEdgeStream:
 
     def test_labels_with_colliding_hashes_stay_apart(self, monkeypatch):
         # The Thue-Morse word over two 8-byte blocks and its complement have the
-        # same polynomial hash modulo 2**64 for any odd multiplier.
+        # same polynomial hash modulo 2**64 for any odd multiplier, so a hashed
+        # label key would merge them.
         import pbspm.graph as graph
 
         fallbacks = []
@@ -176,10 +177,48 @@ class TestParseEdgeStream:
         one = b"".join(b"aaaaaaaa" if bit else b"bbbbbbbb" for bit in bits)
         other = b"".join(b"bbbbbbbb" if bit else b"aaaaaaaa" for bit in bits)
         stream = parse_edge_stream(io.BytesIO(one + b" " + other + b" 1\n" + other + b" c 2\n"))
-        assert fallbacks == [1]  # the byte parse saw the collision and coded by dict
+        assert fallbacks == [1]  # labels over 7 bytes are coded by dict
         assert stream.labels == (one.decode(), other.decode(), "c")
         assert stream.source.tolist() == [0, 1]
         assert stream.target.tolist() == [1, 2]
+
+    @pytest.mark.parametrize("longest", range(1, 9))
+    def test_label_keys_tell_length_and_trailing_nuls_apart(self, longest, monkeypatch):
+        # Labels up to 7 bytes are keyed by their bytes and their length; an
+        # 8-byte label sends the file to the dict path.
+        import pbspm.graph as graph
+
+        fallbacks = []
+        coded = graph._coded
+        monkeypatch.setattr(graph, "_coded", lambda *args: fallbacks.append(1) or coded(*args))
+        pool = ["a" + "\0" * (k - 1) for k in range(1, longest + 1)]
+        pool += ["\0" * k for k in range(1, longest + 1)]
+        pool += ["abcdefgh"[:k] for k in range(max(1, longest - 1), longest + 1)]
+        rng = np.random.default_rng(longest)
+        pairs = list(zip(pool, reversed(pool)))  # every label at least once
+        # Indices, not a numpy string array, which would drop the trailing NULs.
+        pairs += [(pool[u], pool[v]) for u, v in rng.integers(len(pool), size=(3 * len(pool), 2))]
+        data = "".join(f"{u} {v} {t}\n" for t, (u, v) in enumerate(pairs)).encode()
+
+        stream = parse_edge_stream(io.BytesIO(data))
+        assert fallbacks == ([1] if longest == 8 else [])
+        assert stream.labels == tuple(dict.fromkeys(label for pair in pairs for label in pair))
+        assert len(set(stream.labels)) == len(set(pool))
+        want = ingest_outcome(lambda: per_line_ingest_oracle(io.BytesIO(data)))
+        assert ingest_outcome(lambda: (stream.events, simplify(stream))) == want
+
+    def test_text_reader_with_lone_surrogates(self):
+        # A str reader may hold surrogates that no UTF-8 encoder accepts.
+        text = "a\udcff b 1\nb c 2\n\ud83d\ude00 \ude00\ud83d 3\u3000\n"
+        stream = parse_edge_stream(io.StringIO(text))
+        assert stream.labels == ("a\udcff", "b", "c", "\ud83d\ude00", "\ude00\ud83d")
+        assert stream.source.tolist() == [0, 1, 3]
+        assert stream.target.tolist() == [1, 2, 4]
+        want = ingest_outcome(lambda: per_line_ingest_oracle(io.StringIO(text)))
+        assert ingest_outcome(lambda: (stream.events, simplify(stream))) == want
+        with pytest.raises(ParseError) as exc:
+            parse_edge_stream(io.StringIO("a\udcff b 1\nb c\udcff \udcff\n"))
+        assert (str(exc.value), exc.value.line_no) == ("line 2: bad timestamp '\\udcff'", 2)
 
     def test_valid_tsv_builds_no_raw_event(self, monkeypatch):
         # The per-line objects stay off the ingest path of a valid file.
@@ -194,10 +233,11 @@ class TestParseEdgeStream:
         assert graph.m_edges > 0
 
 
-# Whitespace that only the text parse splits on as str.split and
-# str.splitlines do: two ASCII separators (\x0b also ends a line), two
-# non-ASCII spaces, and a CR that ends a line on its own.
-TEXT_ONLY_SPACES = ["\x0b", "\x1f", "\xa0", "\u3000", "\r"]
+# Whitespace that str.split and str.splitlines see but the byte tokenizer
+# does not: two ASCII separators (\x0b also ends a line), two non-ASCII
+# spaces, and a CR that ends a line on its own. A file holding one is rebuilt
+# with spaces and LFs before it is tokenized.
+REBUILT_SPACES = ["\x0b", "\x1f", "\xa0", "\u3000", "\r"]
 
 
 def random_contact_file(rng, fmt):
@@ -207,9 +247,8 @@ def random_contact_file(rng, fmt):
     lines mix 3 and 4 fields, separators, comments, blank lines, CRLF and
     stamps written as floats, with signs or with leading zeros. Labels
     include long ones that share a prefix with shorter ones. Half the TSV
-    files also hold one kind of whitespace from ``TEXT_ONLY_SPACES``, which
-    keeps them off the byte parse. Returns the bytes, the kind of bad line
-    and whether the file is a TSV file meant for the byte parse.
+    files also hold one kind of whitespace from ``REBUILT_SPACES``. Returns
+    the bytes and the kind of bad line.
     """
     pool = ["1", "2", "17", "0017", "node-000000000017", "node-000000000018", "a", "Node",
             "κόμβος", "节点", "ü", "x.y"]
@@ -217,11 +256,11 @@ def random_contact_file(rng, fmt):
     t_max = int(rng.integers(1, 6))
     sep = "," if fmt == "csv" else "\t"
     separators, line_ends = [" ", "\t", "  ", " \t"], ["\n", "\r\n"]
-    text_only = None
+    rebuilt = None
     if fmt == "tsv" and rng.random() < 0.5:
-        text_only = TEXT_ONLY_SPACES[int(rng.integers(len(TEXT_ONLY_SPACES)))]
+        rebuilt = REBUILT_SPACES[int(rng.integers(len(REBUILT_SPACES)))]
         # \x0b splits a line, so it only ends lines, as a lone CR does.
-        (line_ends if text_only in "\x0b\r" else separators).append(text_only)
+        (line_ends if rebuilt in "\x0b\r" else separators).append(rebuilt)
 
     def pick(options):
         return options[int(rng.integers(len(options)))]
@@ -281,9 +320,9 @@ def random_contact_file(rng, fmt):
         data += line + pick(line_ends).encode()
     if rng.random() < 0.2:
         data = data.rstrip(b"\r\n")
-    if text_only is not None:  # at least once, whatever was picked above
-        data += text_only.encode()
-    return data, kind, fmt == "tsv" and text_only is None
+    if rebuilt is not None:  # at least once, whatever was picked above
+        data += rebuilt.encode()
+    return data, kind
 
 
 def ingest_outcome(ingest):
@@ -312,29 +351,30 @@ class TestColumnarIngestMatchesPerLine:
 
         monkeypatch.setattr(graph, "_parse_tsv_bytes", counting)
         rng = np.random.default_rng(43 if fmt == "tsv" else 47)
-        outcomes, paths = [], []
+        outcomes = []
         for _ in range(300):
-            data, kind, for_bytes = random_contact_file(rng, fmt)
+            data, kind = random_contact_file(rng, fmt)
 
-            def columnar():
-                stream = parse_edge_stream(io.BytesIO(data), fmt)
+            def columnar(reader):
+                stream = parse_edge_stream(reader, fmt)
                 return stream.events, simplify(stream)
 
             want = ingest_outcome(lambda: per_line_ingest_oracle(io.BytesIO(data), fmt))
             byte_parses.clear()
-            got = ingest_outcome(columnar)
+            got = ingest_outcome(lambda: columnar(io.BytesIO(data)))
             assert got == want, data
-            if kind != "utf-8":  # a bad byte is reported before either parse runs
-                assert bool(byte_parses) == for_bytes, data
+            if kind != "utf-8":  # a bad byte is reported before any parse runs
+                # Every TSV file goes through the one byte tokenizer.
+                assert len(byte_parses) == (fmt == "tsv"), data
+                byte_parses.clear()
+                assert ingest_outcome(lambda: columnar(io.StringIO(data.decode()))) == want, data
+                assert len(byte_parses) == (fmt == "tsv"), data
             if kind is None and not isinstance(want[0], type):
                 stream = parse_edge_stream(io.BytesIO(data), fmt)
                 assert_same_graph(simplify(stream), greedy_simplify_oracle(stream))
             outcomes.append(want[0] if isinstance(want[0], type) else "graph")
-            paths.append(for_bytes)
         assert outcomes.count(ParseError) >= 100
         assert outcomes.count("graph") >= 100
-        if fmt == "tsv":
-            assert 100 <= paths.count(True) <= 200
 
 
 class TestSimplify:
