@@ -139,15 +139,17 @@ def srw_scores(a: np.ndarray, steps: int) -> np.ndarray:
     k = degrees(a).astype(np.float64)
     two_e = k.sum()
     if two_e == 0:
-        return _score_matrix(np.zeros_like(a))
+        return _frozen(np.zeros_like(a))
     q = k / two_e
     transition = np.divide(
         a, k[:, None], out=np.zeros_like(a), where=k[:, None] > 0
     )
     walk = transition
     total = np.zeros_like(a)
-    for _ in range(steps):
+    for step in range(steps):
+        if step:
+            walk = walk @ transition
         weighted = q[:, None] * walk
+        # W + W.T is symmetric entry by entry, so the sum needs no symmetrizing.
         total += weighted + weighted.T
-        walk = walk @ transition
-    return _score_matrix(total)
+    return _frozen(total)

@@ -101,19 +101,7 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _report_payload(report: PrecisionReport) -> dict:
-    return {
-        "method": report.config.method,
-        "config": asdict(report.config),
-        "L": report.L,
-        "probe_dropped": report.probe_dropped,
-        "per_realization": list(report.per_realization),
-        "mean_precision": report.mean_precision,
-        "std_precision": report.std_precision,
-        "mean_delta_lambda1": report.mean_delta_lambda1,
-        "mean_delta_cc": report.mean_delta_cc,
-        "resolved_m": report.resolved_m,
-        "failures": list(report.failures),
-    }
+    return {"method": report.config.method, **asdict(report)}
 
 
 def cmd_predict(args: argparse.Namespace) -> int:

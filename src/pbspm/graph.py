@@ -12,8 +12,6 @@ is not plain ASCII is decoded and rebuilt for it first. CSV is split as text.
 from __future__ import annotations
 
 import csv
-import heapq
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, repeat
@@ -443,8 +441,12 @@ def simplify(stream: TemporalEventStream) -> TemporalGraph:
     Within one timestamp, edges are emitted one at a time: next comes the edge
     with the smallest prospective ``(u, v)``, where an endpoint without an id
     reads as the next free id (source before target), and ties, such as
-    several all-new edges, go to file order. A heap keyed on these ids emits a
-    group of g edges in O(g log g).
+    several all-new edges, go to file order. That rule is a breadth-first
+    search. It starts from the group's endpoints that already have ids, in id
+    order; each visited node gives its neighbours without an id the next ids,
+    in the file order of their edges. When the search runs dry, the first edge
+    it has not reached gives its source, then its target, the next ids, and
+    the search goes on. That costs O(g) per group of g edges, plus one sort.
 
     Raises:
         EmptyGraphError: every event was a self-loop.
@@ -465,57 +467,47 @@ def simplify(stream: TemporalEventStream) -> TemporalGraph:
     source, target = source[first], target[first]
     group_starts = np.flatnonzero(np.r_[True, stamp[1:] != stamp[:-1], True]).tolist()
 
-    # An unassigned endpoint would take the next free id, which exceeds every
-    # assigned id; among the edges still waiting, reading it as `unseen`
-    # orders them exactly as those prospective ids would.
-    unseen = sys.maxsize
-    ids = [unseen] * len(stream.labels)
+    ids = [-1] * len(stream.labels)
     by_id: list[int] = []  # label codes in id order
-    emitted: list[int] = []  # indices into `first`, in emit order
 
     def assign(code: int) -> None:
-        if ids[code] == unseen:
+        if ids[code] < 0:
             ids[code] = len(by_id)
             by_id.append(code)
-
-    def key(a: int, b: int) -> tuple[int, int]:
-        u, v = ids[a], ids[b]
-        return (u, v) if u < v else (v, u)
 
     a_codes, b_codes = source.tolist(), target.tolist()
     for lo, hi in zip(group_starts[:-1], group_starts[1:]):
         if hi - lo == 1:
             assign(a_codes[lo])
             assign(b_codes[lo])
-            emitted.append(lo)
             continue
-        group = list(zip(a_codes[lo:hi], b_codes[lo:hi]))
-        keys: list[Optional[tuple[int, int]]] = [key(a, b) for a, b in group]
-        heap = [(k, g) for g, k in enumerate(keys)]  # g: file order breaks ties
-        heapq.heapify(heap)
-        waiting: dict[int, list[int]] = {}
-        for g, ends in enumerate(group):
-            for code in ends:
-                if ids[code] == unseen:
-                    waiting.setdefault(code, []).append(g)
-        while heap:
-            k, g = heapq.heappop(heap)
-            if k != keys[g]:
-                continue  # emitted, or re-keyed lower since this entry was pushed
-            keys[g] = None
-            for code in group[g]:
-                assign(code)
-            emitted.append(lo + g)
-            # A key falls only when one of its labels gets an id.
-            for code in group[g]:
-                for w in waiting.pop(code, ()):
-                    if keys[w] is not None:
-                        keys[w] = key(*group[w])
-                        heapq.heappush(heap, (keys[w], w))
+        around: dict[int, list[int]] = {}  # each label's neighbours, in file order
+        for a, b in zip(a_codes[lo:hi], b_codes[lo:hi]):
+            around.setdefault(a, []).append(b)
+            around.setdefault(b, []).append(a)
+        # New ids exceed every old one, so the queue stays in id order.
+        queue = sorted((code for code in around if ids[code] >= 0), key=ids.__getitem__)
+        head, unreached = 0, lo
+        while True:
+            if head == len(queue):
+                # Dry: every edge touching a node with an id has been reached.
+                while unreached < hi and ids[a_codes[unreached]] >= 0:
+                    unreached += 1
+                if unreached == hi:
+                    break
+                queue += (a_codes[unreached], b_codes[unreached])
+                assign(a_codes[unreached])
+                assign(b_codes[unreached])
+            for code in around[queue[head]]:
+                if ids[code] < 0:
+                    assign(code)
+                    queue.append(code)
+            head += 1
 
     ids = np.array(ids, dtype=np.int64)
-    u, v = ids[source[emitted]], ids[target[emitted]]
-    rows = np.column_stack((np.minimum(u, v), np.maximum(u, v), stamp[emitted]))
+    u, v = ids[source], ids[target]
+    u, v = np.minimum(u, v), np.maximum(u, v)
+    rows = np.column_stack((u, v, stamp))[np.lexsort((v, u, stamp))]
     rows.setflags(write=False)
     labels = tuple(map(stream.labels.__getitem__, by_id))
     return TemporalGraph(labels=labels, edges=rows, node_id=dict(zip(labels, range(len(labels)))))

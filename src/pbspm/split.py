@@ -68,19 +68,17 @@ def split_train_probe(graph: TemporalGraph, probe_fraction: float) -> TrainProbe
     train = np.arange(n_train, dtype=np.intp)
     train.setflags(write=False)
 
-    train_nodes = set(graph.edges[:n_train, 0]) | set(graph.edges[:n_train, 1])
-    probe: set[tuple[int, int]] = set()
-    dropped = 0
-    for u, v, _ in graph.edges[n_train:]:
-        if u in train_nodes and v in train_nodes:
-            probe.add((int(u), int(v)))
-        else:
-            dropped += 1
+    in_train = np.zeros(graph.n, dtype=bool)
+    in_train[graph.edges[:n_train, :2]] = True
+    later = graph.edges[n_train:, :2]
+    seen = in_train[later].all(axis=1)
+    probe = frozenset(map(tuple, later[seen].tolist()))
+    dropped = int(np.count_nonzero(~seen))
     if not probe:
         raise DegenerateSplitError(
             f"every probe pair touches a node unseen in training ({dropped} dropped)"
         )
-    return TrainProbeSplit(train=train, probe=frozenset(probe), probe_dropped=dropped)
+    return TrainProbeSplit(train=train, probe=probe, probe_dropped=dropped)
 
 
 def _endpoint_counts(rows: np.ndarray, n: int) -> np.ndarray:

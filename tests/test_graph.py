@@ -468,7 +468,7 @@ def assert_same_graph(got, want):
 
 
 class TestSimplifyMatchesGreedy:
-    """The heap-ordered emit against the quadratic greedy it replaced."""
+    """The breadth-first id assignment against the quadratic greedy it replaced."""
 
     def test_random_coarse_streams(self):
         rng = np.random.default_rng(29)
@@ -513,11 +513,25 @@ class TestSimplifyMatchesGreedy:
             ("a", "b", "x", "y"),
             [(0, 1, 1), (0, 2, 2), (1, 2, 2), (1, 3, 2)],
         ),
-        # (x, y) is re-keyed twice: all-new, then half-new, then fixed.
+        # The all-new (x, y) comes first in the file, yet both its ends get
+        # their ids from the search: x through a, then y through b.
         (
             [("a", "b", 1), ("x", "y", 2), ("a", "x", 2), ("b", "y", 2), ("a", "z", 2)],
             ("a", "b", "x", "z", "y"),
             [(0, 1, 1), (0, 2, 2), (0, 3, 2), (1, 4, 2), (2, 4, 2)],
+        ),
+        # A two-hop search (a, then q, then p) beats the earlier all-new (x, y).
+        (
+            [("a", "b", 1), ("x", "y", 2), ("p", "q", 2), ("q", "a", 2)],
+            ("a", "b", "q", "p", "x", "y"),
+            [(0, 1, 1), (0, 2, 2), (2, 3, 2), (4, 5, 2)],
+        ),
+        # The search runs dry after b, d and c; (x, y) restarts it, and it
+        # grows from its new root to z.
+        (
+            [("a", "b", 1), ("x", "y", 2), ("c", "d", 2), ("y", "z", 2), ("d", "b", 2)],
+            ("a", "b", "d", "c", "x", "y", "z"),
+            [(0, 1, 1), (1, 2, 2), (2, 3, 2), (4, 5, 2), (5, 6, 2)],
         ),
     ])
     def test_tie_classes(self, events, labels, edges):
