@@ -78,30 +78,62 @@ def _load_graph(args: argparse.Namespace) -> TemporalGraph:
 
 
 def _fmt6(value) -> str:
-    """CSV cell: 6 significant digits for floats, empty for None."""
+    """CSV cell: 6 significant digits for floats, empty for None, ints and strings as is."""
     if value is None:
         return ""
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return str(value)
     return f"{value:.6g}"
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt6(cell) if not isinstance(cell, str) else cell for cell in row])
+def _cells(report: PrecisionReport, columns: Sequence[str], **extra) -> dict:
+    """The report's value for each column, by column name.
+
+    A column names a config or report field, or a key of ``extra``; ``m`` is
+    the truncation the method used (None for a method that does not truncate)
+    and ``delta_cc`` is ``mean_delta_cc``.
+    """
+    values = {
+        **asdict(report.config),
+        **asdict(report),
+        "m": report.resolved_m,
+        "delta_cc": report.mean_delta_cc,
+        **extra,
+    }
+    return {column: values[column] for column in columns}
 
 
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+def _write(args: argparse.Namespace, emit: Sequence[str], tables: dict,
+           json_name: str, payload: dict) -> None:
+    """Create ``--out-dir`` and write the formats ``--emit`` names.
+
+    ``tables`` maps each CSV file name to its columns and its rows, each row a
+    mapping that holds at least those columns; ``payload`` is written as JSON
+    to ``json_name``. Commands call this only once their computation is done,
+    so a failing command leaves no ``--out-dir`` behind.
+    """
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    if "csv" in emit:
+        for name, (columns, rows) in tables.items():
+            with open(args.out_dir / name, "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(columns)
+                writer.writerows([_fmt6(row[column]) for column in columns] for row in rows)
+    if "json" in emit:
+        with open(args.out_dir / json_name, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
 
 
-def _report_payload(report: PrecisionReport) -> dict:
-    return {"method": report.config.method, **asdict(report)}
+_REPORT_COLUMNS = (
+    "dataset", "method", "alpha", "p_fresher", "p_h", "realizations",
+    "m", "seed", "L", "probe_dropped", "mean_precision",
+    "std_precision", "mean_delta_lambda1", "mean_delta_cc",
+)
+_ALPHA_COLUMNS = ("alpha", "mean_precision", "std_precision")
+_M_COLUMNS = ("m_over_n", "mean_precision")
+_SPECTRUM_COLUMNS = ("i", "lambda_i", "abs_lambda_i", "gap_i")
+_DIAGNOSTICS_COLUMNS = ("dataset", "mean_delta_lambda1", "delta_cc", "realizations")
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -110,41 +142,22 @@ def cmd_predict(args: argparse.Namespace) -> int:
     emit = _emit(args)
     graph = _load_graph(args)
     results = _run_points(graph, cfgs, keep_top=True)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = args.input.stem
-
     reports = [report for report, _ in results]
+    dataset = args.input.stem
+    rows = [_cells(r, _REPORT_COLUMNS, dataset=dataset) for r in reports]
+    payload = {
+        "dataset": dataset,
+        "input": str(args.input),
+        "format": args.format,
+        "seed": cfgs[0].seed,
+        "reports": [{"method": r.config.method, **asdict(r)} for r in reports],
+    }
+    _write(args, emit, {"report.csv": (_REPORT_COLUMNS, rows)}, "report.json", payload)
+
     for report, top in results:
         with open(args.out_dir / f"predictions_{report.config.method}.txt", "w") as fh:
             for (u, v), score in zip(top.pairs, top.scores):
                 fh.write(f"{graph.labels[u]}\t{graph.labels[v]}\t{float(score)!r}\n")
-
-    if "csv" in emit:
-        header = [
-            "dataset", "method", "alpha", "p_fresher", "p_h", "realizations",
-            "m", "seed", "L", "probe_dropped", "mean_precision",
-            "std_precision", "mean_delta_lambda1", "mean_delta_cc",
-        ]
-        rows = [
-            [
-                dataset, r.config.method, r.config.alpha, r.config.p_fresher,
-                r.config.p_h, r.config.realizations,
-                r.resolved_m if r.resolved_m is not None else r.config.m,
-                r.config.seed, r.L, r.probe_dropped, r.mean_precision,
-                r.std_precision, r.mean_delta_lambda1, r.mean_delta_cc,
-            ]
-            for r in reports
-        ]
-        _write_csv(args.out_dir / "report.csv", header, rows)
-    if "json" in emit:
-        payload = {
-            "dataset": dataset,
-            "input": str(args.input),
-            "format": args.format,
-            "seed": cfgs[0].seed,
-            "reports": [_report_payload(r) for r in reports],
-        }
-        _write_json(args.out_dir / "report.json", payload)
     return 0
 
 
@@ -166,47 +179,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     reports = [report for report, _ in _run_points(graph, cfgs)]
     n_grid = len(reports) - len(args.m_grid)
-    grid, m_reports = reports[:n_grid], reports[n_grid:]
-    args.out_dir.mkdir(parents=True, exist_ok=True)
+    grid = [
+        _cells(r, ("alpha", "p_fresher", "mean_precision", "std_precision"))
+        for r in reports[:n_grid]
+    ]
+    m_rows = [
+        _cells(r, ("m", "m_over_n", "mean_precision"), m_over_n=r.config.m / graph.n)
+        for r in reports[n_grid:]
+    ]
+    tables: dict = {}
     payload: dict = {"dataset": args.input.stem, "input": str(args.input)}
-
     if args.alpha_grid:
-        for pf in p_freshers:
-            rows = [
-                [r.config.alpha, r.mean_precision, r.std_precision]
-                for r in grid
-                if r.config.p_fresher == pf
-            ]
-            if "csv" in emit:
-                _write_csv(
-                    args.out_dir / f"sweep_alpha_pf{pf:g}.csv",
-                    ["alpha", "mean_precision", "std_precision"],
-                    rows,
-                )
-        payload["alpha_sweep"] = [
-            {
-                "alpha": r.config.alpha,
-                "p_fresher": r.config.p_fresher,
-                "mean_precision": r.mean_precision,
-                "std_precision": r.std_precision,
-            }
-            for r in grid
-        ]
-
-    if args.m_grid:
-        if "csv" in emit:
-            _write_csv(
-                args.out_dir / "sweep_m.csv",
-                ["m_over_n", "mean_precision"],
-                [[r.config.m / graph.n, r.mean_precision] for r in m_reports],
+        for pf, name in zip(p_freshers, names):
+            tables[f"sweep_alpha_pf{name}.csv"] = (
+                _ALPHA_COLUMNS, [row for row in grid if row["p_fresher"] == pf]
             )
-        payload["m_sweep"] = [
-            {"m": r.config.m, "m_over_n": r.config.m / graph.n, "mean_precision": r.mean_precision}
-            for r in m_reports
-        ]
-
-    if "json" in emit:
-        _write_json(args.out_dir / "sweep.json", payload)
+        payload["alpha_sweep"] = grid
+    if args.m_grid:
+        tables["sweep_m.csv"] = (_M_COLUMNS, m_rows)
+        payload["m_sweep"] = m_rows
+    _write(args, emit, tables, "sweep.json", payload)
     return 0
 
 
@@ -217,33 +209,20 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     split = split_train_probe(graph, cfg.probe_fraction)
     lam = eigenvalues(adjacency(graph, split.train))
-    abs_lam = [abs(v) for v in lam]
-    gaps = [abs_lam[i] - abs_lam[i + 1] for i in range(len(lam) - 1)]
-    selected = select_m(lam, cfg.m_threshold)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-
-    if "csv" in emit:
-        rows = [
-            [i + 1, lam[i], abs_lam[i], gaps[i] if i < len(gaps) else None]
-            for i in range(len(lam))
-        ]
-        _write_csv(
-            args.out_dir / "spectrum.csv",
-            ["i", "lambda_i", "abs_lambda_i", "gap_i"],
-            rows,
-        )
-    if "json" in emit:
-        _write_json(
-            args.out_dir / "spectrum.json",
-            {
-                "dataset": args.input.stem,
-                "n": graph.n,
-                "threshold": cfg.m_threshold,
-                "selected_m": selected,
-                "eigenvalues": [float(v) for v in lam],
-                "gaps": gaps,
-            },
-        )
+    gaps = [abs(a) - abs(b) for a, b in zip(lam[:-1], lam[1:])]
+    rows = [
+        dict(zip(_SPECTRUM_COLUMNS, (i, value, abs(value), gap)))
+        for i, (value, gap) in enumerate(zip(lam, [*gaps, None]), start=1)
+    ]
+    payload = {
+        "dataset": args.input.stem,
+        "n": graph.n,
+        "threshold": cfg.m_threshold,
+        "selected_m": select_m(lam, cfg.m_threshold),
+        "eigenvalues": [float(v) for v in lam],
+        "gaps": gaps,
+    }
+    _write(args, emit, {"spectrum.csv": (_SPECTRUM_COLUMNS, rows)}, "spectrum.json", payload)
     return 0
 
 
@@ -256,24 +235,9 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     cfg = cfgs[0]
     graph = _load_graph(args)
     report = run_experiment(graph, cfg)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = args.input.stem
-    if "csv" in emit:
-        _write_csv(
-            args.out_dir / "diagnostics.csv",
-            ["dataset", "mean_delta_lambda1", "delta_cc", "realizations"],
-            [[dataset, report.mean_delta_lambda1, report.mean_delta_cc,
-              report.config.realizations]],
-        )
-    if "json" in emit:
-        _write_json(args.out_dir / "diagnostics.json", {
-            "dataset": dataset,
-            "method": cfg.method,
-            "mean_delta_lambda1": report.mean_delta_lambda1,
-            "delta_cc": report.mean_delta_cc,
-            "realizations": cfg.realizations,
-            "config": asdict(cfg),
-        })
+    row = _cells(report, ("method",) + _DIAGNOSTICS_COLUMNS, dataset=args.input.stem)
+    tables = {"diagnostics.csv": (_DIAGNOSTICS_COLUMNS, [row])}
+    _write(args, emit, tables, "diagnostics.json", {**row, "config": asdict(cfg)})
     return 0
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import pbspm
-from pbspm.cli import build_parser, main
+from pbspm.cli import _fmt6, build_parser, main
 from pbspm.evaluation import METHODS, ExperimentConfig
 
 SCHEMA_PATH = Path(pbspm.__file__).parent / "schemas" / "report.schema.json"
@@ -109,6 +109,18 @@ class TestPredict:
                 "--emit", "csv")
         assert (out / "report.csv").exists()
         assert not (out / "report.json").exists()
+
+    def test_m_column_is_the_truncation_used(self, shift_dataset, tmp_path):
+        out = tmp_path / "out"
+        rc = run_cli("predict", *common_args(shift_dataset, out),
+                     "--method", "CN,SPM,PBSPM,FastPBSPM", "--m", 7)
+        assert rc == 0
+        with open(out / "report.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        # Only FastPBSPM truncates; the other methods ignore --m.
+        assert {r["method"]: r["m"] for r in rows} == {
+            "CN": "", "SPM": "", "PBSPM": "", "FastPBSPM": "7",
+        }
 
 
 class TestSweep:
@@ -223,6 +235,118 @@ class TestDiagnose:
             "--method", "CN",
         )
         assert rc == 1
+
+
+def read_csv(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestCsvMatchesJson:
+    """Every CSV cell is ``_fmt6`` of the JSON value it reports."""
+
+    def test_report(self, shift_dataset, tmp_path):
+        out = tmp_path / "out"
+        rc = run_cli("predict", *common_args(shift_dataset, out), "--method", ",".join(METHODS))
+        assert rc == 0
+        payload = json.loads((out / "report.json").read_text())
+        rows = read_csv(out / "report.csv")
+        assert len(rows) == len(payload["reports"]) == len(METHODS)
+        for row, report in zip(rows, payload["reports"]):
+            expected = {**report["config"], **report, "dataset": payload["dataset"],
+                        "m": report["resolved_m"]}
+            assert row == {column: _fmt6(expected[column]) for column in row}
+        assert rows[-1]["method"] == "FastPBSPM" and rows[-1]["m"] != ""
+
+    def test_sweep(self, shift_dataset, tmp_path):
+        out = tmp_path / "out"
+        rc = run_cli("sweep", *common_args(shift_dataset, out), "--alpha-grid", "0,2.5,5",
+                     "--p-fresher-grid", "0.05,0.2", "--m-grid", "1,7,80")
+        assert rc == 0
+        payload = json.loads((out / "sweep.json").read_text())
+        assert len(payload["alpha_sweep"]) == 6
+        for name in ("0.05", "0.2"):
+            points = [p for p in payload["alpha_sweep"] if f"{p['p_fresher']:g}" == name]
+            rows = read_csv(out / f"sweep_alpha_pf{name}.csv")
+            assert rows == [{c: _fmt6(p[c]) for c in rows[0]} for p in points]
+        rows = read_csv(out / "sweep_m.csv")
+        assert [p["m"] for p in payload["m_sweep"]] == [1, 7, 80]
+        assert rows == [{c: _fmt6(p[c]) for c in rows[0]} for p in payload["m_sweep"]]
+
+    def test_spectrum(self, shift_dataset, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("spectrum", "--input", shift_dataset, "--out-dir", out) == 0
+        payload = json.loads((out / "spectrum.json").read_text())
+        lam, gaps = payload["eigenvalues"], payload["gaps"] + [None]
+        expected = [
+            {"i": _fmt6(i + 1), "lambda_i": _fmt6(value), "abs_lambda_i": _fmt6(abs(value)),
+             "gap_i": _fmt6(gaps[i])}
+            for i, value in enumerate(lam)
+        ]
+        assert read_csv(out / "spectrum.csv") == expected
+
+    def test_diagnostics(self, shift_dataset, tmp_path):
+        out = tmp_path / "out"
+        rc = run_cli("diagnose", *common_args(shift_dataset, out), "--method", "PBSPM")
+        assert rc == 0
+        payload = json.loads((out / "diagnostics.json").read_text())
+        (row,) = read_csv(out / "diagnostics.csv")
+        assert row == {column: _fmt6(payload[column]) for column in row}
+        assert payload["method"] == "PBSPM" and payload["config"]["alpha"] == 5.0
+
+
+def relabel(lines):
+    """Each node label to a distinct new one, not in the old label order."""
+    labels = sorted({label for line in lines for label in line[:2]})
+    perm = np.random.default_rng(3).permutation(len(labels))
+    new = {label: f"v{perm[i]}x" for i, label in enumerate(labels)}
+    return [(new[a], new[b], t) for a, b, t in lines], {v: k for k, v in new.items()}
+
+
+def stretch_time(lines):
+    """Every timestamp t to 3t + 7."""
+    return [(a, b, str(3 * int(t) + 7)) for a, b, t in lines], {}
+
+
+def append_duplicates_and_loops(lines):
+    """Later repeats of every fifth contact, reversed, and later self-loops."""
+    last = max(int(t) for _, _, t in lines)
+    repeats = [(b, a, str(int(t) + 50)) for a, b, t in lines[::5]]
+    loops = [(a, a, str(last + k)) for k, (a, _, _) in enumerate(lines[::9], start=1)]
+    return lines + repeats + loops, {}
+
+
+class TestMetamorphic:
+    """Transforms of the input that keep the simplified graph, up to labels.
+
+    ``predict`` must write the same ``report.json``, apart from the input's
+    name, and the same prediction lists once the labels are mapped back.
+    """
+
+    @pytest.mark.parametrize("transform", [relabel, stretch_time, append_duplicates_and_loops])
+    def test_predict_output_is_invariant(self, shift_dataset, tmp_path, transform):
+        header, *body = shift_dataset.read_text().splitlines()
+        lines, back = transform([tuple(line.split("\t")) for line in body])
+        moved = tmp_path / "moved.tsv"
+        moved.write_text(header + "\n" + "".join("\t".join(line) + "\n" for line in lines))
+
+        outputs = []
+        for name, dataset in (("base", shift_dataset), ("moved", moved)):
+            out = tmp_path / name
+            rc = run_cli("predict", *common_args(dataset, out), "--method", ",".join(METHODS))
+            assert rc == 0
+            payload = json.loads((out / "report.json").read_text())
+            assert payload.pop("input") == str(dataset)
+            assert payload.pop("dataset") == dataset.stem
+            outputs.append((out, payload))
+        (base, expected), (out, payload) = outputs
+        assert payload == expected
+
+        for method in METHODS:
+            rows = [line.split("\t") for line in
+                    (out / f"predictions_{method}.txt").read_text().splitlines()]
+            mapped = "".join(f"{back.get(a, a)}\t{back.get(b, b)}\t{s}\n" for a, b, s in rows)
+            assert mapped == (base / f"predictions_{method}.txt").read_text(), method
 
 
 class TestFetch:
