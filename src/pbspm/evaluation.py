@@ -304,14 +304,23 @@ class _Vector:
     m: Optional[int]
     boost: Optional[np.ndarray]  # 1 + alpha * popularity; None for SPM and alpha = 0
     points: list[_Point] = field(default_factory=list)
-    averaged: bool = False  # some point ranks or counts the realizations' mean scores
     delta_ccs: list[Optional[float]] = field(default_factory=list)
 
 
-def _validate(cfgs: Sequence[ExperimentConfig], n: int) -> None:
-    for cfg in cfgs:
-        if cfg.method == "FastPBSPM" and cfg.m is not None and cfg.m > n:
-            raise ValueError(f"m must be in [1, {n}], got {cfg.m}")
+def _cut(
+    scores: np.ndarray,
+    cand: np.ndarray,
+    hit: np.ndarray,
+    count: Sequence[_Point],
+    rank: Sequence[_Point],
+) -> None:
+    """One ``_top`` per distinct L: ``count``'s points get precisions, ``rank``'s rankings."""
+    for L in dict.fromkeys(p.L for p in (*count, *rank)):
+        top = _top(scores, L)
+        for p in (p for p in count if p.L == L):
+            p.precisions.append(np.count_nonzero(hit[top]) / L)
+        for p in (p for p in rank if p.L == L):
+            p.ranked = _ranked(cand, scores, top)
 
 
 def _score_vectors(
@@ -319,7 +328,6 @@ def _score_vectors(
     split: TrainProbeSplit,
     train_lam: Optional[np.ndarray],
     points: Sequence[_Point],
-    keep_top: bool,
 ) -> list[_Vector]:
     """Group the spectral points by the score vector they are scored as.
 
@@ -346,7 +354,6 @@ def _score_vectors(
             vec = vectors[key] = _Vector(p.m, boost)
         vec.points.append(p)
         p.delta_ccs = vec.delta_ccs
-        vec.averaged |= keep_top or p.cfg.score_averaging == "matrix"
     return list(vectors.values())
 
 
@@ -371,20 +378,27 @@ def _score_spectral(
 
     Each realization's retained adjacency is built from the training edge
     list, so no dense training matrix is held here. Points sharing a score
-    vector share its reconstruction, boost and delta-CC, and those that also
-    share L one ``_top`` cut. The boost ``f_i * f_j`` is the same in every
-    realization, so the mean of boosted scores is the boost of the mean SPM
-    scores: the full spectrum keeps one unboosted candidate-length sum, and
-    each truncation m keeps its realizations' m leading eigenpairs, whose
-    one product after the loop is the sum. Returns the realizations'
-    leading-eigenvalue shifts and their failures.
+    vector share its reconstruction, boost and delta-CC, cut in every
+    realization for the points that average precision and once, on the mean
+    scores, for those that average scores or keep their ranking. The boost
+    ``f_i * f_j`` is the same in every realization, so the mean of boosted
+    scores is the boost of the mean SPM scores: ``sums`` maps the full
+    spectrum to one unboosted candidate-length sum and a truncation m to its
+    realizations' m leading eigenpairs, whose one product after the loop is
+    the sum. Returns the realizations' leading-eigenvalue shifts and failures.
     """
-    vectors = _score_vectors(graph, split, train_lam, points, keep_top)
+    vectors = _score_vectors(graph, split, train_lam, points)
+
+    def cut(vec: _Vector, spm: np.ndarray, averaging: str, rank: Sequence[_Point] = ()) -> None:
+        count = [p for p in vec.points if p.cfg.score_averaging == averaging]
+        if count or rank:
+            f = vec.boost  # as in pbspm_scores: S_ij * f_i * f_j
+            _cut(spm if f is None else spm * np.multiply.outer(f, f)[cand], cand, hit, count, rank)
+
     ms = dict.fromkeys(vec.m for vec in vectors)
-    averaged = dict.fromkeys(vec.m for vec in vectors if vec.averaged)
-    # Allocated before the first eigensolve, so it leaves no hole at its peak.
-    total = np.zeros(hit.size) if None in averaged else None
-    stacks = {m: [] for m in averaged if m is not None}
+    averaged = (p.m for p in points if keep_top or p.cfg.score_averaging == "matrix")
+    # The full sum is allocated before the first eigensolve, so it leaves no hole at its peak.
+    sums = {m: np.zeros(hit.size) if m is None else [] for m in dict.fromkeys(averaged)}
     probe_inc = _endpoint_counts(graph.edges[split.train.size :], graph.n)
 
     shared = points[0].cfg
@@ -410,56 +424,36 @@ def _score_spectral(
             base_cc = None
         for m in ms:
             leading, weights = _leading_pairs(model, m)
-            if m in stacks:
-                stacks[m].append((leading.copy(), weights.copy()))
+            if m is not None and m in sums:
+                sums[m].append((leading.copy(), weights.copy()))
             spm = _on_candidates(_pair_sum(leading, weights), cand)
-            if m is None and total is not None:
-                total += spm
+            if m is None and m in sums:
+                sums[m] += spm
             for vec in (vec for vec in vectors if vec.m == m):
-                scores, dcc = spm, None if base_cc is None else 0.0
-                if vec.boost is not None:  # as in pbspm_scores: S_ij * f_i * f_j
-                    scores = spm * np.multiply.outer(vec.boost, vec.boost)[cand]
-                    if base_cc is not None:
-                        try:
-                            dcc = pearson_cc(x1 * vec.boost, probe_inc) - base_cc
-                        except ZeroVarianceError:
-                            dcc = None
+                dcc = None if base_cc is None else 0.0
+                if vec.boost is not None and base_cc is not None:
+                    try:
+                        dcc = pearson_cc(x1 * vec.boost, probe_inc) - base_cc
+                    except ZeroVarianceError:
+                        dcc = None
                 vec.delta_ccs.append(dcc)
-                cut: dict[int, float] = {}
-                for p in vec.points:
-                    if p.cfg.score_averaging == "precision":
-                        if p.L not in cut:
-                            cut[p.L] = np.count_nonzero(hit[_top(scores, p.L)]) / p.L
-                        p.precisions.append(cut[p.L])
+                cut(vec, spm, "precision")
         # Free the eigenvectors (x1 and leading are views of them) before the next eigh.
-        model = leading = spm = scores = x1 = None
+        model = leading = spm = x1 = None
     if not shifts:
         raise NumericalError(f"all {shared.realizations} realizations failed: {failures}")
 
-    for m in averaged:
+    for m in list(sums):
         if m is None:
-            mean, total = total, None
+            mean = sums.pop(m)
         else:
-            leading, weights = zip(*stacks.pop(m))
+            leading, weights = zip(*sums.pop(m))
             leading, weights = np.hstack(leading), np.concatenate(weights)
             mean = _on_candidates(_pair_sum(leading, weights), cand)
         mean /= len(shifts)
-        for vec in (vec for vec in vectors if vec.m == m and vec.averaged):
-            scores = mean
-            if vec.boost is not None:
-                scores = mean * np.multiply.outer(vec.boost, vec.boost)[cand]
-            tops: dict[int, np.ndarray] = {}
-            for p in vec.points:
-                matrix = p.cfg.score_averaging == "matrix"
-                if not (matrix or keep_top):
-                    continue
-                if p.L not in tops:
-                    tops[p.L] = _top(scores, p.L)
-                if matrix:
-                    p.precisions.append(np.count_nonzero(hit[tops[p.L]]) / p.L)
-                if keep_top:
-                    p.ranked = _ranked(cand, scores, tops[p.L])
-        mean = scores = None
+        for vec in (vec for vec in vectors if vec.m == m):
+            cut(vec, mean, "matrix", vec.points if keep_top else ())
+        mean = None  # freed before the next truncation's mean
     return shifts, failures
 
 
@@ -471,18 +465,18 @@ def _run_points(
     The configs must agree on ``realizations``, ``seed``, ``p_h`` and
     ``probe_fraction``, which fix the split and the perturbations, and may
     differ in everything else; all are validated before anything is
-    scored. Every method is taken over one candidate mask, cut with ``_top``
-    and counted with one probe-hit mask. The training eigenvalues are
-    computed at most once, for Katz's bound and FastPBSPM's auto-m.
-    Baselines are scored once, and then the dense training adjacency is
-    dropped. Each realization is then perturbed, decomposed and corrected
-    once; its SPM scores are reconstructed once per distinct truncation,
-    and every spectral config is scored as that vector, rescaled by the
-    config's popularity boost. ``keep_top`` pairs each report with its top-L
-    ranking (of the scores averaged over the realizations, for spectral
-    methods).
+    scored. The training eigenvalues are computed at most once, for Katz's
+    bound and FastPBSPM's auto-m. Baselines are scored once, and then the
+    dense training adjacency is dropped; ``_score_spectral`` scores the
+    spectral configs. Every score vector, a baseline's or a boosted spectral
+    truncation's, goes through ``_cut``: one ``_top`` per distinct L over
+    one candidate mask, counted with one probe-hit mask. ``keep_top`` pairs
+    each report with its top-L ranking (of the scores averaged over the
+    realizations, for spectral methods).
     """
-    _validate(cfgs, graph.n)
+    for cfg in cfgs:
+        if cfg.method == "FastPBSPM" and cfg.m is not None and cfg.m > graph.n:
+            raise ValueError(f"m must be in [1, {graph.n}], got {cfg.m}")
     split = split_train_probe(graph, cfgs[0].probe_fraction)
     train_adj = adjacency(graph, split.train)
     cand = _candidates(train_adj)
@@ -502,11 +496,8 @@ def _run_points(
         lam_max = float(train_lam.max())
     for p in (p for p in points if p.cfg.method not in SPECTRAL_METHODS):
         scores = _baseline_scores(p.cfg.method, train_adj, p.cfg, lam_max)[cand]
-        top = _top(scores, p.L)
-        p.precisions.append(np.count_nonzero(hit[top]) / p.L)
-        if keep_top:
-            p.ranked = _ranked(cand, scores, top)
-        scores = top = None  # free both before the next baseline runs
+        _cut(scores, cand, hit, [p], [p] if keep_top else ())
+        scores = None  # freed before the next baseline runs
     # Each realization builds its retained adjacency from the edge list, so
     # the training matrix goes before the first eigensolve.
     train_adj = None

@@ -4,6 +4,10 @@ another, so popularity carries real signal."""
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -79,4 +83,24 @@ def shift_dataset(tmp_path):
     path = tmp_path / "shiftnet.tsv"
     lines = [f"{e.source}\t{e.target}\t{e.timestamp}" for e in stream.events]
     path.write_text("% synthetic contact network\n" + "\n".join(lines) + "\n")
+    return path
+
+
+@pytest.fixture(scope="session")
+def gen():
+    """``perfbench/gen.py``, loaded by path: the benchmark's seeded stream
+    generator serves the tests too, with no copy of it here."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look a class's module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def sweep_grid_dataset(gen, tmp_path_factory):
+    """The ``sweep-grid`` workload's seed-0 stream (n=410) as a TSV file."""
+    path = tmp_path_factory.mktemp("sweep-grid") / "stream.tsv"
+    gen.write_stream(path, gen.contacts(gen.SPECS["sweep-grid"], 0))
     return path

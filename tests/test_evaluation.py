@@ -538,6 +538,30 @@ class TestOnePassEngine:
             assert report.mean_delta_cc == 0.0
         assert reports[5].mean_delta_cc != 0.0
 
+    def test_every_score_vector_is_cut_once_per_l(self, shift_graph, monkeypatch):
+        import pbspm.evaluation as evaluation
+
+        calls = {"_top": 0}
+
+        def counted(*args, _real=evaluation._top):
+            calls["_top"] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(evaluation, "_top", counted)
+        base = ExperimentConfig(method="PBSPM", alpha=5.0, seed=3, realizations=3)
+        cfgs = [
+            base,
+            replace(base, score_averaging="matrix", L=17),  # the boosted vector's second L
+            replace(base, alpha=0.0),
+            replace(base, method="SPM"),  # shares the alpha = 0 vector and its L
+            replace(base, method="CN"),
+        ]
+        results = _run_points(shift_graph, cfgs, keep_top=True)
+        # Per realization one cut of each vector; on the means one per vector
+        # and distinct L (two for the boosted vector); one per baseline.
+        assert calls["_top"] == 2 * 3 + (2 + 1) + 1
+        assert all(len(top) == report.L for report, top in results)
+
     @pytest.mark.parametrize("source", ["shift", "cliques", 0, 1, 2, 3])
     def test_matches_public_pieces_oracle(self, shift_graph, source):
         if source == "shift":
