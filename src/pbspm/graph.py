@@ -6,7 +6,8 @@ and collapsing repeated contacts of a pair onto the pair's earliest event,
 which is the time the edge entered the network.
 
 Every TSV file is tokenized from its bytes by one array parser; a file that
-is not plain ASCII is decoded and rebuilt for it first. CSV is split as text.
+is not plain ASCII is decoded and rebuilt for it first. CSV is parsed line by
+line, by the one line grammar that also names a TSV file's bad line.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain
 from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
@@ -140,9 +141,6 @@ class TemporalGraph:
         return self.edges[:, 2]
 
 
-_INT64 = np.iinfo(np.int64)
-
-
 def _decode(data: bytes) -> str:
     try:
         return data.decode("utf-8")
@@ -165,7 +163,7 @@ def _timestamp(token: str) -> int:
         if not np.isfinite(real) or real != int(real):
             raise ValueError(f"non-integer timestamp {token!r}") from None
         value = int(real)
-    if not _INT64.min <= value <= _INT64.max:
+    if not -(2**63) <= value <= 2**63 - 1:
         raise ValueError(f"timestamp {token!r} is outside the int64 range")
     return value
 
@@ -178,13 +176,12 @@ def parse_edge_stream(reader: IO, format: str = "tsv") -> TemporalEventStream:
     with ``%`` or ``#`` are comments; blank lines are ignored. A timestamp is
     an integer in the int64 range, possibly written as a float (``50.0``).
 
-    The whole file is parsed column by column; only a file that fails is
-    read again line by line, to name its first bad line. Every TSV input is
-    tokenized from bytes with array operations. An ASCII byte input whose
-    only whitespace is space, tab, LF and CR before LF goes in as it is; any
-    other is decoded, and its ``str.splitlines`` lines and ``str.split``
-    fields are rebuilt with single spaces and LFs first. CSV is decoded and
-    split as text.
+    CSV is decoded and parsed line by line, by the grammar that names a TSV
+    file's first bad line. Every TSV input is tokenized from bytes with
+    array operations. An ASCII byte input whose only whitespace is space,
+    tab, LF and CR before LF goes in as it is; any other is decoded, and its
+    ``str.splitlines`` lines and ``str.split`` fields are rebuilt with single
+    spaces and LFs first. Only a TSV file that fails is read line by line.
 
     Raises:
         ParseError: a non-comment line does not fit the 3/4-field layout or
@@ -195,21 +192,70 @@ def parse_edge_stream(reader: IO, format: str = "tsv") -> TemporalEventStream:
     if format not in ("tsv", "csv"):
         raise ValueError(f"unknown format {format!r}")
     data = reader.read()
-    text = None  # decoded only to name a bad line
-    if not isinstance(data, bytes):
-        text = data
-    elif format == "csv" or not _ascii_separated(data):
+    text = None if isinstance(data, bytes) else data
+    if format == "csv":
+        return _parse_lines(_decode(data) if text is None else text, format)
+    if text is None and not _ascii_separated(data):
         text = _decode(data)
-    if format == "tsv" and text is not None:
+    if text is not None:
         # str.splitlines' lines of str.split's fields, rejoined by LF and
         # space; a text reader's lone surrogates pass through.
         lines = map(" ".join, map(str.split, text.splitlines()))
         data = "\n".join(lines).encode("utf-8", "surrogatepass")
     try:
-        return _parse_columns(text) if format == "csv" else _parse_tsv_bytes(data)
-    except (ValueError, OverflowError, csv.Error):
-        _raise_first_bad_line(data.decode("utf-8") if text is None else text, format)
+        return _parse_tsv_bytes(data)
+    except (ValueError, OverflowError):
+        _parse_lines(data.decode("utf-8") if text is None else text, format)
         raise
+
+
+def _parse_lines(text: str, format: str) -> TemporalEventStream:
+    """Parse a decoded edge list line by line, by the one grammar of a line.
+
+    Blank lines and lines whose first non-space character is ``%`` or ``#``
+    are skipped. A ``csv`` line is split by its own ``csv.reader``, so a
+    quote never reaches the next line, and each field is stripped; a ``tsv``
+    line by ``str.split``. The checks of a line run in this order: the weight
+    of a 4-field line, the field count, the two labels, the timestamp.
+
+    Raises:
+        ParseError: at the first line that fails a check, naming it.
+        EmptyInputError: no line is an event.
+    """
+    sources, targets, stamps, weights, weighted = [], [], [], [], []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "%#":
+            continue
+        if format == "tsv":
+            fields = stripped.split()
+        else:
+            try:  # e.g. a field longer than csv.field_size_limit()
+                fields = [f.strip() for f in next(csv.reader((line,)))]
+            except csv.Error as err:
+                raise ParseError(str(err), line_no) from None
+        if len(fields) == 4:
+            try:
+                weights.append(float(fields[2]))
+            except ValueError:
+                raise ParseError(f"bad weight {fields[2]!r}", line_no) from None
+        elif len(fields) == 3:
+            weights.append(np.nan)
+        else:
+            raise ParseError(f"expected 3 or 4 fields, got {len(fields)}", line_no)
+        if not fields[0] or not fields[1]:
+            raise ParseError("empty node label", line_no)
+        try:
+            stamps.append(_timestamp(fields[-1]))
+        except ValueError as err:
+            raise ParseError(str(err), line_no) from None
+        sources.append(fields[0])
+        targets.append(fields[1])
+        weighted.append(len(fields) == 4)
+    if not stamps:
+        raise EmptyInputError("edge stream contains no events")
+    weight = np.array(weights, np.float64)
+    return _coded(sources, targets, np.array(stamps, np.int64), weight, np.array(weighted, bool))
 
 
 # The whitespace of str.split() and the line ends of str.splitlines() among
@@ -359,73 +405,6 @@ def _label_codes(
     code[by_appearance] = np.arange(first.size)
     labels = tuple(_tokens(data, start, end, first[by_appearance]))
     return labels, code[group]
-
-
-def _parse_columns(text: str) -> TemporalEventStream:
-    """Parse a whole decoded CSV file at once, column by column.
-
-    A malformed line raises ValueError, OverflowError or csv.Error without
-    saying which line it is.
-    """
-    lines = text.splitlines()
-    data = np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))
-    if "%" in text or "#" in text:
-        comment = map(str.startswith, map(str.lstrip, lines), repeat(("%", "#")))
-        data &= ~np.fromiter(comment, bool, len(lines))
-    # Parsed one line per reader, so a quote never reaches the next line.
-    records = list(map(next, map(csv.reader, zip(compress(lines, data)))))
-    del lines
-    n_fields = np.fromiter(map(len, records), np.intp, len(records))
-    if not n_fields.size:
-        raise EmptyInputError("edge stream contains no events")
-    if not np.isin(n_fields, (3, 4)).all():
-        raise ValueError("a line does not have 3 or 4 fields")
-    fields = np.fromiter(map(str.strip, chain.from_iterable(records)), object, n_fields.sum())
-    del records
-    start = np.cumsum(n_fields) - n_fields
-
-    weighted = n_fields == 4
-    weight = np.full(len(start), np.nan)
-    weight[weighted] = np.fromiter(
-        map(float, fields[start[weighted] + 2]), np.float64, np.count_nonzero(weighted)
-    )
-    stamps = fields[start + n_fields - 1]
-    try:
-        timestamp = np.fromiter(map(int, stamps), np.int64, len(stamps))
-    except ValueError:  # stamps such as 50.0 or 1e3
-        timestamp = np.fromiter(map(_timestamp, stamps), np.int64, len(stamps))
-    stream = _coded(fields[start], fields[start + 1], timestamp, weight, weighted)
-    if "" in stream.labels:
-        raise ValueError("empty node label")
-    return stream
-
-
-def _raise_first_bad_line(text: str, format: str) -> None:
-    """Raise the error of the first malformed line, reading line by line."""
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped[0] in "%#":
-            continue
-        if format == "csv":
-            try:  # e.g. a field longer than csv.field_size_limit()
-                fields = [f.strip() for f in next(csv.reader((line,)))]
-            except csv.Error as err:
-                raise ParseError(str(err), line_no) from None
-        else:
-            fields = stripped.split()
-        if len(fields) == 4:
-            try:
-                float(fields[2])
-            except ValueError:
-                raise ParseError(f"bad weight {fields[2]!r}", line_no) from None
-        elif len(fields) != 3:
-            raise ParseError(f"expected 3 or 4 fields, got {len(fields)}", line_no)
-        if not fields[0] or not fields[1]:
-            raise ParseError("empty node label", line_no)
-        try:
-            _timestamp(fields[-1])
-        except ValueError as err:
-            raise ParseError(str(err), line_no) from None
 
 
 def simplify(stream: TemporalEventStream) -> TemporalGraph:

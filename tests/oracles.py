@@ -128,7 +128,8 @@ def greedy_simplify_oracle(stream: TemporalEventStream) -> TemporalGraph:
 def per_line_ingest_oracle(
     reader: IO, format: str = "tsv"
 ) -> tuple[tuple[RawEvent, ...], TemporalGraph]:
-    """The per-line ingest that the columnar ``parse_edge_stream`` and
+    """The per-line ingest that ``parse_edge_stream`` (TSV by a byte
+    tokenizer, CSV by a line grammar into columns) and the columnar
     ``simplify`` replaced: one ``RawEvent`` per line, then a dict of first
     contacts keyed by label pair. Returns the events and their simple graph,
     or raises what that ingest raised.

@@ -131,6 +131,39 @@ class TestParseEdgeStream:
         )
         assert stream.timestamp.tolist() == [2**63 - 1, -(2**63)]
 
+    @pytest.mark.parametrize("fmt, line, message", [
+        ("tsv", "a b w 1 2", "expected 3 or 4 fields, got 5"),  # and a bad weight
+        ("tsv", "a b w soon", "bad weight 'w'"),  # and a bad timestamp
+        ("csv", "a,b,w,1,2", "expected 3 or 4 fields, got 5"),  # and a bad weight
+        ("csv", " ,b,w,1", "bad weight 'w'"),  # and an empty label
+        ("csv", "a,,soon", "empty node label"),  # and a bad timestamp
+    ])
+    def test_first_check_in_grammar_order_wins_within_a_line(self, fmt, line, message):
+        # A line with two defects reports the one whose check comes first: the
+        # weight of 4 fields, the field count, the labels, the timestamp.
+        sep = "," if fmt == "csv" else " "
+        text = f"a{sep}b{sep}1\n{line}\nc{sep}d\n"
+        for reader in (io.BytesIO(text.encode()), io.StringIO(text)):
+            with pytest.raises(ParseError) as exc:
+                parse_edge_stream(reader, fmt)
+            assert (str(exc.value), exc.value.line_no) == (f"line 2: {message}", 2)
+
+    def test_csv_at_scale_matches_its_tsv_form(self, sweep_grid_dataset):
+        tsv = sweep_grid_dataset.read_bytes()
+        want = parse_edge_stream(io.BytesIO(tsv))
+        lines = tsv.decode().splitlines()
+        assert len(lines) > 10_000
+        text = "".join(
+            (", " if i % 3 == 0 else ",").join(line.split("\t")) + "\n"
+            for i, line in enumerate(lines)
+        )
+        for reader in (io.BytesIO(text.encode()), io.StringIO(text)):
+            got = parse_edge_stream(reader, "csv")
+            assert got.labels == want.labels
+            for name in ("source", "target", "timestamp", "weight", "weighted"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+
     def test_first_bad_line_is_reported(self):
         # Line 2 has a bad weight and line 3 a wrong field count: line 2 wins.
         with pytest.raises(ParseError) as exc:
@@ -336,7 +369,8 @@ def ingest_outcome(ingest):
 
 
 class TestColumnarIngestMatchesPerLine:
-    """The columnar parse and simplify against the per-line ingest they replaced."""
+    """The parse (TSV by the byte tokenizer, CSV by the line grammar) and the
+    columnar simplify against the per-line ingest they replaced."""
 
     @pytest.mark.parametrize("fmt", ["tsv", "csv"])
     def test_random_files(self, fmt, monkeypatch):
@@ -355,19 +389,19 @@ class TestColumnarIngestMatchesPerLine:
         for _ in range(300):
             data, kind = random_contact_file(rng, fmt)
 
-            def columnar(reader):
+            def ingest(reader):
                 stream = parse_edge_stream(reader, fmt)
                 return stream.events, simplify(stream)
 
             want = ingest_outcome(lambda: per_line_ingest_oracle(io.BytesIO(data), fmt))
             byte_parses.clear()
-            got = ingest_outcome(lambda: columnar(io.BytesIO(data)))
+            got = ingest_outcome(lambda: ingest(io.BytesIO(data)))
             assert got == want, data
             if kind != "utf-8":  # a bad byte is reported before any parse runs
                 # Every TSV file goes through the one byte tokenizer.
                 assert len(byte_parses) == (fmt == "tsv"), data
                 byte_parses.clear()
-                assert ingest_outcome(lambda: columnar(io.StringIO(data.decode()))) == want, data
+                assert ingest_outcome(lambda: ingest(io.StringIO(data.decode()))) == want, data
                 assert len(byte_parses) == (fmt == "tsv"), data
             if kind is None and not isinstance(want[0], type):
                 stream = parse_edge_stream(io.BytesIO(data), fmt)
