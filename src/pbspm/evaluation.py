@@ -297,16 +297,6 @@ class _Point:
     ranked: Optional[RankedCandidates] = None
 
 
-@dataclass
-class _Vector:
-    """The spectral points that share one score vector: one truncation, one boost."""
-
-    m: Optional[int]
-    boost: Optional[np.ndarray]  # 1 + alpha * popularity; None for SPM and alpha = 0
-    points: list[_Point] = field(default_factory=list)
-    delta_ccs: list[Optional[float]] = field(default_factory=list)
-
-
 def _cut(
     scores: np.ndarray,
     cand: np.ndarray,
@@ -323,40 +313,6 @@ def _cut(
             p.ranked = _ranked(cand, scores, top)
 
 
-def _score_vectors(
-    graph: TemporalGraph,
-    split: TrainProbeSplit,
-    train_lam: Optional[np.ndarray],
-    points: Sequence[_Point],
-) -> list[_Vector]:
-    """Group the spectral points by the score vector they are scored as.
-
-    Points of one truncation whose boost is the same, or absent (SPM, and
-    alpha = 0 where ``f = 1``), have equal score vectors, so they share one
-    vector and its delta-CC list. ``train_lam`` holds the training
-    eigenvalues, which a FastPBSPM point without an ``m`` reads.
-    """
-    pops: dict[float, np.ndarray] = {}
-    vectors: dict[tuple, _Vector] = {}
-    for p in points:
-        if p.cfg.method == "FastPBSPM":
-            p.m = p.cfg.m if p.cfg.m is not None else select_m(train_lam, p.cfg.m_threshold)
-        boosted = p.cfg.method != "SPM" and p.cfg.alpha != 0
-        key = (p.m, (p.cfg.alpha, p.cfg.p_fresher) if boosted else None)
-        vec = vectors.get(key)
-        if vec is None:
-            boost = None
-            if boosted:
-                pf = p.cfg.p_fresher
-                if pf not in pops:
-                    pops[pf] = popularity(graph, split.train, pf)
-                boost = 1.0 + p.cfg.alpha * pops[pf]
-            vec = vectors[key] = _Vector(p.m, boost)
-        vec.points.append(p)
-        p.delta_ccs = vec.delta_ccs
-    return list(vectors.values())
-
-
 def _on_candidates(matrix: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """``((M + M.T) / 2)[cand]``, bit for bit, without the symmetrized n x n matrix."""
     scores = matrix[cand]
@@ -368,7 +324,6 @@ def _on_candidates(matrix: np.ndarray, cand: np.ndarray) -> np.ndarray:
 def _score_spectral(
     graph: TemporalGraph,
     split: TrainProbeSplit,
-    train_lam: Optional[np.ndarray],
     cand: np.ndarray,
     hit: np.ndarray,
     points: Sequence[_Point],
@@ -377,25 +332,36 @@ def _score_spectral(
     """Score every point from each realization's one corrected spectrum.
 
     Each realization's retained adjacency is built from the training edge
-    list, so no dense training matrix is held here. Points sharing a score
-    vector share its reconstruction, boost and delta-CC, cut in every
-    realization for the points that average precision and once, on the mean
-    scores, for those that average scores or keep their ranking. The boost
-    ``f_i * f_j`` is the same in every realization, so the mean of boosted
-    scores is the boost of the mean SPM scores: ``sums`` maps the full
-    spectrum to one unboosted candidate-length sum and a truncation m to its
-    realizations' m leading eigenpairs, whose one product after the loop is
-    the sum. Returns the realizations' leading-eigenvalue shifts and failures.
+    list, so no dense training matrix is held here. Points of one truncation
+    whose boost is the same, or absent (SPM, and alpha = 0 where ``f = 1``),
+    share a score vector: its reconstruction, boost and delta-CC, cut in
+    every realization for the points that average precision and once, on the
+    mean scores, for those that average scores or keep their ranking. The
+    boost ``f_i * f_j`` is the same in every realization, so the mean of
+    boosted scores is the boost of the mean SPM scores: ``sums`` maps the
+    full spectrum to one unboosted candidate-length sum and a truncation m to
+    its realizations' m leading eigenpairs, whose one product after the loop
+    is the sum. Returns the realizations' leading-eigenvalue shifts and
+    failures.
     """
-    vectors = _score_vectors(graph, split, train_lam, points)
+    # (m, (alpha, p_fresher)), or (m, None) when unboosted -> the vector's points.
+    vectors: dict[tuple, list[_Point]] = {}
+    for p in points:
+        unboosted = p.cfg.method == "SPM" or p.cfg.alpha == 0
+        key = (p.m, None if unboosted else (p.cfg.alpha, p.cfg.p_fresher))
+        vectors.setdefault(key, []).append(p)
+    boosted = dict.fromkeys(boost for _, boost in vectors if boost is not None)
+    p_freshers = dict.fromkeys(pf for _, pf in boosted)
+    pops = {pf: popularity(graph, split.train, pf) for pf in p_freshers}
+    boosts = {(alpha, pf): 1.0 + alpha * pops[pf] for alpha, pf in boosted}
 
-    def cut(vec: _Vector, spm: np.ndarray, averaging: str, rank: Sequence[_Point] = ()) -> None:
-        count = [p for p in vec.points if p.cfg.score_averaging == averaging]
+    def cut(key: tuple, spm: np.ndarray, averaging: str, rank: Sequence[_Point] = ()) -> None:
+        count = [p for p in vectors[key] if p.cfg.score_averaging == averaging]
         if count or rank:
-            f = vec.boost  # as in pbspm_scores: S_ij * f_i * f_j
+            f = boosts.get(key[1])  # as in pbspm_scores: S_ij * f_i * f_j
             _cut(spm if f is None else spm * np.multiply.outer(f, f)[cand], cand, hit, count, rank)
 
-    ms = dict.fromkeys(vec.m for vec in vectors)
+    ms = dict.fromkeys(m for m, _ in vectors)
     averaged = (p.m for p in points if keep_top or p.cfg.score_averaging == "matrix")
     # The full sum is allocated before the first eigensolve, so it leaves no hole at its peak.
     sums = {m: np.zeros(hit.size) if m is None else [] for m in dict.fromkeys(averaged)}
@@ -429,15 +395,17 @@ def _score_spectral(
             spm = _on_candidates(_pair_sum(leading, weights), cand)
             if m is None and m in sums:
                 sums[m] += spm
-            for vec in (vec for vec in vectors if vec.m == m):
+            for key in (key for key in vectors if key[0] == m):
+                f = boosts.get(key[1])
                 dcc = None if base_cc is None else 0.0
-                if vec.boost is not None and base_cc is not None:
+                if f is not None and base_cc is not None:
                     try:
-                        dcc = pearson_cc(x1 * vec.boost, probe_inc) - base_cc
+                        dcc = pearson_cc(x1 * f, probe_inc) - base_cc
                     except ZeroVarianceError:
                         dcc = None
-                vec.delta_ccs.append(dcc)
-                cut(vec, spm, "precision")
+                for p in vectors[key]:
+                    p.delta_ccs.append(dcc)
+                cut(key, spm, "precision")
         # Free the eigenvectors (x1 and leading are views of them) before the next eigh.
         model = leading = spm = x1 = None
     if not shifts:
@@ -451,8 +419,8 @@ def _score_spectral(
             leading, weights = np.hstack(leading), np.concatenate(weights)
             mean = _on_candidates(_pair_sum(leading, weights), cand)
         mean /= len(shifts)
-        for vec in (vec for vec in vectors if vec.m == m):
-            cut(vec, mean, "matrix", vec.points if keep_top else ())
+        for key in (key for key in vectors if key[0] == m):
+            cut(key, mean, "matrix", vectors[key] if keep_top else ())
         mean = None  # freed before the next truncation's mean
     return shifts, failures
 
@@ -463,16 +431,19 @@ def _run_points(
     """Evaluate every config from one split and one spectrum per realization.
 
     The configs must agree on ``realizations``, ``seed``, ``p_h`` and
-    ``probe_fraction``, which fix the split and the perturbations, and may
-    differ in everything else; all are validated before anything is
-    scored. The training eigenvalues are computed at most once, for Katz's
-    bound and FastPBSPM's auto-m. Baselines are scored once, and then the
-    dense training adjacency is dropped; ``_score_spectral`` scores the
-    spectral configs. Every score vector, a baseline's or a boosted spectral
-    truncation's, goes through ``_cut``: one ``_top`` per distinct L over
-    one candidate mask, counted with one probe-hit mask. ``keep_top`` pairs
-    each report with its top-L ranking (of the scores averaged over the
-    realizations, for spectral methods).
+    ``probe_fraction``, which fix the split and the perturbations; that is
+    not checked, and the first config's values are used. They may differ in
+    everything else. Every ``m`` and ``L`` is range-checked before anything
+    is scored. The training eigenvalues are computed at most once, for
+    Katz's bound and FastPBSPM's auto-m, which is resolved right after them,
+    so each FastPBSPM point enters ``_score_spectral`` with its truncation.
+    Baselines are scored once, and then the dense training adjacency is
+    dropped; ``_score_spectral`` scores the spectral configs. Every score
+    vector, a baseline's or a boosted spectral truncation's, goes through
+    ``_cut``: one ``_top`` per distinct L over one candidate mask, counted
+    with one probe-hit mask. ``keep_top`` pairs each report with its top-L
+    ranking (of the scores averaged over the realizations, for spectral
+    methods).
     """
     for cfg in cfgs:
         if cfg.method == "FastPBSPM" and cfg.m is not None and cfg.m > graph.n:
@@ -494,6 +465,8 @@ def _run_points(
            for p in points):
         train_lam = eigenvalues(train_adj)
         lam_max = float(train_lam.max())
+    for p in (p for p in points if p.cfg.method == "FastPBSPM"):
+        p.m = p.cfg.m if p.cfg.m is not None else select_m(train_lam, p.cfg.m_threshold)
     for p in (p for p in points if p.cfg.method not in SPECTRAL_METHODS):
         scores = _baseline_scores(p.cfg.method, train_adj, p.cfg, lam_max)[cand]
         _cut(scores, cand, hit, [p], [p] if keep_top else ())
@@ -503,9 +476,7 @@ def _run_points(
     train_adj = None
     spectral = [p for p in points if p.cfg.method in SPECTRAL_METHODS]
     if spectral:
-        shifts, failures = _score_spectral(
-            graph, split, train_lam, cand, hit, spectral, keep_top
-        )
+        shifts, failures = _score_spectral(graph, split, cand, hit, spectral, keep_top)
     results = []
     for p in points:
         is_spectral = p.cfg.method in SPECTRAL_METHODS

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
@@ -71,8 +70,7 @@ class TemporalEventStream:
         """The stream of ``events``, in their order."""
         events = tuple(events)
         return _coded(
-            [ev.source for ev in events],
-            [ev.target for ev in events],
+            [label for ev in events for label in (ev.source, ev.target)],
             np.fromiter((ev.timestamp for ev in events), np.int64, len(events)),
             np.array([np.nan if ev.weight is None else ev.weight for ev in events], np.float64),
             np.array([ev.weight is not None for ev in events], bool),
@@ -92,19 +90,19 @@ class TemporalEventStream:
         ))
 
 
+def _first_appearance(tokens: Sequence) -> tuple[tuple, np.ndarray]:
+    """The distinct ``tokens`` in order of first appearance, and each token's int64 code."""
+    code = dict(zip(dict.fromkeys(tokens), range(len(tokens))))
+    return tuple(code), np.fromiter(map(code.__getitem__, tokens), np.int64, len(tokens))
+
+
 def _coded(
-    sources: Sequence[str],
-    targets: Sequence[str],
-    timestamp: np.ndarray,
-    weight: np.ndarray,
-    weighted: np.ndarray,
+    labels: Sequence[str], timestamp: np.ndarray, weight: np.ndarray, weighted: np.ndarray
 ) -> TemporalEventStream:
-    """The stream of these columns, its labels coded by first appearance."""
-    labels = tuple(dict.fromkeys(chain.from_iterable(zip(sources, targets))))
-    code = dict(zip(labels, range(len(labels)))).__getitem__
-    source = np.fromiter(map(code, sources), np.int64, len(timestamp))
-    target = np.fromiter(map(code, targets), np.int64, len(timestamp))
-    return _frozen(labels, source, target, timestamp, weight, weighted)
+    """The stream of these columns, its ``labels`` (source, target, source, ...)
+    coded by first appearance."""
+    distinct, code = _first_appearance(labels)
+    return _frozen(distinct, code[0::2], code[1::2], timestamp, weight, weighted)
 
 
 def _frozen(labels: tuple[str, ...], *columns: np.ndarray) -> TemporalEventStream:
@@ -185,8 +183,8 @@ def parse_edge_stream(reader: IO, format: str = "tsv") -> TemporalEventStream:
 
     Raises:
         ParseError: a non-comment line does not fit the 3/4-field layout or
-            its timestamp is not an int64, or a byte input is not valid
-            UTF-8. It names the first such line.
+            its timestamp is not an int64, a CSV line holds a NUL, or a byte
+            input is not valid UTF-8. It names the first such line.
         EmptyInputError: no events survive.
     """
     if format not in ("tsv", "csv"):
@@ -222,13 +220,15 @@ def _parse_lines(text: str, format: str) -> TemporalEventStream:
         ParseError: at the first line that fails a check, naming it.
         EmptyInputError: no line is an event.
     """
-    sources, targets, stamps, weights, weighted = [], [], [], [], []
+    labels, stamps, weights, weighted = [], [], [], []
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped[0] in "%#":
             continue
         if format == "tsv":
             fields = stripped.split()
+        elif "\x00" in line:  # as csv.reader before Python 3.11 says
+            raise ParseError("line contains NUL", line_no)
         else:
             try:  # e.g. a field longer than csv.field_size_limit()
                 fields = [f.strip() for f in next(csv.reader((line,)))]
@@ -249,13 +249,13 @@ def _parse_lines(text: str, format: str) -> TemporalEventStream:
             stamps.append(_timestamp(fields[-1]))
         except ValueError as err:
             raise ParseError(str(err), line_no) from None
-        sources.append(fields[0])
-        targets.append(fields[1])
+        labels.append(fields[0])
+        labels.append(fields[1])
         weighted.append(len(fields) == 4)
     if not stamps:
         raise EmptyInputError("edge stream contains no events")
     weight = np.array(weights, np.float64)
-    return _coded(sources, targets, np.array(stamps, np.int64), weight, np.array(weighted, bool))
+    return _coded(labels, np.array(stamps, np.int64), weight, np.array(weighted, bool))
 
 
 # The whitespace of str.split() and the line ends of str.splitlines() among
@@ -297,11 +297,7 @@ def _parse_tsv_bytes(data: bytes) -> TemporalEventStream:
     del first, n_fields, stamp
     start, end = start[label], end[label]  # frees the other tokens' bounds
     del label
-    coded = _label_codes(data, start, end)
-    if coded is None:  # a label longer than 7 bytes
-        tokens = _tokens(data, start, end, slice(None))
-        return _coded(tokens[0::2], tokens[1::2], timestamp, weight, weighted)
-    labels, codes = coded
+    labels, codes = _label_codes(data, start, end)
     return _frozen(labels, codes[0::2], codes[1::2], timestamp, weight, weighted)
 
 
@@ -378,16 +374,19 @@ _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.uint64)
 
 def _label_codes(
     data: bytes, start: np.ndarray, end: np.ndarray
-) -> Optional[tuple[tuple[str, ...], np.ndarray]]:
+) -> tuple[tuple[str, ...], np.ndarray]:
     """Code the label tokens ``[start, end)`` of ``data`` by first appearance.
 
     Returns the distinct labels, each decoded once, and every token's int64
-    code; or None when a label is longer than 7 bytes. A label is keyed
-    exactly by one 64-bit word: its bytes, and its length in the top byte.
+    code. When every label has at most 7 bytes, a label is keyed exactly by
+    one 64-bit word: its bytes, and its length in the top byte. Otherwise the
+    tokens' bytes are coded by dict.
     """
     length = end - start
     if length.max() > 7:
-        return None
+        bounds = zip(start.tolist(), end.tolist())
+        distinct, code = _first_appearance([data[s:e] for s, e in bounds])
+        return tuple(label.decode("utf-8", "surrogatepass") for label in distinct), code
     # words[i] holds data[i:i + 8] as a little-endian integer.
     words = np.ndarray((len(data) + 1,), dtype="<u8", buffer=data + bytes(8), strides=(1,))
     key = words[start] & _LOW_BYTES[length]

@@ -17,6 +17,7 @@ from pbspm.evaluation import (
     precision_at,
     rank_candidates,
     _run_points,
+    _sweep_configs,
     run_experiment,
     sweep,
     sweep_m,
@@ -561,6 +562,34 @@ class TestOnePassEngine:
         # and distinct L (two for the boosted vector); one per baseline.
         assert calls["_top"] == 2 * 3 + (2 + 1) + 1
         assert all(len(top) == report.L for report, top in results)
+
+    @pytest.mark.parametrize(
+        "cfgs, want",
+        [
+            # The benchmark's sweep: 16 grid points and 6 m-sweep points make
+            # 12 boosted vectors over 4 p_fresher values and 7 unboosted ones.
+            (_sweep_configs(ExperimentConfig(method="PBSPM", seed=3, realizations=2),
+                            (0.0, 2.0, 5.0, 10.0), (0.05, 0.1, 0.2, 0.3),
+                            (1, 2, 4, 8, 16, 41)), 4),
+            # A predict: two vectors, the full spectrum's and FastPBSPM's m, one boost.
+            ([ExperimentConfig(method=method, alpha=5.0, seed=3, realizations=2)
+              for method in ("PBSPM", "FastPBSPM")], 1),
+        ],
+        ids=["sweep", "predict"],
+    )
+    def test_popularity_is_computed_once_per_p_fresher(self, shift_graph, monkeypatch, cfgs, want):
+        import pbspm.evaluation as evaluation
+
+        calls = []
+
+        def counted(*args, _real=evaluation.popularity):
+            calls.append(args[2])
+            return _real(*args)
+
+        monkeypatch.setattr(evaluation, "popularity", counted)
+        _run_points(shift_graph, cfgs)
+        assert len(calls) == want
+        assert len(set(calls)) == want
 
     @pytest.mark.parametrize("source", ["shift", "cliques", 0, 1, 2, 3])
     def test_matches_public_pieces_oracle(self, shift_graph, source):

@@ -148,6 +148,26 @@ class TestParseEdgeStream:
                 parse_edge_stream(reader, fmt)
             assert (str(exc.value), exc.value.line_no) == (f"line 2: {message}", 2)
 
+    @pytest.mark.parametrize("line_no", [1, 3])
+    @pytest.mark.parametrize("line", ["a\0,b,1", '"a\0",b,1', "a,b,w,1\0", "\0"])
+    def test_csv_line_holding_a_nul_is_rejected(self, line, line_no):
+        # csv.reader rejects a NUL before Python 3.11 and reads it into the
+        # field since; the parse rejects it on every version, before any other
+        # check of the line. A comment is never split, so its NUL passes.
+        lines = ["a,b,1", "# \0", "c,d,2"]
+        lines.insert(line_no - 1, line)
+        text = "\n".join(lines) + "\n"
+        for reader in (io.BytesIO(text.encode()), io.StringIO(text)):
+            with pytest.raises(ParseError) as exc:
+                parse_edge_stream(reader, "csv")
+            want = (f"line {line_no}: line contains NUL", line_no)
+            assert (str(exc.value), exc.value.line_no) == want
+
+    def test_tsv_keeps_a_nul_in_a_label(self):
+        text = "a\0 b 1\n# \0\nb \0 2\n"
+        for reader in (io.BytesIO(text.encode()), io.StringIO(text)):
+            assert parse_edge_stream(reader).labels == ("a\0", "b", "\0")
+
     def test_csv_at_scale_matches_its_tsv_form(self, sweep_grid_dataset):
         tsv = sweep_grid_dataset.read_bytes()
         want = parse_edge_stream(io.BytesIO(tsv))
@@ -204,8 +224,8 @@ class TestParseEdgeStream:
         import pbspm.graph as graph
 
         fallbacks = []
-        coded = graph._coded
-        monkeypatch.setattr(graph, "_coded", lambda *args: fallbacks.append(1) or coded(*args))
+        real = graph._first_appearance
+        monkeypatch.setattr(graph, "_first_appearance", lambda t: fallbacks.append(1) or real(t))
         bits = [bin(i).count("1") % 2 for i in range(2048)]
         one = b"".join(b"aaaaaaaa" if bit else b"bbbbbbbb" for bit in bits)
         other = b"".join(b"bbbbbbbb" if bit else b"aaaaaaaa" for bit in bits)
@@ -222,8 +242,8 @@ class TestParseEdgeStream:
         import pbspm.graph as graph
 
         fallbacks = []
-        coded = graph._coded
-        monkeypatch.setattr(graph, "_coded", lambda *args: fallbacks.append(1) or coded(*args))
+        real = graph._first_appearance
+        monkeypatch.setattr(graph, "_first_appearance", lambda t: fallbacks.append(1) or real(t))
         pool = ["a" + "\0" * (k - 1) for k in range(1, longest + 1)]
         pool += ["\0" * k for k in range(1, longest + 1)]
         pool += ["abcdefgh"[:k] for k in range(max(1, longest - 1), longest + 1)]
