@@ -37,7 +37,6 @@ from .graph import (
     TemporalEventStream,
     TemporalGraph,
     adjacency,
-    degree,
     degrees,
     parse_edge_stream,
     simplify,
@@ -53,6 +52,6 @@ from .spectral import (
     spm_scores,
     truncated_scores,
 )
-from .split import TrainProbeSplit, degree_increment, popularity, split_train_probe
+from .split import TrainProbeSplit, popularity, split_train_probe
 
 __version__ = "0.1.0"

@@ -334,9 +334,11 @@ def _score_spectral(
     Each realization's retained adjacency is built from the training edge
     list, so no dense training matrix is held here. Points of one truncation
     whose boost is the same, or absent (SPM, and alpha = 0 where ``f = 1``),
-    share a score vector: its reconstruction, boost and delta-CC, cut in
-    every realization for the points that average precision and once, on the
-    mean scores, for those that average scores or keep their ranking. The
+    share a score vector: its reconstruction and boost, cut in every
+    realization for the points that average precision and once, on the mean
+    scores, for those that average scores or keep their ranking. Points of
+    one boost, whatever their truncation, share each realization's
+    ``delta_cc``, which is 0.0 unboosted and None when undefined. The
     boost ``f_i * f_j`` is the same in every realization, so the mean of
     boosted scores is the boost of the mean SPM scores: ``sums`` maps the
     full spectrum to one unboosted candidate-length sum and a truncation m to
@@ -346,11 +348,13 @@ def _score_spectral(
     """
     # (m, (alpha, p_fresher)), or (m, None) when unboosted -> the vector's points.
     vectors: dict[tuple, list[_Point]] = {}
+    by_boost: dict[Optional[tuple], list[_Point]] = {}  # the same points by boost alone
     for p in points:
         unboosted = p.cfg.method == "SPM" or p.cfg.alpha == 0
         key = (p.m, None if unboosted else (p.cfg.alpha, p.cfg.p_fresher))
         vectors.setdefault(key, []).append(p)
-    boosted = dict.fromkeys(boost for _, boost in vectors if boost is not None)
+        by_boost.setdefault(key[1], []).append(p)
+    boosted = [boost for boost in by_boost if boost is not None]
     p_freshers = dict.fromkeys(pf for _, pf in boosted)
     pops = {pf: popularity(graph, split.train, pf) for pf in p_freshers}
     boosts = {(alpha, pf): 1.0 + alpha * pops[pf] for alpha, pf in boosted}
@@ -384,10 +388,14 @@ def _score_spectral(
             sample = None
         shifts.append(float(model.corrections[0]))
         x1 = model.eigenvectors[:, 0]
-        try:  # the unboosted term of every point's delta_cc
-            base_cc = pearson_cc(x1, probe_inc)
-        except ZeroVarianceError:
-            base_cc = None
+        for boost, boost_points in by_boost.items():
+            f = boosts.get(boost)
+            try:  # unboosted, x1 against itself: exactly 0.0
+                dcc = delta_cc(model, x1 if f is None else x1 * f, probe_inc)
+            except ZeroVarianceError:
+                dcc = None
+            for p in boost_points:
+                p.delta_ccs.append(dcc)
         for m in ms:
             leading, weights = _leading_pairs(model, m)
             if m is not None and m in sums:
@@ -396,15 +404,6 @@ def _score_spectral(
             if m is None and m in sums:
                 sums[m] += spm
             for key in (key for key in vectors if key[0] == m):
-                f = boosts.get(key[1])
-                dcc = None if base_cc is None else 0.0
-                if f is not None and base_cc is not None:
-                    try:
-                        dcc = pearson_cc(x1 * f, probe_inc) - base_cc
-                    except ZeroVarianceError:
-                        dcc = None
-                for p in vectors[key]:
-                    p.delta_ccs.append(dcc)
                 cut(key, spm, "precision")
         # Free the eigenvectors (x1 and leading are views of them) before the next eigh.
         model = leading = spm = x1 = None

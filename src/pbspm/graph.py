@@ -28,7 +28,6 @@ __all__ = [
     "parse_edge_stream",
     "simplify",
     "adjacency",
-    "degree",
     "degrees",
 ]
 
@@ -133,10 +132,6 @@ class TemporalGraph:
     @property
     def m_edges(self) -> int:
         return self.edges.shape[0]
-
-    @property
-    def timestamps(self) -> np.ndarray:
-        return self.edges[:, 2]
 
 
 def _decode(data: bytes) -> str:
@@ -519,13 +514,6 @@ def _symmetric_adjacency(rows: np.ndarray, n: int) -> np.ndarray:
         matrix[rows[:, 1], rows[:, 0]] = 1.0
     matrix.setflags(write=False)
     return matrix
-
-
-def degree(adj: np.ndarray, node: int) -> int:
-    """Number of neighbors of ``node`` in the adjacency matrix ``adj``."""
-    if not 0 <= node < len(adj):
-        raise IndexError(f"node {node} out of range for n={len(adj)}")
-    return int(adj[node].sum())
 
 
 def degrees(adj: np.ndarray) -> np.ndarray:

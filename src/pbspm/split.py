@@ -20,7 +20,6 @@ from .graph import TemporalGraph
 __all__ = [
     "TrainProbeSplit",
     "split_train_probe",
-    "degree_increment",
     "popularity",
 ]
 
@@ -84,17 +83,6 @@ def split_train_probe(graph: TemporalGraph, probe_fraction: float) -> TrainProbe
 def _endpoint_counts(rows: np.ndarray, n: int) -> np.ndarray:
     """How many of the edge ``rows`` touch each of the ``n`` nodes, as float64."""
     return np.bincount(rows[:, :2].ravel(), minlength=n).astype(np.float64)
-
-
-def degree_increment(graph: TemporalGraph, node: int, t: int, T: int) -> int:
-    """Edges incident to ``node`` entering within ``(t, t + T]``."""
-    if T <= 0:
-        raise ValueError(f"duration T must be positive, got {T}")
-    if not 0 <= node < graph.n:
-        raise IndexError(f"node {node} out of range for n={graph.n}")
-    incident = (graph.edges[:, 0] == node) | (graph.edges[:, 1] == node)
-    ts = graph.edges[:, 2]
-    return int(np.count_nonzero(incident & (ts > t) & (ts <= t + T)))
 
 
 def popularity(

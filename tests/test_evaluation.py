@@ -63,10 +63,12 @@ def clique_events(seed, k=4, size=8):
 
 
 def engine_oracle(graph, cfg):
-    """Per-realization precisions, mean precision and top-L list of one config.
+    """Per-realization precisions, mean precision, top-L list and mean delta-CC of one config.
 
     Built from the public pieces one realization and one config at a time:
-    perturb, decompose, correct, reconstruct, rank, count hits.
+    perturb, decompose, correct, reconstruct, rank, count hits, and correlate
+    the boosted leading eigenvector ``x1 * (1 + alpha * s)`` with each node's
+    count of the edges after the training prefix.
     """
     split = split_train_probe(graph, cfg.probe_fraction)
     view = adjacency(graph, split.train)
@@ -74,12 +76,17 @@ def engine_oracle(graph, cfg):
     if cfg.method in BASELINE_ORACLES:
         top = rank_candidates(BASELINE_ORACLES[cfg.method](view, cfg), view, L)
         prec = precision_at(top, split.probe, L)
-        return (prec,), prec, top
+        return (prec,), prec, top, None
     pop = popularity(graph, split.train, cfg.p_fresher)
+    boost = 1.0 if cfg.method == "SPM" else 1.0 + cfg.alpha * pop
+    k_probe = np.zeros(graph.n)
+    for u, v, _ in graph.edges[len(split.train):]:
+        k_probe[u] += 1
+        k_probe[v] += 1
     m = cfg.m
     if cfg.method == "FastPBSPM" and m is None:
         m = select_m(eigenvalues(view), cfg.m_threshold)
-    per, total = [], np.zeros((graph.n, graph.n))
+    per, dccs, total = [], [], np.zeros((graph.n, graph.n))
     for r in range(cfg.realizations):
         sample = sample_perturbation(graph.n, graph.edges[split.train], cfg.p_h, cfg.seed + r)
         model = eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
@@ -91,10 +98,15 @@ def engine_oracle(graph, cfg):
             scores = pbspm_scores(model, pop, cfg.alpha, m=m)
         per.append(precision_at(rank_candidates(scores, view, L), split.probe, L))
         total += scores
+        try:
+            dccs.append(delta_cc(model, model.eigenvectors[:, 0] * boost, k_probe))
+        except ZeroVarianceError:
+            pass
+    mean_dcc = float(np.mean(dccs)) if dccs else None
     top = rank_candidates(total / cfg.realizations, view, L)
     if cfg.score_averaging == "matrix":
-        return (), precision_at(top, split.probe, L), top
-    return tuple(per), float(np.mean(per)), top
+        return (), precision_at(top, split.probe, L), top, mean_dcc
+    return tuple(per), float(np.mean(per)), top, mean_dcc
 
 
 class TestRankCandidates:
@@ -520,7 +532,7 @@ class TestOnePassEngine:
     def test_unboosted_points_share_one_cut_and_one_correlation(self, shift_graph, monkeypatch):
         import pbspm.evaluation as evaluation
 
-        calls = dict.fromkeys(("_top", "pearson_cc"), 0)
+        calls = dict.fromkeys(("_top", "delta_cc"), 0)
         for name in calls:
             def counted(*args, _real=getattr(evaluation, name), _name=name):
                 calls[_name] += 1
@@ -533,11 +545,31 @@ class TestOnePassEngine:
         reports = [report for report, _ in _run_points(shift_graph, cfgs)]
         # Per realization: one cut for the five unboosted points and one for
         # the boosted one; one unboosted correlation and one boosted.
-        assert calls == {"_top": 2 * 3, "pearson_cc": 2 * 3}
+        assert calls == {"_top": 2 * 3, "delta_cc": 2 * 3}
         for report in reports[:5]:
             assert report.per_realization == reports[4].per_realization
             assert report.mean_delta_cc == 0.0
         assert reports[5].mean_delta_cc != 0.0
+
+    def test_delta_cc_is_computed_once_per_boost(self, shift_graph, monkeypatch):
+        import pbspm.evaluation as evaluation
+
+        calls = {"delta_cc": 0}
+
+        def counted(*args, _real=evaluation.delta_cc):
+            calls["delta_cc"] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(evaluation, "delta_cc", counted)
+        base = ExperimentConfig(method="SPM", alpha=5.0, p_fresher=0.2, seed=3, realizations=3)
+        cfgs = [base, replace(base, method="PBSPM"), replace(base, method="FastPBSPM", m=3)]
+        spm, pbspm, fast = (report for report, _ in _run_points(shift_graph, cfgs))
+        # Per realization one unboosted correlation and one for the boost
+        # that PBSPM and FastPBSPM share, whatever their truncations.
+        assert calls["delta_cc"] == 2 * 3
+        assert spm.mean_delta_cc == 0.0
+        assert pbspm.mean_delta_cc is not None
+        assert pbspm.mean_delta_cc == fast.mean_delta_cc
 
     def test_every_score_vector_is_cut_once_per_l(self, shift_graph, monkeypatch):
         import pbspm.evaluation as evaluation
@@ -615,9 +647,10 @@ class TestOnePassEngine:
             replace(base, method="SRW"),
         ]
         for cfg, (report, top) in zip(cfgs, _run_points(graph, cfgs, keep_top=True)):
-            per, mean_precision, mean_top = engine_oracle(graph, cfg)
+            per, mean_precision, mean_top, mean_dcc = engine_oracle(graph, cfg)
             assert report.per_realization == per, cfg
             assert report.mean_precision == mean_precision, cfg
+            assert report.mean_delta_cc == mean_dcc, cfg
             assert np.array_equal(top.pairs, mean_top.pairs), cfg
             if cfg.method in BASELINE_ORACLES:
                 np.testing.assert_array_equal(top.scores, mean_top.scores)
@@ -656,7 +689,7 @@ class TestAveragedScores:
             replace(base, method="FastPBSPM", m=6, score_averaging="matrix"),
         ]
         for cfg, (report, top) in zip(cfgs, _run_points(graph, cfgs, keep_top=True)):
-            per, mean_precision, mean_top = engine_oracle(graph, cfg)
+            per, mean_precision, mean_top, _ = engine_oracle(graph, cfg)
             assert report.per_realization == per, cfg
             assert report.mean_precision == mean_precision, cfg
             assert np.array_equal(top.pairs, mean_top.pairs), cfg

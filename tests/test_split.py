@@ -1,11 +1,11 @@
-"""Temporal splitting, degree increments, and popularity vs. brute force."""
+"""Temporal splitting and popularity vs. brute force."""
 
 import numpy as np
 import pytest
 
 from pbspm.errors import DegenerateSplitError
 from pbspm.graph import RawEvent, TemporalEventStream, simplify
-from pbspm.split import degree_increment, popularity, split_train_probe
+from pbspm.split import popularity, split_train_probe
 
 from conftest import random_event_stream
 
@@ -110,34 +110,6 @@ class TestSplitTrainProbe:
         assert np.array_equal(a.train, b.train)
         assert a.probe == b.probe
         assert a.probe_dropped == b.probe_dropped
-
-
-class TestDegreeIncrement:
-    def test_window_spanning_no_edges(self, hub_graph):
-        node = hub_graph.node_id["c"]
-        assert degree_increment(hub_graph, node, t=100, T=50) == 0
-
-    def test_window_spanning_everything_gives_full_degree(self, hub_graph):
-        node = hub_graph.node_id["c"]
-        assert degree_increment(hub_graph, node, t=0, T=1000) == 4
-
-    def test_nonpositive_duration_rejected(self, ten_edge_graph):
-        with pytest.raises(ValueError):
-            degree_increment(ten_edge_graph, 0, t=0, T=0)
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(41)
-        graph = random_temporal_graph(rng)
-        for _ in range(50):
-            node = int(rng.integers(graph.n))
-            t = int(rng.integers(0, 100))
-            T = int(rng.integers(1, 60))
-            expected = sum(
-                1
-                for u, v, ts in graph.edges
-                if node in (u, v) and t < ts <= t + T
-            )
-            assert degree_increment(graph, node, t, T) == expected
 
 
 class TestPopularity:
