@@ -34,10 +34,11 @@ def cn_scores(a: np.ndarray) -> np.ndarray:
 
     For a 0/1 adjacency the counts are integers of at most n, which float32
     holds exactly, so the product is taken in float32 and is exactly
-    symmetric.
+    symmetric. The adjacency is symmetric, so it is taken as ``A @ A.T``,
+    which numpy hands to the symmetric rank-k update (SYRK) of one buffer.
     """
     a32 = a.astype(np.float32)
-    return _frozen((a32 @ a32).astype(np.float64))
+    return _frozen((a32 @ a32.T).astype(np.float64))
 
 
 def _weighted_common_neighbors(a: np.ndarray, weights: np.ndarray) -> np.ndarray:

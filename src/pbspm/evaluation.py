@@ -187,11 +187,12 @@ def _top(scores: np.ndarray, L: Optional[int]) -> np.ndarray:
     neg = -scores
     if L is None or L >= neg.size:
         return np.argsort(neg, kind="stable")
-    kth = np.partition(neg, L - 1)[L - 1]
-    # Not `neg <= kth`: NaN scores sort last, and when fewer than L
+    neg.partition(L - 1)  # in place: neg is this call's own copy
+    kth = -neg[L - 1]
+    # Not `scores >= kth`: NaN scores sort last, and when fewer than L
     # scores are numbers the cut is NaN and every candidate is kept.
-    keep = np.flatnonzero(~(neg > kth))
-    return keep[np.argsort(neg[keep], kind="stable")[:L]]
+    keep = np.flatnonzero(~(scores < kth))
+    return keep[np.argsort(-scores[keep], kind="stable")[:L]]
 
 
 def _ranked(cand: np.ndarray, scores: np.ndarray, top: np.ndarray) -> RankedCandidates:
@@ -313,14 +314,6 @@ def _cut(
             p.ranked = _ranked(cand, scores, top)
 
 
-def _on_candidates(matrix: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """``((M + M.T) / 2)[cand]``, bit for bit, without the symmetrized n x n matrix."""
-    scores = matrix[cand]
-    scores += matrix.T[cand]
-    scores /= 2.0
-    return scores
-
-
 def _score_spectral(
     graph: TemporalGraph,
     split: TrainProbeSplit,
@@ -359,11 +352,18 @@ def _score_spectral(
     pops = {pf: popularity(graph, split.train, pf) for pf in p_freshers}
     boosts = {(alpha, pf): 1.0 + alpha * pops[pf] for alpha, pf in boosted}
 
+    per_row = np.count_nonzero(cand, axis=1)  # candidates (i, j) of each row i
+
     def cut(key: tuple, spm: np.ndarray, averaging: str, rank: Sequence[_Point] = ()) -> None:
         count = [p for p in vectors[key] if p.cfg.score_averaging == averaging]
         if count or rank:
-            f = boosts.get(key[1])  # as in pbspm_scores: S_ij * f_i * f_j
-            _cut(spm if f is None else spm * np.multiply.outer(f, f)[cand], cand, hit, count, rank)
+            f = boosts.get(key[1])
+            scores = spm
+            if f is not None:  # (f_i * f_j) * S_ij, the product pbspm_scores takes
+                scores = np.repeat(f, per_row)  # f_i of each candidate (i, j)
+                scores *= np.broadcast_to(f, cand.shape)[cand]
+                scores *= spm
+            _cut(scores, cand, hit, count, rank)
 
     ms = dict.fromkeys(m for m, _ in vectors)
     averaged = (p.m for p in points if keep_top or p.cfg.score_averaging == "matrix")
@@ -400,7 +400,7 @@ def _score_spectral(
             leading, weights = _leading_pairs(model, m)
             if m is not None and m in sums:
                 sums[m].append((leading.copy(), weights.copy()))
-            spm = _on_candidates(_pair_sum(leading, weights), cand)
+            spm = _pair_sum(leading, weights)[cand]
             if m is None and m in sums:
                 sums[m] += spm
             for key in (key for key in vectors if key[0] == m):
@@ -416,7 +416,7 @@ def _score_spectral(
         else:
             leading, weights = zip(*sums.pop(m))
             leading, weights = np.hstack(leading), np.concatenate(weights)
-            mean = _on_candidates(_pair_sum(leading, weights), cand)
+            mean = _pair_sum(leading, weights)[cand]
         mean /= len(shifts)
         for key in (key for key in vectors if key[0] == m):
             cut(key, mean, "matrix", vectors[key] if keep_top else ())

@@ -69,6 +69,9 @@ class SpectralModel:
 
 # Removed edges whose eigenvector rows eigenvalue_correction gathers at once.
 _CORRECTION_ROWS = 256
+# Rows of the pair sum one product fills. A block's scaled rows and product
+# stay small beside the n x n result; 256 rows raised the engine's peak.
+_PAIR_ROWS = 128
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -193,8 +196,19 @@ def eigenvalue_correction(model: SpectralModel, removed: np.ndarray) -> Spectral
 
 
 def _pair_sum(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # sum_k weights[k] * outer(vectors[:, k], vectors[:, k]), before symmetrizing.
-    return (vectors * weights) @ vectors.T
+    """``sum_k weights[k] * outer(vectors[:, k], vectors[:, k])`` on and above the diagonal.
+
+    Row block ``a:b`` gets ``(X[a:b] * w) @ X[a:].T``, so no product below
+    the diagonal is formed. Entries below it are not part of the result and
+    hold arbitrary values: zeroing them would write pages that the blocks
+    never touch, and raise the resident peak.
+    """
+    n = vectors.shape[0]
+    out = np.empty((n, n))
+    for a in range(0, n, _PAIR_ROWS):
+        b = min(a + _PAIR_ROWS, n)
+        np.matmul(vectors[a:b] * weights, vectors[a:].T, out=out[a:b, a:])
+    return out
 
 
 def _leading_pairs(model: SpectralModel, m: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -203,10 +217,17 @@ def _leading_pairs(model: SpectralModel, m: Optional[int]) -> tuple[np.ndarray, 
 
 
 def spm_scores(model: SpectralModel, m: Optional[int] = None) -> np.ndarray:
-    """The SPM score matrix S: corrected sum of the leading m eigenpairs, or of all."""
+    """The SPM score matrix S: corrected sum of the leading m eigenpairs, or of all.
+
+    S is ``_pair_sum``'s upper triangle mirrored below the diagonal, so it is
+    exactly symmetric, and its entries above the diagonal are bit for bit the
+    candidate scores the experiment engine ranks.
+    """
     if m is not None and not 1 <= m <= model.n:
         raise ValueError(f"m must be in [1, {model.n}], got {m}")
-    return _score_matrix(_pair_sum(*_leading_pairs(model, m)))
+    scores = _pair_sum(*_leading_pairs(model, m))
+    np.copyto(scores, scores.T, where=np.tri(model.n, k=-1, dtype=bool))
+    return _frozen(scores)
 
 
 def pbspm_scores(

@@ -17,6 +17,8 @@ import pytest
 import pbspm
 from pbspm.cli import _fmt6, build_parser, main
 from pbspm.evaluation import METHODS, ExperimentConfig
+from pbspm.graph import parse_edge_stream, simplify
+from pbspm.split import split_train_probe
 
 SCHEMA_PATH = Path(pbspm.__file__).parent / "schemas" / "report.schema.json"
 
@@ -121,6 +123,34 @@ class TestPredict:
         assert {r["method"]: r["m"] for r in rows} == {
             "CN": "", "SPM": "", "PBSPM": "", "FastPBSPM": "7",
         }
+
+
+class TestCountDroppedInL:
+    def test_L_counts_the_dropped_probe_pairs_and_precision_uses_it(self, tmp_path):
+        # 45 training edges on 12 nodes: pairs at index distance 1, 2 (from
+        # nodes 0-8), 3 and 5. The 5 probe edges are 3 pairs at distance 6,
+        # and 2 pairs that touch nodes unseen in training, which are dropped.
+        pairs = [(i, (i + d) % 12) for d in (1, 3, 5) for i in range(12)]
+        pairs += [(i, i + 2) for i in range(9)]
+        pairs += [(0, 6), (1, 7), (2, 8), (3, "ghost1"), ("ghost2", "ghost3")]
+        path = tmp_path / "dropped.tsv"
+        path.write_text("".join(f"n{a}\tn{b}\t{t}\n" for t, (a, b) in enumerate(pairs, 1)))
+        with open(path, "rb") as fh:
+            graph = simplify(parse_edge_stream(fh))
+        split = split_train_probe(graph, 0.1)
+        assert (len(split.probe), split.probe_dropped, split.probe_total) == (3, 2, 5)
+        probe = {frozenset((graph.labels[u], graph.labels[v])) for u, v in split.probe}
+        for flag, L in (((), len(split.probe)), (("--count-dropped-in-L",), split.probe_total)):
+            out = tmp_path / f"out-{L}"
+            rc = run_cli("predict", "--input", path, "--method", "CN,SPM",
+                         "--score-averaging", "matrix", "--out-dir", out, *flag)
+            assert rc == 0
+            for report in json.loads((out / "report.json").read_text())["reports"]:
+                assert report["L"] == L
+                lines = (out / f"predictions_{report['method']}.txt").read_text().splitlines()
+                assert len(lines) == L
+                hits = sum(frozenset(line.split("\t")[:2]) in probe for line in lines)
+                assert report["mean_precision"] == hits / L
 
 
 class TestSweep:

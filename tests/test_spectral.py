@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+import pbspm.evaluation as evaluation
 from pbspm.errors import DegeneratePerturbationError
+from pbspm.evaluation import ExperimentConfig, _run_points
+from pbspm.graph import RawEvent, TemporalEventStream, adjacency, simplify
 from pbspm.spectral import (
+    _PAIR_ROWS,
     SpectralModel,
     eigendecompose,
     eigenvalue_correction,
@@ -15,6 +19,7 @@ from pbspm.spectral import (
     spm_scores,
     truncated_scores,
 )
+from pbspm.split import split_train_probe
 
 from conftest import random_view, view_edges
 
@@ -30,6 +35,15 @@ def edge_matrix(edges, n) -> np.ndarray:
 def corrected_model(view, rng=None, p_h=0.2, seed=0):
     sample = sample_perturbation(len(view), view_edges(view), p_h, seed)
     return eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
+
+
+def ring_graph(n, seed):
+    """A graph of exactly n nodes: a ring through all of them, then random chords."""
+    rng = np.random.default_rng(seed)
+    pairs = [(i, (i + 1) % n) for i in range(n)]
+    pairs += [tuple(rng.choice(n, size=2, replace=False)) for _ in range(3 * n)]
+    events = [RawEvent(str(a), str(b), t) for t, (a, b) in enumerate(pairs, start=1)]
+    return simplify(TemporalEventStream.from_events(events))
 
 
 class TestSamplePerturbation:
@@ -256,6 +270,40 @@ class TestSpmScores:
             x = model.eigenvectors[:, k]
             expected += w * np.outer(x, x)
         np.testing.assert_allclose(spm_scores(model), expected, atol=1e-10)
+
+
+class TestPairSumBlocks:
+    """The reconstruction fills its upper triangle in blocks of ``_PAIR_ROWS`` rows."""
+
+    @pytest.mark.parametrize("m", [1, 8, None])
+    @pytest.mark.parametrize("n", [_PAIR_ROWS - 1, 2 * _PAIR_ROWS, 2 * _PAIR_ROWS + 1])
+    def test_symmetric_oracle_and_engine_equal(self, n, m, monkeypatch):
+        graph = ring_graph(n, seed=n)
+        assert graph.n == n
+        cfg = ExperimentConfig(method="SPM" if m is None else "FastPBSPM", alpha=0.0, m=m,
+                               realizations=1, seed=3)
+        split = split_train_probe(graph, cfg.probe_fraction)
+        cand = np.triu(adjacency(graph, split.train) == 0, 1)
+        sample = sample_perturbation(n, graph.edges[split.train], cfg.p_h, cfg.seed)
+        model = eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
+        scores = spm_scores(model, m)
+        assert np.array_equal(scores, scores.T)
+        expected = np.zeros((n, n))
+        for k in range(n if m is None else m):
+            w = model.eigenvalues[k] + model.corrections[k]
+            expected += w * np.outer(model.eigenvectors[:, k], model.eigenvectors[:, k])
+        np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
+
+        cut = []
+
+        def recorded(vector, *args, _real=evaluation._cut):
+            cut.append(vector.copy())
+            return _real(vector, *args)
+
+        monkeypatch.setattr(evaluation, "_cut", recorded)
+        _run_points(graph, [cfg])
+        assert len(cut) == 1
+        assert cut[0].tobytes() == scores[cand].tobytes()
 
 
 class TestBoostEigenvectors:
