@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .graph import degrees
-from .spectral import _frozen, _score_matrix
+from .spectral import _frozen
 
 __all__ = [
     "cn_scores",
@@ -27,6 +27,11 @@ __all__ = [
     "srw_scores",
     "max_eigenvalue",
 ]
+
+
+def _score_matrix(values: np.ndarray) -> np.ndarray:
+    # (M + M.T) / 2 makes BLAS round-off exactly symmetric.
+    return _frozen((values + values.T) / 2.0)
 
 
 def cn_scores(a: np.ndarray) -> np.ndarray:

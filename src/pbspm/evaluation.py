@@ -324,8 +324,8 @@ def _score_spectral(
 ) -> tuple[list[float], list[str]]:
     """Score every point from each realization's one corrected spectrum.
 
-    Each realization's retained adjacency is built from the training edge
-    list, so no dense training matrix is held here. Points of one truncation
+    Each realization's retained adjacency is built from its kept edge rows,
+    so no dense training matrix is held here. Points of one truncation
     whose boost is the same, or absent (SPM, and alpha = 0 where ``f = 1``),
     share a score vector: its reconstruction and boost, cut in every
     realization for the points that average precision and once, on the mean
@@ -377,15 +377,17 @@ def _score_spectral(
     failures: list[str] = []
     for r in range(shared.realizations):
         try:
-            sample = sample_perturbation(graph.n, train_edges, shared.p_h, shared.seed + r)
-            model = eigendecompose(sample.retained)
-            removed, sample = sample.removed, None  # retained goes before the correction
+            sample = sample_perturbation(train_edges, shared.p_h, shared.seed + r)
+            retained = adjacency(sample.retained, graph.n)
+            removed, sample = sample.removed, None  # the kept rows go before the eigensolve
+            model = eigendecompose(retained)
+            retained = None  # and the matrix before the correction
             model = eigenvalue_correction(model, removed)
         except NumericalError as err:
             failures.append(f"realization {r}: {err}")
             continue
         finally:
-            sample = None
+            sample = retained = None
         shifts.append(float(model.corrections[0]))
         x1 = model.eigenvectors[:, 0]
         for boost, boost_points in by_boost.items():
@@ -448,7 +450,7 @@ def _run_points(
         if cfg.method == "FastPBSPM" and cfg.m is not None and cfg.m > graph.n:
             raise ValueError(f"m must be in [1, {graph.n}], got {cfg.m}")
     split = split_train_probe(graph, cfgs[0].probe_fraction)
-    train_adj = adjacency(graph, split.train)
+    train_adj = adjacency(graph.edges[split.train], graph.n)
     cand = _candidates(train_adj)
     hit = _hits(cand, split.probe)
     points = []
@@ -470,8 +472,8 @@ def _run_points(
         scores = _baseline_scores(p.cfg.method, train_adj, p.cfg, lam_max)[cand]
         _cut(scores, cand, hit, [p], [p] if keep_top else ())
         scores = None  # freed before the next baseline runs
-    # Each realization builds its retained adjacency from the edge list, so
-    # the training matrix goes before the first eigensolve.
+    # Each realization builds its retained adjacency from its kept edge rows,
+    # so the training matrix goes before the first eigensolve.
     train_adj = None
     spectral = [p for p in points if p.cfg.method in SPECTRAL_METHODS]
     if spectral:

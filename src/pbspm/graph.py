@@ -486,32 +486,25 @@ def simplify(stream: TemporalEventStream) -> TemporalGraph:
     return TemporalGraph(labels=labels, edges=rows, node_id=dict(zip(labels, range(len(labels)))))
 
 
-def adjacency(
-    graph: TemporalGraph, edge_subset: Optional[Sequence[int]] = None
-) -> np.ndarray:
-    """Binary adjacency over the full node set, restricted to ``edge_subset``.
+def adjacency(edges: np.ndarray, n: int) -> np.ndarray:
+    """Binary adjacency of the edge rows ``edges`` over ``n`` nodes.
 
-    ``edge_subset`` holds indices into ``graph.edges``; ``None`` means all
-    edges. The result is a read-only, symmetric, dense float64 n x n array so
-    it can feed linear algebra directly.
+    ``edges`` is an ``(m, >=2)`` int array whose first two columns are the
+    endpoints, such as ``graph.edges[split.train]``. The result is a
+    read-only, symmetric, dense float64 n x n array with a 1 at both
+    orientations of each row, so it can feed linear algebra directly.
+
+    Raises:
+        ValueError: an endpoint outside ``[0, n)``; numpy would wrap a
+            negative one round to the end of its axis.
     """
-    if edge_subset is None:
-        rows = graph.edges
-    else:
-        idx = np.asarray(edge_subset, dtype=np.intp)
-        if idx.size and (idx.min() < 0 or idx.max() >= graph.m_edges):
-            raise IndexError("edge_subset index out of range")
-        rows = graph.edges[idx]
-    return _symmetric_adjacency(rows, graph.n)
-
-
-def _symmetric_adjacency(rows: np.ndarray, n: int) -> np.ndarray:
-    """Read-only binary n x n float64 matrix with a 1 at both orientations of
-    each ``(u, v)`` in the first two columns of ``rows``."""
+    ends = np.asarray(edges)[:, :2]
+    if ends.size and (ends.min() < 0 or ends.max() >= n):
+        raise ValueError(f"edge endpoint outside [0, {n})")
     matrix = np.zeros((n, n), dtype=np.float64)
-    if rows.shape[0]:
-        matrix[rows[:, 0], rows[:, 1]] = 1.0
-        matrix[rows[:, 1], rows[:, 0]] = 1.0
+    if ends.size:
+        matrix[ends[:, 0], ends[:, 1]] = 1.0
+        matrix[ends[:, 1], ends[:, 0]] = 1.0
     matrix.setflags(write=False)
     return matrix
 

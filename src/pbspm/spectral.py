@@ -7,8 +7,8 @@ matrix S whose large entries mark likely missing edges. The popularity-boosted
 variant scales row i of the eigenvectors by ``f_i = 1 + alpha * popularity_i``,
 which makes its score exactly ``f_i * f_j * S_ij``: it is computed as that
 rescale of S. The fast variant rescales the sum of only the ``m`` leading
-eigenpairs, with ``m`` read off the last large eigenvalue gap. Adjacencies,
-popularity vectors and score matrices are plain read-only ndarrays.
+eigenpairs, with ``m`` read off the last large eigenvalue gap. Edge lists,
+adjacencies, popularity vectors and score matrices are read-only ndarrays.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegeneratePerturbationError, NumericalError
-from .graph import _symmetric_adjacency
 
 __all__ = [
     "PerturbationSample",
@@ -37,12 +36,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PerturbationSample:
-    """A training adjacency split into a retained adjacency and the removed edges.
+    """Training edges split into the retained edges and the removed edges.
 
-    ``retained`` is a read-only n x n float64 array. ``removed`` is a
-    read-only ``(k, 2)`` int array, one ``(min, max)`` row per removed edge,
-    sorted by ``(u, v)``. Setting both orientations of each row to 1 in
-    ``retained`` gives back the training adjacency.
+    ``retained`` is a read-only ``(m - k, 2)`` int array, the endpoints of
+    the kept training edges in the order given. ``removed`` is a read-only
+    ``(k, 2)`` int array, one ``(min, max)`` row per removed edge, sorted by
+    ``(u, v)``. Together they hold each training edge once.
     """
 
     retained: np.ndarray
@@ -79,32 +78,22 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _score_matrix(values: np.ndarray) -> np.ndarray:
-    # (M + M.T) / 2 makes BLAS round-off exactly symmetric.
-    return _frozen((values + values.T) / 2.0)
-
-
-def sample_perturbation(
-    n: int, train_edges: np.ndarray, p_h: float, seed: int
-) -> PerturbationSample:
+def sample_perturbation(train_edges: np.ndarray, p_h: float, seed: int) -> PerturbationSample:
     """Remove a uniform random fraction ``p_h`` of the training edges.
 
     ``train_edges`` is an ``(m, >=2)`` array whose first two columns are the
-    endpoints, in ``[0, n)``, of m distinct edges. The draw is without
-    replacement from a generator seeded with ``seed``, so it is
-    reproducible. The drawn edges come back as ``PerturbationSample.removed``,
-    an edge list; ``retained`` is the n x n adjacency of the edges not drawn,
-    built from the list, so no caller has to hold the training adjacency.
+    endpoints of m distinct edges. The draw is without replacement from a
+    generator seeded with ``seed``, so it is reproducible. Both sides come
+    back as edge lists: ``graph.adjacency(sample.retained, n)`` is the
+    retained matrix, built only when a caller needs it.
 
     Raises:
-        ValueError: ``p_h`` outside (0, 1), or an endpoint outside ``[0, n)``.
+        ValueError: ``p_h`` outside (0, 1).
         DegeneratePerturbationError: ``round(p_h * m)`` is zero.
     """
     if not 0.0 < p_h < 1.0:
         raise ValueError(f"p_h must be in (0,1), got {p_h}")
     ends = np.asarray(train_edges)[:, :2]
-    if ends.size and (ends.min() < 0 or ends.max() >= n):
-        raise ValueError(f"training edge endpoint outside [0, {n})")
     m = ends.shape[0]
     k = round(p_h * m)
     if k < 1:
@@ -117,8 +106,7 @@ def sample_perturbation(
     removed = removed[np.lexsort((removed[:, 1], removed[:, 0]))]
     kept = np.ones(m, dtype=bool)
     kept[drawn] = False
-    retained = _symmetric_adjacency(ends[kept], n)
-    return PerturbationSample(retained=retained, removed=_frozen(removed))
+    return PerturbationSample(retained=_frozen(ends[kept]), removed=_frozen(removed))
 
 
 def _magnitude_order(lam: np.ndarray) -> np.ndarray:

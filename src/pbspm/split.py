@@ -93,10 +93,18 @@ def popularity(
     Returns a read-only float64 vector in [0, 1], indexed by dense node id.
     The fresh segment is the last ``round(p_fresher * |train|)`` training
     edges in ``(t, u, v)`` order. Nodes with no training degree score 0.
+
+    Raises:
+        ValueError: ``p_fresher`` outside (0, 1), or ``train`` holds anything
+            but indices into ``graph.edges``: numpy would read a bool mask as
+            the indices 0 and 1, and wrap a negative index to the newest edges.
     """
     if not 0.0 < p_fresher < 1.0:
         raise ValueError(f"p_fresher must be in (0,1), got {p_fresher}")
-    idx = np.sort(np.asarray(train, dtype=np.intp))
+    idx = np.asarray(train)
+    if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= graph.m_edges):
+        raise ValueError(f"train must hold edge indices in [0, {graph.m_edges})")
+    idx = np.sort(idx.astype(np.intp, copy=False))
     n_fresh = round(p_fresher * idx.size)
     fresh_idx = idx[idx.size - n_fresh :] if n_fresh else idx[:0]
     k_all = _endpoint_counts(graph.edges[idx], graph.n)

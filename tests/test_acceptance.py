@@ -107,8 +107,9 @@ class TestCriterion1PbspmSpmDegeneracy:
             edges = view_edges(view)
             if edges.shape[0] < 5:
                 continue
-            sample = sample_perturbation(len(view), edges, 0.2, seed=int(rng.integers(1e6)))
-            model = eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
+            sample = sample_perturbation(edges, 0.2, seed=int(rng.integers(1e6)))
+            retained = adjacency(sample.retained, len(view))
+            model = eigenvalue_correction(eigendecompose(retained), sample.removed)
             pop = rng.random(n)
             spm = spm_scores(model)
             pbspm = pbspm_scores(model, pop, alpha=0.0)
@@ -132,8 +133,9 @@ class TestCriterion2SpectralIdentity:
             edges = view_edges(view)
             if edges.shape[0] < 5:
                 continue
-            sample = sample_perturbation(len(view), edges, 0.2, seed=int(rng.integers(1e6)))
-            model = eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
+            sample = sample_perturbation(edges, 0.2, seed=int(rng.integers(1e6)))
+            retained = adjacency(sample.retained, len(view))
+            model = eigenvalue_correction(eigendecompose(retained), sample.removed)
             pop = rng.random(n)
             full = pbspm_scores(model, pop, alpha=3.0)
             trunc = pbspm_scores(model, pop, alpha=3.0, m=n)
@@ -183,9 +185,10 @@ class TestCriterion4FirstOrderSanity:
                 continue
             trials += 1
             sample = sample_perturbation(
-                len(view), edges, 1.0 / edges.shape[0], seed=int(rng.integers(1e6))
+                edges, 1.0 / edges.shape[0], seed=int(rng.integers(1e6))
             )
-            model = eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
+            retained = adjacency(sample.retained, len(view))
+            model = eigenvalue_correction(eigendecompose(retained), sample.removed)
             lam_true = np.linalg.eigvalsh(view).max()
             with_corr = abs(lam_true - (model.eigenvalues[0] + model.corrections[0]))
             without = abs(lam_true - model.eigenvalues[0])
@@ -262,7 +265,7 @@ class TestCriterion9EigengapSelection:
     def test_auto_m_matches_reference(self, name):
         graph = dataset_graph(name)
         split = split_train_probe(graph, 0.10)
-        model = eigendecompose(adjacency(graph, split.train))
+        model = eigendecompose(adjacency(graph.edges[split.train], graph.n))
         assert select_m(model.eigenvalues) == DATASETS[name]["m"]
 
 

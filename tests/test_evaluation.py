@@ -74,7 +74,7 @@ def engine_oracle(graph, cfg):
     count of the edges after the training prefix.
     """
     split = split_train_probe(graph, cfg.probe_fraction)
-    view = adjacency(graph, split.train)
+    view = adjacency(graph.edges[split.train], graph.n)
     L = cfg.L if cfg.L is not None else len(split.probe)
     if cfg.method in BASELINE_ORACLES:
         top = rank_candidates(BASELINE_ORACLES[cfg.method](view, cfg), view, L)
@@ -91,8 +91,9 @@ def engine_oracle(graph, cfg):
         m = select_m(eigenvalues(view), cfg.m_threshold)
     per, dccs, total = [], [], np.zeros((graph.n, graph.n))
     for r in range(cfg.realizations):
-        sample = sample_perturbation(graph.n, graph.edges[split.train], cfg.p_h, cfg.seed + r)
-        model = eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
+        sample = sample_perturbation(graph.edges[split.train], cfg.p_h, cfg.seed + r)
+        retained = adjacency(sample.retained, graph.n)
+        model = eigenvalue_correction(eigendecompose(retained), sample.removed)
         if cfg.method == "SPM":
             scores = spm_scores(model)
         elif cfg.method == "PBSPM":
@@ -679,7 +680,8 @@ class TestAveragedScores:
             rng = np.random.default_rng(source)
             graph = simplify(random_event_stream(rng, n_labels=40, n_events=500, t_max=1000))
         split = split_train_probe(graph, 0.1)
-        n_cand = int(np.count_nonzero(np.triu(adjacency(graph, split.train) == 0, 1)))
+        train_adj = adjacency(graph.edges[split.train], graph.n)
+        n_cand = int(np.count_nonzero(np.triu(train_adj == 0, 1)))
         base = ExperimentConfig(method="PBSPM", alpha=4.0, p_fresher=0.2, seed=5,
                                 realizations=4)
         cfgs = [

@@ -619,20 +619,28 @@ class TestAdjacency:
 
     def test_path_graph(self):
         graph = self._graph(("0", "1"), ("1", "2"))
-        view = adjacency(graph)
+        view = adjacency(graph.edges, graph.n)
         expected = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
         np.testing.assert_array_equal(view, expected)
 
     def test_empty_subset_is_zero_matrix(self):
         graph = self._graph(("0", "1"), ("1", "2"))
-        view = adjacency(graph, edge_subset=[])
-        assert not view.any()
-        assert len(view) == 3
+        for rows in (graph.edges[:0], graph.edges[:0, :2]):  # (0, 3) and (0, 2)
+            view = adjacency(rows, graph.n)
+            assert not view.any()
+            assert view.shape == (3, 3)
 
-    def test_subset_out_of_range(self):
+    def test_endpoint_outside_n_rejected(self):
+        # An endpoint of n, and one of -1, which numpy indexing would wrap round.
+        edges = np.array([[0, 1], [1, 2], [2, 5]])
+        for n in (5, 3):
+            with pytest.raises(ValueError, match="outside"):
+                adjacency(edges, n)
+        with pytest.raises(ValueError, match="outside"):
+            adjacency(edges - 1, 6)
         graph = self._graph(("0", "1"), ("1", "2"))
-        with pytest.raises(IndexError):
-            adjacency(graph, edge_subset=[5])
+        with pytest.raises(ValueError, match="outside"):
+            adjacency(graph.edges, graph.n - 1)
 
     def test_matches_pair_set_oracle(self):
         rng = np.random.default_rng(17)
@@ -642,7 +650,7 @@ class TestAdjacency:
                 graph = simplify(stream)
             except EmptyGraphError:
                 continue
-            view = adjacency(graph)
+            view = adjacency(graph.edges, graph.n)
             pairs = {(min(u, v), max(u, v)) for u, v, _ in graph.edges}
             for i in range(graph.n):
                 for j in range(graph.n):
@@ -650,7 +658,7 @@ class TestAdjacency:
                     assert view[i, j] == expected
 
     def test_symmetric_with_2m_nonzeros(self, shift_graph):
-        view = adjacency(shift_graph)
+        view = adjacency(shift_graph.edges, shift_graph.n)
         assert np.array_equal(view, view.T)
         assert np.count_nonzero(view) == 2 * shift_graph.m_edges
         assert not view.diagonal().any()
@@ -660,24 +668,24 @@ class TestDegree:
     def test_star_center(self):
         events = tuple(RawEvent("hub", leaf, i + 1) for i, leaf in enumerate("xyz"))
         graph = simplify(TemporalEventStream.from_events(events))
-        view = adjacency(graph)
+        view = adjacency(graph.edges, graph.n)
         assert degrees(view)[graph.node_id["hub"]] == 3
 
     def test_isolated_in_subset(self):
         events = (RawEvent("a", "b", 1), RawEvent("c", "d", 2))
         graph = simplify(TemporalEventStream.from_events(events))
-        view = adjacency(graph, edge_subset=[0])
+        view = adjacency(graph.edges[[0]], graph.n)
         assert degrees(view)[graph.node_id["c"]] == 0
 
     def test_degree_sum_is_twice_edge_count(self, shift_graph):
-        view = adjacency(shift_graph)
+        view = adjacency(shift_graph.edges, shift_graph.n)
         assert degrees(view).sum() == 2 * shift_graph.m_edges
 
     def test_matches_neighbor_count_oracle(self):
         rng = np.random.default_rng(23)
         stream = random_event_stream(rng, n_labels=7, n_events=30)
         graph = simplify(stream)
-        view = adjacency(graph)
+        view = adjacency(graph.edges, graph.n)
         neighbors = {i: set() for i in range(graph.n)}
         for u, v, _ in graph.edges:
             neighbors[u].add(v)

@@ -33,8 +33,9 @@ def edge_matrix(edges, n) -> np.ndarray:
 
 
 def corrected_model(view, rng=None, p_h=0.2, seed=0):
-    sample = sample_perturbation(len(view), view_edges(view), p_h, seed)
-    return eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
+    sample = sample_perturbation(view_edges(view), p_h, seed)
+    retained = adjacency(sample.retained, len(view))
+    return eigenvalue_correction(eigendecompose(retained), sample.removed)
 
 
 def ring_graph(n, seed):
@@ -52,33 +53,46 @@ class TestSamplePerturbation:
         view = random_view(rng, 8, p=0.5)
         edges = view_edges(view)[:10]
         view10 = edge_matrix(edges, 8)
-        sample = sample_perturbation(8, edges, 0.1, seed=1)
+        sample = sample_perturbation(edges, 0.1, seed=1)
         assert sample.removed.shape == (1, 2)
-        assert np.count_nonzero(view10 - sample.retained) == 2
+        assert np.count_nonzero(view10 - adjacency(sample.retained, 8)) == 2
 
     def test_same_seed_same_removal(self):
         rng = np.random.default_rng(1)
         view = random_view(rng, 12, p=0.4)
         edges = view_edges(view)
-        a = sample_perturbation(len(view), edges, 0.2, seed=99)
-        b = sample_perturbation(len(view), edges, 0.2, seed=99)
+        a = sample_perturbation(edges, 0.2, seed=99)
+        b = sample_perturbation(edges, 0.2, seed=99)
         np.testing.assert_array_equal(a.removed, b.removed)
         np.testing.assert_array_equal(a.retained, b.retained)
 
     def test_retained_plus_removed_is_original(self):
         rng = np.random.default_rng(2)
-        view = random_view(rng, 15, p=0.3)
-        edges = view_edges(view)
-        # Edges given as (max, min) rows in reverse order come back as (min, max), sorted.
-        sample = sample_perturbation(len(view), edges[::-1, ::-1], 0.25, seed=5)
-        removed = sample.removed
-        np.testing.assert_array_equal(
-            sample.retained + edge_matrix(removed, 15), view
-        )
-        assert removed.shape == (round(0.25 * edges.shape[0]), 2)
-        assert np.all(removed[:, 0] < removed[:, 1])
-        assert [tuple(row) for row in removed] == sorted(tuple(row) for row in removed)
-        assert not removed.flags.writeable and not sample.retained.flags.writeable
+        for trial in range(20):
+            view = random_view(rng, int(rng.integers(6, 40)), p=0.3)
+            edges = view_edges(view)
+            if edges.shape[0] < 10:  # so that p_h >= 0.1 removes at least one
+                continue
+            # Rows in random orientation and order, with the time column a graph's rows carry.
+            flip = rng.random(edges.shape[0]) < 0.5
+            edges[flip] = edges[flip, ::-1]
+            edges = edges[rng.permutation(edges.shape[0])]
+            rows = np.column_stack((edges, rng.integers(0, 100, edges.shape[0])))
+            p_h = rng.uniform(0.1, 0.6)
+            sample = sample_perturbation(rows, p_h, seed=trial)
+            retained, removed = sample.retained, sample.removed
+            # Kept rows come back as given, in the given order ...
+            position = {tuple(row): at for at, row in enumerate(edges.tolist())}
+            at = [position[tuple(row)] for row in retained.tolist()]
+            assert retained.shape[1] == 2 and at == sorted(at)
+            # ... and with the removed rows they are the training rows, as a multiset.
+            together = [*retained.tolist(), *removed.tolist()]
+            assert sorted(map(sorted, together)) == sorted(map(sorted, edges.tolist()))
+            # Removed rows come back as (min, max), sorted.
+            assert removed.shape == (round(p_h * edges.shape[0]), 2)
+            assert np.all(removed[:, 0] < removed[:, 1])
+            assert [tuple(row) for row in removed] == sorted(tuple(row) for row in removed)
+            assert not removed.flags.writeable and not retained.flags.writeable
 
     def test_removal_frequency_matches_p_h(self):
         # Monte Carlo oracle: per-edge removal frequency within 3 binomial sigma.
@@ -91,7 +105,7 @@ class TestSamplePerturbation:
         position = {(int(u), int(v)): e for e, (u, v) in enumerate(edges)}
         counts = np.zeros(m)
         for seed in range(trials):
-            sample = sample_perturbation(len(view), edges, 0.2, seed=seed)
+            sample = sample_perturbation(edges, 0.2, seed=seed)
             for u, v in sample.removed:
                 counts[position[int(u), int(v)]] += 1
         freq = counts / trials
@@ -103,21 +117,13 @@ class TestSamplePerturbation:
         view = random_view(rng, 20, p=0.3)
         edges = view_edges(view)
         with pytest.raises(DegeneratePerturbationError):
-            sample_perturbation(len(view), edges, 1e-4, seed=0)
+            sample_perturbation(edges, 1e-4, seed=0)
 
     def test_p_h_bounds(self):
         rng = np.random.default_rng(5)
         view = random_view(rng, 6, p=0.5)
         with pytest.raises(ValueError):
-            sample_perturbation(len(view), view_edges(view), 1.2, seed=0)
-
-    def test_endpoint_outside_n_rejected(self):
-        edges = np.array([[0, 1], [1, 2], [2, 5]])
-        for n in (5, 3):
-            with pytest.raises(ValueError, match="outside"):
-                sample_perturbation(n, edges, 0.5, seed=0)
-        with pytest.raises(ValueError, match="outside"):
-            sample_perturbation(6, edges - 1, 0.5, seed=0)
+            sample_perturbation(view_edges(view), 1.2, seed=0)
 
 
 class TestEigendecompose:
@@ -201,8 +207,8 @@ class TestEigenvalueCorrection:
         for _ in range(10):
             view = random_view(rng, 12, p=0.5)
             edges = view_edges(view)
-            sample = sample_perturbation(len(view), edges, 0.2, seed=int(rng.integers(1000)))
-            model = eigendecompose(sample.retained)
+            sample = sample_perturbation(edges, 0.2, seed=int(rng.integers(1000)))
+            model = eigendecompose(adjacency(sample.retained, len(view)))
             corrected = eigenvalue_correction(model, sample.removed)
             X = model.eigenvectors
             oracle = np.diag(X.T @ edge_matrix(sample.removed, 12) @ X)
@@ -219,8 +225,9 @@ class TestEigenvalueCorrection:
             if edges.shape[0] < 5:
                 continue
             p_h = 1.0 / edges.shape[0]
-            sample = sample_perturbation(len(view), edges, p_h, seed=int(rng.integers(10_000)))
-            model = eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
+            sample = sample_perturbation(edges, p_h, seed=int(rng.integers(10_000)))
+            retained = adjacency(sample.retained, len(view))
+            model = eigenvalue_correction(eigendecompose(retained), sample.removed)
             lam_true = np.linalg.eigvalsh(view).max()
             lam_est = model.eigenvalues[0] + model.corrections[0]
             if abs(lam_true - lam_est) < abs(lam_true - model.eigenvalues[0]):
@@ -283,9 +290,10 @@ class TestPairSumBlocks:
         cfg = ExperimentConfig(method="SPM" if m is None else "FastPBSPM", alpha=0.0, m=m,
                                realizations=1, seed=3)
         split = split_train_probe(graph, cfg.probe_fraction)
-        cand = np.triu(adjacency(graph, split.train) == 0, 1)
-        sample = sample_perturbation(n, graph.edges[split.train], cfg.p_h, cfg.seed)
-        model = eigenvalue_correction(eigendecompose(sample.retained), sample.removed)
+        cand = np.triu(adjacency(graph.edges[split.train], graph.n) == 0, 1)
+        sample = sample_perturbation(graph.edges[split.train], cfg.p_h, cfg.seed)
+        retained = adjacency(sample.retained, n)
+        model = eigenvalue_correction(eigendecompose(retained), sample.removed)
         scores = spm_scores(model, m)
         assert np.array_equal(scores, scores.T)
         expected = np.zeros((n, n))

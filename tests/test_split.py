@@ -160,3 +160,13 @@ class TestPopularity:
     def test_p_fresher_bounds(self, hub_graph):
         with pytest.raises(ValueError):
             popularity(hub_graph, range(10), p_fresher=1.0)
+
+    def test_mask_or_out_of_range_train_rejected(self):
+        # A bool mask reads as the indices 0 and 1, and -1 wraps round to the
+        # newest edge, which sorts first: [-1, 0] used to give [1, 1, 0, 0, 0].
+        path = graph_from_pairs([("0", "1", 1), ("1", "2", 2), ("2", "3", 3), ("3", "4", 4)])
+        for train in ([False, False, True, True], [-1, 0], [0, 4], [0.0, 1.0]):
+            with pytest.raises(ValueError, match="train"):
+                popularity(path, train, 0.5)
+        assert popularity(path, [], 0.5).tolist() == [0.0] * 5
+        assert popularity(path, [2, 3], 0.5).tolist() == [0.0, 0.0, 0.0, 0.5, 1.0]
