@@ -638,9 +638,15 @@ class TestAdjacency:
                 adjacency(edges, n)
         with pytest.raises(ValueError, match="outside"):
             adjacency(edges - 1, 6)
+
+    def test_subset_out_of_range(self):
+        # A subset of a graph's rows is checked against the n it is given.
         graph = self._graph(("0", "1"), ("1", "2"))
         with pytest.raises(ValueError, match="outside"):
             adjacency(graph.edges, graph.n - 1)
+        with pytest.raises(ValueError, match="outside"):
+            adjacency(graph.edges[1:], 2)
+        assert adjacency(graph.edges[:1], 2).sum() == 2
 
     def test_matches_pair_set_oracle(self):
         rng = np.random.default_rng(17)

@@ -125,6 +125,17 @@ class TestSamplePerturbation:
         with pytest.raises(ValueError):
             sample_perturbation(view_edges(view), 1.2, seed=0)
 
+    def test_endpoint_outside_n_rejected(self):
+        # The sample keeps endpoints as given, so adjacency sees a bad one and raises.
+        for edges, n in (
+            (np.array([[0, 5], [1, 5], [2, 5], [3, 5]]), 5),
+            (np.array([[-1, 0], [-1, 1], [-1, 2], [-1, 3]]), 6),
+        ):
+            sample = sample_perturbation(edges, 0.5, seed=0)
+            assert sample.retained.shape == (2, 2)
+            with pytest.raises(ValueError, match="outside"):
+                adjacency(sample.retained, n)
+
 
 class TestEigendecompose:
     def test_single_edge_pair(self):
