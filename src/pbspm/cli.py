@@ -208,7 +208,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     emit = _emit(args)
     graph = _load_graph(args)
     split = split_train_probe(graph, cfg.probe_fraction)
-    lam = eigenvalues(adjacency(graph.edges[split.train], graph.n))
+    lam = eigenvalues(adjacency(split.train, graph.n))
     gaps = [abs(a) - abs(b) for a, b in zip(lam[:-1], lam[1:])]
     rows = [
         dict(zip(_SPECTRUM_COLUMNS, (i, value, abs(value), gap)))

@@ -170,11 +170,10 @@ def _candidates(train_adj: np.ndarray) -> np.ndarray:
     return np.triu(train_adj == 0, 1)
 
 
-def _hits(cand: np.ndarray, probe: Iterable[tuple[int, int]]) -> np.ndarray:
-    """Which candidates, in ``cand``'s order, are ``probe`` pairs."""
-    pairs = np.array(list(probe), dtype=np.intp).reshape(-1, 2)
+def _hits(cand: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Which candidates, in ``cand``'s order, are the ``(k, 2)`` ``probe`` rows."""
     is_probe = np.zeros_like(cand)
-    is_probe[pairs[:, 0], pairs[:, 1]] = True
+    is_probe[probe[:, 0], probe[:, 1]] = True
     return is_probe[cand]
 
 
@@ -224,7 +223,7 @@ def rank_candidates(
 
 def precision_at(ranked: RankedCandidates, probe: Iterable[tuple[int, int]], L: int) -> float:
     """Fraction of the top-L ranked pairs that appear in the probe set."""
-    probe_set = set(probe)
+    probe_set = {(int(u), int(v)) for u, v in probe}
     if not probe_set:
         raise UndefinedMetricError("probe set is empty")
     if L < 1:
@@ -349,7 +348,7 @@ def _score_spectral(
         by_boost.setdefault(key[1], []).append(p)
     boosted = [boost for boost in by_boost if boost is not None]
     p_freshers = dict.fromkeys(pf for _, pf in boosted)
-    pops = {pf: popularity(graph, split.train, pf) for pf in p_freshers}
+    pops = {pf: popularity(split.train, graph.n, pf) for pf in p_freshers}
     boosts = {(alpha, pf): 1.0 + alpha * pops[pf] for alpha, pf in boosted}
 
     per_row = np.count_nonzero(cand, axis=1)  # candidates (i, j) of each row i
@@ -369,15 +368,14 @@ def _score_spectral(
     averaged = (p.m for p in points if keep_top or p.cfg.score_averaging == "matrix")
     # The full sum is allocated before the first eigensolve, so it leaves no hole at its peak.
     sums = {m: np.zeros(hit.size) if m is None else [] for m in dict.fromkeys(averaged)}
-    probe_inc = _endpoint_counts(graph.edges[split.train.size :], graph.n)
+    probe_inc = _endpoint_counts(graph.edges[len(split.train) :], graph.n)
 
     shared = points[0].cfg
-    train_edges = graph.edges[split.train]
     shifts: list[float] = []
     failures: list[str] = []
     for r in range(shared.realizations):
         try:
-            sample = sample_perturbation(train_edges, shared.p_h, shared.seed + r)
+            sample = sample_perturbation(split.train, shared.p_h, shared.seed + r)
             retained = adjacency(sample.retained, graph.n)
             removed, sample = sample.removed, None  # the kept rows go before the eigensolve
             model = eigendecompose(retained)
@@ -450,7 +448,7 @@ def _run_points(
         if cfg.method == "FastPBSPM" and cfg.m is not None and cfg.m > graph.n:
             raise ValueError(f"m must be in [1, {graph.n}], got {cfg.m}")
     split = split_train_probe(graph, cfgs[0].probe_fraction)
-    train_adj = adjacency(graph.edges[split.train], graph.n)
+    train_adj = adjacency(split.train, graph.n)
     cand = _candidates(train_adj)
     hit = _hits(cand, split.probe)
     points = []

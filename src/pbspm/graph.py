@@ -13,7 +13,7 @@ line, by the one line grammar that also names a TSV file's bad line.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Optional, Sequence
 
@@ -123,7 +123,6 @@ class TemporalGraph:
 
     labels: tuple[str, ...]
     edges: np.ndarray
-    node_id: dict[str, int] = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -483,24 +482,30 @@ def simplify(stream: TemporalEventStream) -> TemporalGraph:
     rows = np.column_stack((u, v, stamp))[np.lexsort((v, u, stamp))]
     rows.setflags(write=False)
     labels = tuple(map(stream.labels.__getitem__, by_id))
-    return TemporalGraph(labels=labels, edges=rows, node_id=dict(zip(labels, range(len(labels)))))
+    return TemporalGraph(labels=labels, edges=rows)
+
+
+def _endpoints(edges: np.ndarray, n: int) -> np.ndarray:
+    """The endpoint columns of the edge rows ``edges``; ValueError for one outside
+    ``[0, n)``, which numpy would wrap round to the end of its axis if negative."""
+    ends = np.asarray(edges)[:, :2]
+    if ends.size and (ends.min() < 0 or ends.max() >= n):
+        raise ValueError(f"edge endpoint outside [0, {n})")
+    return ends
 
 
 def adjacency(edges: np.ndarray, n: int) -> np.ndarray:
     """Binary adjacency of the edge rows ``edges`` over ``n`` nodes.
 
     ``edges`` is an ``(m, >=2)`` int array whose first two columns are the
-    endpoints, such as ``graph.edges[split.train]``. The result is a
-    read-only, symmetric, dense float64 n x n array with a 1 at both
-    orientations of each row, so it can feed linear algebra directly.
+    endpoints, such as ``split.train``. The result is a read-only,
+    symmetric, dense float64 n x n array with a 1 at both orientations of
+    each row, so it can feed linear algebra directly.
 
     Raises:
-        ValueError: an endpoint outside ``[0, n)``; numpy would wrap a
-            negative one round to the end of its axis.
+        ValueError: an endpoint outside ``[0, n)``.
     """
-    ends = np.asarray(edges)[:, :2]
-    if ends.size and (ends.min() < 0 or ends.max() >= n):
-        raise ValueError(f"edge endpoint outside [0, {n})")
+    ends = _endpoints(edges, n)
     matrix = np.zeros((n, n), dtype=np.float64)
     if ends.size:
         matrix[ends[:, 0], ends[:, 1]] = 1.0

@@ -10,12 +10,11 @@ plain float and range-check it; an experiment takes it from ``ExperimentConfig``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateSplitError
-from .graph import TemporalGraph
+from .graph import TemporalGraph, _endpoints
 
 __all__ = [
     "TrainProbeSplit",
@@ -26,15 +25,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrainProbeSplit:
-    """Training edge indices plus the probe pairs kept for evaluation.
+    """Training edge rows plus the probe pairs kept for evaluation.
 
-    Probe pairs with an endpoint that never occurs in a training edge cannot
-    be scored by structural methods; they are excluded and counted in
-    ``probe_dropped``.
+    ``train`` is a read-only view of the oldest rows of ``graph.edges``;
+    ``probe`` is a read-only ``(k, 2)`` int array of later ``(u, v)`` pairs
+    in ``graph.edges`` order. Probe pairs with an endpoint that never occurs
+    in a training edge cannot be scored by structural methods; they are
+    excluded and counted in ``probe_dropped``.
     """
 
     train: np.ndarray
-    probe: frozenset[tuple[int, int]]
+    probe: np.ndarray
     probe_dropped: int
 
     @property
@@ -64,16 +65,17 @@ def split_train_probe(graph: TemporalGraph, probe_fraction: float) -> TrainProbe
         raise DegenerateSplitError(
             f"probe_fraction={probe_fraction} leaves an empty side for m={m}"
         )
-    train = np.arange(n_train, dtype=np.intp)
+    train = graph.edges[:n_train]
     train.setflags(write=False)
 
     in_train = np.zeros(graph.n, dtype=bool)
-    in_train[graph.edges[:n_train, :2]] = True
+    in_train[train[:, :2]] = True
     later = graph.edges[n_train:, :2]
     seen = in_train[later].all(axis=1)
-    probe = frozenset(map(tuple, later[seen].tolist()))
+    probe = later[seen]
+    probe.setflags(write=False)
     dropped = int(np.count_nonzero(~seen))
-    if not probe:
+    if not len(probe):
         raise DegenerateSplitError(
             f"every probe pair touches a node unseen in training ({dropped} dropped)"
         )
@@ -85,30 +87,23 @@ def _endpoint_counts(rows: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(rows[:, :2].ravel(), minlength=n).astype(np.float64)
 
 
-def popularity(
-    graph: TemporalGraph, train: Sequence[int], p_fresher: float
-) -> np.ndarray:
+def popularity(train_edges: np.ndarray, n: int, p_fresher: float) -> np.ndarray:
     """Fraction of each node's training degree earned in the fresh segment.
 
-    Returns a read-only float64 vector in [0, 1], indexed by dense node id.
-    The fresh segment is the last ``round(p_fresher * |train|)`` training
-    edges in ``(t, u, v)`` order. Nodes with no training degree score 0.
+    ``train_edges`` are the m training rows oldest first, such as ``split.train``,
+    counted as given, so they are m distinct edges as ``sample_perturbation``
+    takes; the fresh segment is the last ``round(p_fresher * m)``. Returns a
+    read-only float64 vector in [0, 1] over the ``n`` nodes; a node with no
+    training degree scores 0.
 
     Raises:
-        ValueError: ``p_fresher`` outside (0, 1), or ``train`` holds anything
-            but indices into ``graph.edges``: numpy would read a bool mask as
-            the indices 0 and 1, and wrap a negative index to the newest edges.
+        ValueError: ``p_fresher`` outside (0, 1), or an endpoint outside ``[0, n)``.
     """
     if not 0.0 < p_fresher < 1.0:
         raise ValueError(f"p_fresher must be in (0,1), got {p_fresher}")
-    idx = np.asarray(train)
-    if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= graph.m_edges):
-        raise ValueError(f"train must hold edge indices in [0, {graph.m_edges})")
-    idx = np.sort(idx.astype(np.intp, copy=False))
-    n_fresh = round(p_fresher * idx.size)
-    fresh_idx = idx[idx.size - n_fresh :] if n_fresh else idx[:0]
-    k_all = _endpoint_counts(graph.edges[idx], graph.n)
-    k_fresh = _endpoint_counts(graph.edges[fresh_idx], graph.n)
-    values = np.divide(k_fresh, k_all, out=np.zeros(graph.n), where=k_all > 0)
+    ends = _endpoints(train_edges, n)
+    k_all = _endpoint_counts(ends, n)
+    k_fresh = _endpoint_counts(ends[len(ends) - round(p_fresher * len(ends)) :], n)
+    values = np.divide(k_fresh, k_all, out=np.zeros(n), where=k_all > 0)
     values.setflags(write=False)
     return values

@@ -122,7 +122,7 @@ def greedy_simplify_oracle(stream: TemporalEventStream) -> TemporalGraph:
             row += 1
 
     rows.setflags(write=False)
-    return TemporalGraph(labels=tuple(labels), edges=rows, node_id=node_id)
+    return TemporalGraph(labels=tuple(labels), edges=rows)
 
 
 def per_line_ingest_oracle(
@@ -297,4 +297,4 @@ def _oracle_simplify(events: tuple[RawEvent, ...]) -> TemporalGraph:
                         heapq.heappush(heap, (keys[w], w))
 
     rows.setflags(write=False)
-    return TemporalGraph(labels=tuple(labels), edges=rows, node_id=node_id)
+    return TemporalGraph(labels=tuple(labels), edges=rows)

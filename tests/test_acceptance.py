@@ -265,7 +265,7 @@ class TestCriterion9EigengapSelection:
     def test_auto_m_matches_reference(self, name):
         graph = dataset_graph(name)
         split = split_train_probe(graph, 0.10)
-        model = eigendecompose(adjacency(graph.edges[split.train], graph.n))
+        model = eigendecompose(adjacency(split.train, graph.n))
         assert select_m(model.eigenvalues) == DATASETS[name]["m"]
 
 

@@ -74,13 +74,13 @@ def engine_oracle(graph, cfg):
     count of the edges after the training prefix.
     """
     split = split_train_probe(graph, cfg.probe_fraction)
-    view = adjacency(graph.edges[split.train], graph.n)
+    view = adjacency(split.train, graph.n)
     L = cfg.L if cfg.L is not None else len(split.probe)
     if cfg.method in BASELINE_ORACLES:
         top = rank_candidates(BASELINE_ORACLES[cfg.method](view, cfg), view, L)
         prec = precision_at(top, split.probe, L)
         return (prec,), prec, top, None
-    pop = popularity(graph, split.train, cfg.p_fresher)
+    pop = popularity(split.train, graph.n, cfg.p_fresher)
     boost = 1.0 if cfg.method == "SPM" else 1.0 + cfg.alpha * pop
     k_probe = np.zeros(graph.n)
     for u, v, _ in graph.edges[len(split.train):]:
@@ -91,7 +91,7 @@ def engine_oracle(graph, cfg):
         m = select_m(eigenvalues(view), cfg.m_threshold)
     per, dccs, total = [], [], np.zeros((graph.n, graph.n))
     for r in range(cfg.realizations):
-        sample = sample_perturbation(graph.edges[split.train], cfg.p_h, cfg.seed + r)
+        sample = sample_perturbation(split.train, cfg.p_h, cfg.seed + r)
         retained = adjacency(sample.retained, graph.n)
         model = eigenvalue_correction(eigendecompose(retained), sample.removed)
         if cfg.method == "SPM":
@@ -680,7 +680,7 @@ class TestAveragedScores:
             rng = np.random.default_rng(source)
             graph = simplify(random_event_stream(rng, n_labels=40, n_events=500, t_max=1000))
         split = split_train_probe(graph, 0.1)
-        train_adj = adjacency(graph.edges[split.train], graph.n)
+        train_adj = adjacency(split.train, graph.n)
         n_cand = int(np.count_nonzero(np.triu(train_adj == 0, 1)))
         base = ExperimentConfig(method="PBSPM", alpha=4.0, p_fresher=0.2, seed=5,
                                 realizations=4)

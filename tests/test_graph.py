@@ -384,7 +384,7 @@ def ingest_outcome(ingest):
     except (DataError, csv.Error) as err:
         return type(err), str(err), getattr(err, "line_no", None)
     # repr tells a NaN weight from None and an int stamp from a numpy one.
-    return [repr(ev) for ev in events], graph.labels, graph.edges.tolist(), graph.node_id
+    return [repr(ev) for ev in events], graph.labels, graph.edges.tolist()
 
 
 class TestColumnarIngestMatchesPerLine:
@@ -517,7 +517,6 @@ class TestSimplify:
 def assert_same_graph(got, want):
     assert got.labels == want.labels
     assert np.array_equal(got.edges, want.edges)
-    assert got.node_id == want.node_id
 
 
 class TestSimplifyMatchesGreedy:
@@ -675,13 +674,13 @@ class TestDegree:
         events = tuple(RawEvent("hub", leaf, i + 1) for i, leaf in enumerate("xyz"))
         graph = simplify(TemporalEventStream.from_events(events))
         view = adjacency(graph.edges, graph.n)
-        assert degrees(view)[graph.node_id["hub"]] == 3
+        assert degrees(view)[graph.labels.index("hub")] == 3
 
     def test_isolated_in_subset(self):
         events = (RawEvent("a", "b", 1), RawEvent("c", "d", 2))
         graph = simplify(TemporalEventStream.from_events(events))
         view = adjacency(graph.edges[[0]], graph.n)
-        assert degrees(view)[graph.node_id["c"]] == 0
+        assert degrees(view)[graph.labels.index("c")] == 0
 
     def test_degree_sum_is_twice_edge_count(self, shift_graph):
         view = adjacency(shift_graph.edges, shift_graph.n)

@@ -301,8 +301,8 @@ class TestPairSumBlocks:
         cfg = ExperimentConfig(method="SPM" if m is None else "FastPBSPM", alpha=0.0, m=m,
                                realizations=1, seed=3)
         split = split_train_probe(graph, cfg.probe_fraction)
-        cand = np.triu(adjacency(graph.edges[split.train], graph.n) == 0, 1)
-        sample = sample_perturbation(graph.edges[split.train], cfg.p_h, cfg.seed)
+        cand = np.triu(adjacency(split.train, graph.n) == 0, 1)
+        sample = sample_perturbation(split.train, cfg.p_h, cfg.seed)
         retained = adjacency(sample.retained, n)
         model = eigenvalue_correction(eigendecompose(retained), sample.removed)
         scores = spm_scores(model, m)

@@ -54,7 +54,7 @@ class TestSplitConfig:
 class TestSplitTrainProbe:
     def test_ten_edges_split_nine_one(self, ten_edge_graph):
         split = split_train_probe(ten_edge_graph, 0.10)
-        assert split.train.size == 9
+        assert len(split.train) == 9
         assert len(split.probe) + split.probe_dropped == 1
 
     def test_too_few_edges(self):
@@ -81,10 +81,9 @@ class TestSplitTrainProbe:
         timed += [("d", "g", 19), ("a", "ghost", 20)]
         graph = graph_from_pairs(timed)
         split = split_train_probe(graph, 0.10)
-        assert split.train.size == 18
-        assert split.probe == frozenset(
-            {(graph.node_id["d"], graph.node_id["g"])}
-        ) or split.probe == frozenset({(graph.node_id["g"], graph.node_id["d"])})
+        assert len(split.train) == 18
+        d, g = graph.labels.index("d"), graph.labels.index("g")
+        assert split.probe.tolist() == [sorted((d, g))]
         assert split.probe_dropped == 1
         assert split.probe_total == 2
 
@@ -93,50 +92,64 @@ class TestSplitTrainProbe:
         for _ in range(15):
             graph = random_temporal_graph(rng)
             split = split_train_probe(graph, 0.10)
-            train_max = graph.edges[split.train, 2].max()
-            probe_ts = graph.edges[split.train.size :, 2]
+            train_max = split.train[:, 2].max()
+            probe_ts = graph.edges[len(split.train) :, 2]
             assert train_max <= probe_ts.min()
 
     def test_train_and_probe_are_pair_disjoint(self):
         rng = np.random.default_rng(37)
         graph = random_temporal_graph(rng)
         split = split_train_probe(graph, 0.10)
-        train_pairs = {(int(u), int(v)) for u, v, _ in graph.edges[split.train]}
-        assert not train_pairs & split.probe
+        train_pairs = {(int(u), int(v)) for u, v, _ in split.train}
+        assert not train_pairs & {(int(u), int(v)) for u, v in split.probe}
 
     def test_deterministic(self, ten_edge_graph):
         a = split_train_probe(ten_edge_graph, 0.10)
         b = split_train_probe(ten_edge_graph, 0.10)
         assert np.array_equal(a.train, b.train)
-        assert a.probe == b.probe
+        assert np.array_equal(a.probe, b.probe)
         assert a.probe_dropped == b.probe_dropped
+
+    def test_rows_are_graph_rows(self):
+        rng = np.random.default_rng(41)
+        for pf in (0.1, 0.3):
+            graph = random_temporal_graph(rng)
+            m = graph.m_edges
+            split = split_train_probe(graph, pf)
+            n_train = round((1 - pf) * m)
+            assert np.shares_memory(split.train, graph.edges)
+            assert np.array_equal(split.train, graph.edges[:n_train])
+            assert not split.train.flags.writeable and not split.probe.flags.writeable
+            seen = set(graph.edges[:n_train, :2].ravel().tolist())
+            later = [[u, v] for u, v, _ in graph.edges[n_train:].tolist()]
+            assert split.probe.tolist() == [[u, v] for u, v in later if {u, v} <= seen]
 
 
 class TestPopularity:
     def test_quarter_fresh(self, hub_graph):
         # Node c holds 4 of the 10 training edges; only the last is fresh.
-        pop = popularity(hub_graph, range(10), p_fresher=0.1)
-        assert pop[hub_graph.node_id["c"]] == pytest.approx(0.25)
+        pop = popularity(hub_graph.edges, hub_graph.n, p_fresher=0.1)
+        assert pop[hub_graph.labels.index("c")] == pytest.approx(0.25)
 
     def test_fully_fresh_node_scores_one(self, hub_graph):
         # Node e only ever appears in the single fresh-segment edge.
-        pop = popularity(hub_graph, range(10), p_fresher=0.1)
-        assert pop[hub_graph.node_id["e"]] == 1.0
+        pop = popularity(hub_graph.edges, hub_graph.n, p_fresher=0.1)
+        assert pop[hub_graph.labels.index("e")] == 1.0
 
     def test_zero_degree_node_scores_zero(self, hub_graph):
-        pop = popularity(hub_graph, range(9), p_fresher=0.2)
-        assert pop[hub_graph.node_id["e"]] == 0.0
+        pop = popularity(hub_graph.edges[:9], hub_graph.n, p_fresher=0.2)
+        assert pop[hub_graph.labels.index("e")] == 0.0
 
     def test_bounds_and_fresh_degree_sum(self):
         rng = np.random.default_rng(43)
         for _ in range(10):
             graph = random_temporal_graph(rng)
             split = split_train_probe(graph, 0.10)
-            pop = popularity(graph, split.train, 0.25)
+            pop = popularity(split.train, graph.n, 0.25)
             assert np.all(pop >= 0.0)
             assert np.all(pop <= 1.0)
-            n_fresh = round(0.25 * split.train.size)
-            fresh = graph.edges[split.train[split.train.size - n_fresh :]]
+            n_fresh = round(0.25 * len(split.train))
+            fresh = split.train[len(split.train) - n_fresh :]
             k_fresh = np.bincount(
                 np.concatenate([fresh[:, 0], fresh[:, 1]]), minlength=graph.n
             )
@@ -147,8 +160,8 @@ class TestPopularity:
         for _ in range(10):
             graph = random_temporal_graph(rng)
             split = split_train_probe(graph, 0.10)
-            pop = popularity(graph, split.train, 0.3)
-            idx = list(split.train)
+            pop = popularity(split.train, graph.n, 0.3)
+            idx = list(range(len(split.train)))
             n_fresh = round(0.3 * len(idx))
             fresh_set = set(idx[len(idx) - n_fresh :])
             for node in range(graph.n):
@@ -159,14 +172,15 @@ class TestPopularity:
 
     def test_p_fresher_bounds(self, hub_graph):
         with pytest.raises(ValueError):
-            popularity(hub_graph, range(10), p_fresher=1.0)
+            popularity(hub_graph.edges, hub_graph.n, p_fresher=1.0)
 
-    def test_mask_or_out_of_range_train_rejected(self):
-        # A bool mask reads as the indices 0 and 1, and -1 wraps round to the
-        # newest edge, which sorts first: [-1, 0] used to give [1, 1, 0, 0, 0].
+    def test_out_of_range_rows_rejected(self):
+        # numpy would wrap an endpoint of -1 round to the last node.
         path = graph_from_pairs([("0", "1", 1), ("1", "2", 2), ("2", "3", 3), ("3", "4", 4)])
-        for train in ([False, False, True, True], [-1, 0], [0, 4], [0.0, 1.0]):
-            with pytest.raises(ValueError, match="train"):
-                popularity(path, train, 0.5)
-        assert popularity(path, [], 0.5).tolist() == [0.0] * 5
-        assert popularity(path, [2, 3], 0.5).tolist() == [0.0, 0.0, 0.0, 0.5, 1.0]
+        for bad in (5, -1):
+            rows = path.edges.copy()
+            rows[1, 1] = bad
+            with pytest.raises(ValueError, match=r"\[0, 5\)"):
+                popularity(rows, path.n, 0.5)
+        assert popularity(path.edges[:0], path.n, 0.5).tolist() == [0.0] * 5
+        assert popularity(path.edges[2:], path.n, 0.5).tolist() == [0.0, 0.0, 0.0, 0.5, 1.0]

@@ -1,0 +1,114 @@
+"""Check that the CLI's outputs are byte-identical to those of another commit.
+
+    python3 tools/same_outputs.py REF
+
+REF is any commit git can resolve. It is checked out with
+``git worktree add --detach`` into a temporary directory, which is removed
+at exit. The seed-0 and seed-1 inputs of every benchmark workload are
+generated with ``perfbench/gen.py``. On each input, and at 1 and at 2 BLAS
+threads, both REF and this working tree (each run with
+``PYTHONPATH=<tree>/src``) run the workload's CLI arguments from
+``perfbench/run.py``'s ``WORKLOADS``. On the ``sweep-grid`` input they also
+run ``spectrum``, ``diagnose`` and a matrix-averaged three-method
+``predict``. Every output file, stdout, stderr and exit code is compared.
+Each difference is printed, and the exit code is 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import gen  # noqa: E402
+from run import WORKLOADS  # noqa: E402
+
+SEEDS = (0, 1)
+BLAS_THREADS = (1, 2)
+# Commands beyond the workloads', on the sweep-grid input.
+EXTRA = {
+    "spectrum": ("spectrum",),
+    "diagnose": ("diagnose", "--method", "PBSPM", "--alpha", "5"),
+    "predict-matrix": ("predict", "--method", "SPM,PBSPM,FastPBSPM", "--m", "7",
+                       "--alpha", "3", "--score-averaging", "matrix"),
+}
+
+
+def commands(inputs: Path, seed: int) -> dict[str, tuple[str, ...]]:
+    """Each command's name and its CLI arguments, input included, for one seed."""
+    runs = {
+        name: (*workload.cli_args, "--input", str(inputs / f"{name}-{seed}.tsv"))
+        for name, workload in WORKLOADS.items()
+    }
+    sweep_input = ("--input", str(inputs / f"sweep-grid-{seed}.tsv"))
+    runs.update((name, (*args, *sweep_input)) for name, args in EXTRA.items())
+    return runs
+
+
+def outcome(tree: Path, args: tuple[str, ...], threads: int, work: Path) -> dict[str, bytes]:
+    """Exit code, stdout, stderr and every output file of one CLI run."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    out = work / "out"  # the same path for both trees, since outputs may name it
+    proc = subprocess.run([sys.executable, "-m", "pbspm.cli", *args, "--out-dir", str(out)],
+                          env=env, cwd=work, capture_output=True)
+    result = {"exit code": str(proc.returncode).encode(), "stdout": proc.stdout,
+              "stderr": proc.stderr}
+    if out.exists():
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            result[str(path.relative_to(out))] = path.read_bytes()
+        shutil.rmtree(out)
+    return result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("ref", metavar="REF", help="the commit to compare against")
+    ref = parser.parse_args(argv).ref
+    temp = Path(tempfile.mkdtemp(prefix="same-outputs-"))
+    ref_tree = temp / "ref"
+    try:
+        added = subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach",
+                                str(ref_tree), ref], capture_output=True, text=True)
+        if added.returncode != 0:
+            print(f"cannot check out {ref}: {added.stderr.strip()}", file=sys.stderr)
+            return 2
+        inputs, work = temp / "inputs", temp / "work"
+        inputs.mkdir()
+        work.mkdir()
+        for name in WORKLOADS:
+            for seed in SEEDS:
+                gen.write_stream(inputs / f"{name}-{seed}.tsv",
+                                 gen.contacts(gen.SPECS[name], seed))
+        differences = compared = 0
+        for seed in SEEDS:
+            for threads in BLAS_THREADS:
+                for name, args in commands(inputs, seed).items():
+                    want = outcome(ref_tree, args, threads, work)
+                    got = outcome(ROOT, args, threads, work)
+                    compared += len(want.keys() | got.keys())
+                    for key in sorted(want.keys() | got.keys()):
+                        if want.get(key) != got.get(key):
+                            differences += 1
+                            side = ("only at REF" if key not in got else
+                                    "only here" if key not in want else "differs")
+                            print(f"seed {seed}, {threads} BLAS threads, {name}: {key} {side}")
+        print(f"{compared} outputs compared with {ref}, {differences} different")
+        return 1 if differences else 0
+    finally:
+        if ref_tree.exists():
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
+                            str(ref_tree)], capture_output=True)
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], capture_output=True)
+        shutil.rmtree(temp, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
