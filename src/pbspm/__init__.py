@@ -33,7 +33,6 @@ from .evaluation import (
     sweep_m,
 )
 from .graph import (
-    RawEvent,
     TemporalEventStream,
     TemporalGraph,
     adjacency,

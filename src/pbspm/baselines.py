@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .graph import degrees
-from .spectral import _frozen
+from .spectral import _PAIR_ROWS, _frozen
 
 __all__ = [
     "cn_scores",
@@ -150,12 +150,24 @@ def srw_scores(a: np.ndarray, steps: int) -> np.ndarray:
     transition = np.divide(
         a, k[:, None], out=np.zeros_like(a), where=k[:, None] > 0
     )
-    walk = transition
+    # Two walk buffers: ``free`` takes each step's weighted walk, then the next
+    # walk, while ``walk`` still holds the last one.
+    walk, free = transition, np.empty_like(a)
     total = np.zeros_like(a)
     for step in range(steps):
-        if step:
+        if step == 1:  # the first product may not overwrite ``transition``
             walk = walk @ transition
-        weighted = q[:, None] * walk
-        # W + W.T is symmetric entry by entry, so the sum needs no symmetrizing.
-        total += weighted + weighted.T
+        elif step:
+            np.matmul(walk, transition, out=free)
+            walk, free = free, walk
+        np.multiply(q[:, None], walk, out=free)
+        # W + W.T in place, by row blocks: each entry is one sum W[i, j] + W[j, i],
+        # so the result is symmetric entry by entry, as a full W + W.T is.
+        for lo in range(0, len(a), _PAIR_ROWS):
+            hi = lo + _PAIR_ROWS
+            pair = free[lo:hi, lo:] + free[lo:, lo:hi].T
+            free[lo:hi, lo:] = pair
+            free[lo:, lo:hi] = pair.T
+            del pair  # before the next block's is allocated
+        total += free
     return _frozen(total)

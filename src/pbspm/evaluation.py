@@ -53,7 +53,7 @@ METHODS = ("CN", "AA", "RA", "Katz", "SRW", "SPM", "PBSPM", "FastPBSPM")
 SPECTRAL_METHODS = ("SPM", "PBSPM", "FastPBSPM")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankedCandidates:
     """Non-observed pairs sorted by score descending, ties by (i, j) ascending.
 

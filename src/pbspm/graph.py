@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
-from typing import IO, Iterable, Optional, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
 from .errors import EmptyGraphError, EmptyInputError, ParseError
 
 __all__ = [
-    "RawEvent",
     "TemporalEventStream",
     "TemporalGraph",
     "parse_edge_stream",
@@ -30,16 +28,6 @@ __all__ = [
     "adjacency",
     "degrees",
 ]
-
-
-@dataclass(frozen=True)
-class RawEvent:
-    """One contact event as read from disk. Weight is kept but never scored."""
-
-    source: str
-    target: str
-    timestamp: int
-    weight: Optional[float] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,8 +38,7 @@ class TemporalEventStream:
     source before target. ``source`` and ``target`` are int64 codes into
     ``labels`` and ``timestamp`` is int64, one entry per event. ``weight`` is
     float64 and reads NaN where ``weighted``, a bool column, is False: the
-    event has no weight. Build a stream with :func:`parse_edge_stream` or
-    :meth:`from_events`.
+    event has no weight. Build a stream with :func:`parse_edge_stream`.
     """
 
     labels: tuple[str, ...]
@@ -64,44 +51,11 @@ class TemporalEventStream:
     def __len__(self) -> int:
         return len(self.timestamp)
 
-    @classmethod
-    def from_events(cls, events: Iterable[RawEvent]) -> TemporalEventStream:
-        """The stream of ``events``, in their order."""
-        events = tuple(events)
-        return _coded(
-            [label for ev in events for label in (ev.source, ev.target)],
-            np.fromiter((ev.timestamp for ev in events), np.int64, len(events)),
-            np.array([np.nan if ev.weight is None else ev.weight for ev in events], np.float64),
-            np.array([ev.weight is not None for ev in events], bool),
-        )
-
-    @cached_property
-    def events(self) -> tuple[RawEvent, ...]:
-        """The events as a tuple of :class:`RawEvent`, built on first access."""
-        label = self.labels.__getitem__
-        weights = zip(self.weight.tolist(), self.weighted.tolist())
-        return tuple(map(
-            RawEvent,
-            map(label, self.source.tolist()),
-            map(label, self.target.tolist()),
-            self.timestamp.tolist(),
-            [w if has else None for w, has in weights],
-        ))
-
 
 def _first_appearance(tokens: Sequence) -> tuple[tuple, np.ndarray]:
     """The distinct ``tokens`` in order of first appearance, and each token's int64 code."""
     code = dict(zip(dict.fromkeys(tokens), range(len(tokens))))
     return tuple(code), np.fromiter(map(code.__getitem__, tokens), np.int64, len(tokens))
-
-
-def _coded(
-    labels: Sequence[str], timestamp: np.ndarray, weight: np.ndarray, weighted: np.ndarray
-) -> TemporalEventStream:
-    """The stream of these columns, its ``labels`` (source, target, source, ...)
-    coded by first appearance."""
-    distinct, code = _first_appearance(labels)
-    return _frozen(distinct, code[0::2], code[1::2], timestamp, weight, weighted)
 
 
 def _frozen(labels: tuple[str, ...], *columns: np.ndarray) -> TemporalEventStream:
@@ -111,7 +65,7 @@ def _frozen(labels: tuple[str, ...], *columns: np.ndarray) -> TemporalEventStrea
     return TemporalEventStream(labels, *columns)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TemporalGraph:
     """Simple undirected graph with one timestamp per edge.
 
@@ -248,8 +202,9 @@ def _parse_lines(text: str, format: str) -> TemporalEventStream:
         weighted.append(len(fields) == 4)
     if not stamps:
         raise EmptyInputError("edge stream contains no events")
-    weight = np.array(weights, np.float64)
-    return _coded(labels, np.array(stamps, np.int64), weight, np.array(weighted, bool))
+    distinct, code = _first_appearance(labels)  # source, target, source, ...
+    stamps, weights = np.array(stamps, np.int64), np.array(weights, np.float64)
+    return _frozen(distinct, code[0::2], code[1::2], stamps, weights, np.array(weighted, bool))
 
 
 # The whitespace of str.split() and the line ends of str.splitlines() among

@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbationSample:
     """Training edges split into the retained edges and the removed edges.
 
@@ -48,7 +48,7 @@ class PerturbationSample:
     removed: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralModel:
     """Eigenpairs of a symmetric matrix, ordered by |eigenvalue| descending.
 

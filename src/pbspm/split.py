@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainProbeSplit:
     """Training edge rows plus the probe pairs kept for evaluation.
 

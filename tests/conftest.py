@@ -5,23 +5,35 @@ another, so popularity carries real signal."""
 from __future__ import annotations
 
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pbspm.graph import RawEvent, TemporalEventStream, simplify
+from pbspm.graph import TemporalEventStream, parse_edge_stream, simplify
+
+
+def tsv_text(rows) -> str:
+    """``(source, target, timestamp)`` rows as TSV lines."""
+    return "".join(f"{a}\t{b}\t{t}\n" for a, b, t in rows)
+
+
+def tsv_stream(rows) -> TemporalEventStream:
+    """The event stream of ``(source, target, timestamp)`` rows, parsed from
+    their TSV text; no label may hold whitespace."""
+    return parse_edge_stream(io.StringIO(tsv_text(rows)))
 
 
 def random_event_stream(rng, n_labels=8, n_events=40, loop_rate=0.1, t_max=100):
     """Events with duplicate pairs and occasional self-loops, unsorted times."""
-    events = []
+    rows = []
     for _ in range(n_events):
         a = str(rng.integers(n_labels))
         b = a if rng.random() < loop_rate else str(rng.integers(n_labels))
-        events.append(RawEvent(a, b, int(rng.integers(1, t_max))))
-    return TemporalEventStream.from_events(events)
+        rows.append((a, b, int(rng.integers(1, t_max))))
+    return tsv_stream(rows)
 
 
 def random_view(rng, n, p=0.35) -> np.ndarray:
@@ -42,7 +54,8 @@ def view_edges(view: np.ndarray) -> np.ndarray:
 def popularity_shift_events(
     seed=7, n_old=40, n_new=40, m_old=500, m_bridge=40, m_new=260
 ):
-    """Contact sequence where late activity concentrates on a fresh block.
+    """``(source, target, timestamp)`` contacts where late activity
+    concentrates on a fresh block.
 
     Nodes 0..n_old-1 accumulate a dense early block; nodes n_old.. join late
     and keep gaining edges through the probe window. Pairs are distinct, so
@@ -67,22 +80,19 @@ def popularity_shift_events(
     pairs += bridge
     pairs += distinct_pairs(new, m_new)
 
-    events = [RawEvent(str(a), str(b), t) for t, (a, b) in enumerate(pairs, start=1)]
-    return TemporalEventStream.from_events(events)
+    return [(a, b, t) for t, (a, b) in enumerate(pairs, start=1)]
 
 
 @pytest.fixture(scope="session")
 def shift_graph():
-    return simplify(popularity_shift_events())
+    return simplify(tsv_stream(popularity_shift_events()))
 
 
 @pytest.fixture()
 def shift_dataset(tmp_path):
     """The popularity-shift network written as a 3-column TSV file."""
-    stream = popularity_shift_events()
     path = tmp_path / "shiftnet.tsv"
-    lines = [f"{e.source}\t{e.target}\t{e.timestamp}" for e in stream.events]
-    path.write_text("% synthetic contact network\n" + "\n".join(lines) + "\n")
+    path.write_text("% synthetic contact network\n" + tsv_text(popularity_shift_events()))
     return path
 
 

@@ -6,12 +6,34 @@ import heapq
 import io
 import sys
 from collections import defaultdict
-from typing import IO, Iterable, Optional
+from typing import IO, Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from pbspm.errors import EmptyGraphError, EmptyInputError, ParseError
-from pbspm.graph import RawEvent, TemporalEventStream, TemporalGraph
+from pbspm.graph import TemporalEventStream, TemporalGraph
+
+
+class Row(NamedTuple):
+    """One contact event as a line gives it; ``weight`` is None on a 3-field line."""
+
+    source: str
+    target: str
+    timestamp: int
+    weight: Optional[float]
+
+
+def rows(stream: TemporalEventStream) -> tuple[Row, ...]:
+    """The events of a stream's columns, one :class:`Row` each, in file order."""
+    label = stream.labels.__getitem__
+    weights = zip(stream.weight.tolist(), stream.weighted.tolist())
+    return tuple(map(
+        Row,
+        map(label, stream.source.tolist()),
+        map(label, stream.target.tolist()),
+        stream.timestamp.tolist(),
+        [w if has else None for w, has in weights],
+    ))
 
 
 def neighbor_sets(view):
@@ -70,8 +92,9 @@ def greedy_simplify_oracle(stream: TemporalEventStream) -> TemporalGraph:
     Raises:
         EmptyGraphError: every event was a self-loop.
     """
+    events = rows(stream)
     best: dict[tuple[str, str], tuple[int, int]] = {}
-    for idx, ev in enumerate(stream.events):
+    for idx, ev in enumerate(events):
         if ev.source == ev.target:
             continue
         key = (ev.source, ev.target) if ev.source < ev.target else (ev.target, ev.source)
@@ -94,7 +117,7 @@ def greedy_simplify_oracle(stream: TemporalEventStream) -> TemporalGraph:
             labels.append(label)
         return node_id[label]
 
-    def prospective_key(ev: RawEvent) -> tuple[int, int]:
+    def prospective_key(ev: Row) -> tuple[int, int]:
         # Unassigned endpoints would take the next free ids, source first.
         next_free = len(labels)
         u = node_id.get(ev.source)
@@ -106,31 +129,31 @@ def greedy_simplify_oracle(stream: TemporalEventStream) -> TemporalGraph:
             v = next_free
         return (u, v) if u < v else (v, u)
 
-    rows = np.empty((len(best), 3), dtype=np.int64)
+    edges = np.empty((len(best), 3), dtype=np.int64)
     row = 0
     for ts in sorted(by_time):
         # Greedily emit the edge that sorts first under the ids it would
         # receive; ties (e.g. several all-new edges) fall back to file order.
         group = sorted(by_time[ts])
         while group:
-            pick = min(range(len(group)), key=lambda g: (prospective_key(stream.events[group[g]]), g))
-            ev = stream.events[group.pop(pick)]
+            pick = min(range(len(group)), key=lambda g: (prospective_key(events[group[g]]), g))
+            ev = events[group.pop(pick)]
             u, v = assign(ev.source), assign(ev.target)
             if u > v:
                 u, v = v, u
-            rows[row] = (u, v, ts)
+            edges[row] = (u, v, ts)
             row += 1
 
-    rows.setflags(write=False)
-    return TemporalGraph(labels=tuple(labels), edges=rows)
+    edges.setflags(write=False)
+    return TemporalGraph(labels=tuple(labels), edges=edges)
 
 
 def per_line_ingest_oracle(
     reader: IO, format: str = "tsv"
-) -> tuple[tuple[RawEvent, ...], TemporalGraph]:
+) -> tuple[tuple[Row, ...], TemporalGraph]:
     """The per-line ingest that ``parse_edge_stream`` (TSV by a byte
     tokenizer, CSV by a line grammar into columns) and the columnar
-    ``simplify`` replaced: one ``RawEvent`` per line, then a dict of first
+    ``simplify`` replaced: one :class:`Row` per line, then a dict of first
     contacts keyed by label pair. Returns the events and their simple graph,
     or raises what that ingest raised.
 
@@ -169,7 +192,7 @@ def _oracle_parse_timestamp(token: str, line_no: int) -> int:
     return value
 
 
-def _oracle_parse_edge_stream(reader: IO, format: str = "tsv") -> tuple[RawEvent, ...]:
+def _oracle_parse_edge_stream(reader: IO, format: str = "tsv") -> tuple[Row, ...]:
     """Read a TSV or CSV edge list into an event stream.
 
     Lines hold ``source target [weight] timestamp``; fields are whitespace
@@ -184,7 +207,7 @@ def _oracle_parse_edge_stream(reader: IO, format: str = "tsv") -> tuple[RawEvent
     if format not in ("tsv", "csv"):
         raise ValueError(f"unknown format {format!r}")
     lines = _oracle_decode_lines(reader)
-    events: list[RawEvent] = []
+    events: list[Row] = []
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped[0] in "%#":
@@ -207,13 +230,13 @@ def _oracle_parse_edge_stream(reader: IO, format: str = "tsv") -> tuple[RawEvent
             raise ParseError(f"expected 3 or 4 fields, got {len(fields)}", line_no)
         if not src or not dst:
             raise ParseError("empty node label", line_no)
-        events.append(RawEvent(src, dst, _oracle_parse_timestamp(ts_token, line_no), weight))
+        events.append(Row(src, dst, _oracle_parse_timestamp(ts_token, line_no), weight))
     if not events:
         raise EmptyInputError("edge stream contains no events")
     return tuple(events)
 
 
-def _oracle_simplify(events: tuple[RawEvent, ...]) -> TemporalGraph:
+def _oracle_simplify(events: tuple[Row, ...]) -> TemporalGraph:
     """Reduce an event stream to a simple graph with per-edge timestamps.
 
     Self-loops are dropped. For every unordered pair only the first contact
@@ -261,7 +284,7 @@ def _oracle_simplify(events: tuple[RawEvent, ...]) -> TemporalGraph:
     # orders them exactly as those prospective ids would.
     unseen = sys.maxsize
 
-    def key(ev: RawEvent) -> tuple[int, int]:
+    def key(ev: Row) -> tuple[int, int]:
         u = node_id.get(ev.source, unseen)
         v = node_id.get(ev.target, unseen)
         return (u, v) if u < v else (v, u)

@@ -8,23 +8,16 @@ import numpy as np
 import pytest
 
 from pbspm.errors import DataError, EmptyGraphError, EmptyInputError, ParseError
-from pbspm.graph import (
-    RawEvent,
-    TemporalEventStream,
-    adjacency,
-    degrees,
-    parse_edge_stream,
-    simplify,
-)
+from pbspm.graph import adjacency, degrees, parse_edge_stream, simplify
 
-from conftest import random_event_stream
-from oracles import greedy_simplify_oracle, per_line_ingest_oracle
+from conftest import random_event_stream, tsv_stream
+from oracles import greedy_simplify_oracle, per_line_ingest_oracle, rows
 
 
 def pair_oracle(stream):
     """Earliest (timestamp, file order) event per unordered non-loop pair."""
     best = {}
-    for idx, ev in enumerate(stream.events):
+    for idx, ev in enumerate(rows(stream)):
         if ev.source == ev.target:
             continue
         key = frozenset((ev.source, ev.target))
@@ -37,18 +30,17 @@ class TestParseEdgeStream:
     def test_four_field_line(self):
         stream = parse_edge_stream(io.BytesIO(b"1 2 1 1246360000\n"))
         assert len(stream) == 1
-        ev = stream.events[0]
-        assert (ev.source, ev.target, ev.timestamp, ev.weight) == ("1", "2", 1246360000, 1.0)
+        assert rows(stream) == (("1", "2", 1246360000, 1.0),)
 
     def test_three_field_line_tab_separated(self):
         stream = parse_edge_stream(io.BytesIO(b"a\tb\t5\n"))
-        ev = stream.events[0]
-        assert (ev.source, ev.target, ev.timestamp, ev.weight) == ("a", "b", 5, None)
+        assert rows(stream) == (("a", "b", 5, None),)
 
     def test_comment_skipped_and_self_loop_retained(self):
         stream = parse_edge_stream(io.BytesIO(b"% comment\n1 1 1 7\n"))
         assert len(stream) == 1
-        assert stream.events[0].source == stream.events[0].target == "1"
+        assert stream.labels == ("1",)
+        assert stream.source.tolist() == stream.target.tolist() == [0]
 
     def test_hash_comment_and_blank_lines(self):
         stream = parse_edge_stream(io.BytesIO(b"# header\n\n1 2 3\n"))
@@ -56,7 +48,7 @@ class TestParseEdgeStream:
 
     def test_csv_format(self):
         stream = parse_edge_stream(io.BytesIO(b"a,b,2,10\nb,c,20\n"), format="csv")
-        assert [(e.source, e.target, e.timestamp) for e in stream.events] == [
+        assert [(e.source, e.target, e.timestamp) for e in rows(stream)] == [
             ("a", "b", 10),
             ("b", "c", 20),
         ]
@@ -80,7 +72,7 @@ class TestParseEdgeStream:
 
     def test_integral_float_timestamp_accepted(self):
         stream = parse_edge_stream(io.BytesIO(b"1 2 50.0\n"))
-        assert stream.events[0].timestamp == 50
+        assert stream.timestamp.tolist() == [50]
 
     def test_empty_stream_rejected(self):
         with pytest.raises(EmptyInputError):
@@ -96,8 +88,7 @@ class TestParseEdgeStream:
 
     def test_utf8_labels(self):
         stream = parse_edge_stream(io.BytesIO("κόμβος δεσμός 9\n".encode("utf-8")))
-        assert stream.events[0].source == "κόμβος"
-        assert stream.events[0].target == "δεσμός"
+        assert stream.labels == ("κόμβος", "δεσμός")
 
     @pytest.mark.parametrize("data, line_no", [
         (b"1 2 3\n4 5 6\n7 \xff 8\n", 3),
@@ -198,7 +189,7 @@ class TestParseEdgeStream:
         assert stream.timestamp.tolist() == [7, 3]
         assert stream.weighted.tolist() == [False, True]
         assert np.isnan(stream.weight[0]) and stream.weight[1] == 0.5
-        assert [ev.weight for ev in stream.events] == [None, 0.5]
+        assert [ev.weight for ev in rows(stream)] == [None, 0.5]
 
     @pytest.mark.parametrize(
         "space",
@@ -211,7 +202,7 @@ class TestParseEdgeStream:
 
         def columnar():
             stream = parse_edge_stream(io.BytesIO(data))
-            return stream.events, simplify(stream)
+            return rows(stream), simplify(stream)
 
         want = ingest_outcome(lambda: per_line_ingest_oracle(io.BytesIO(data)))
         assert ingest_outcome(columnar) == want
@@ -257,7 +248,7 @@ class TestParseEdgeStream:
         assert stream.labels == tuple(dict.fromkeys(label for pair in pairs for label in pair))
         assert len(set(stream.labels)) == len(set(pool))
         want = ingest_outcome(lambda: per_line_ingest_oracle(io.BytesIO(data)))
-        assert ingest_outcome(lambda: (stream.events, simplify(stream))) == want
+        assert ingest_outcome(lambda: (rows(stream), simplify(stream))) == want
 
     def test_text_reader_with_lone_surrogates(self):
         # A str reader may hold surrogates that no UTF-8 encoder accepts.
@@ -267,22 +258,10 @@ class TestParseEdgeStream:
         assert stream.source.tolist() == [0, 1, 3]
         assert stream.target.tolist() == [1, 2, 4]
         want = ingest_outcome(lambda: per_line_ingest_oracle(io.StringIO(text)))
-        assert ingest_outcome(lambda: (stream.events, simplify(stream))) == want
+        assert ingest_outcome(lambda: (rows(stream), simplify(stream))) == want
         with pytest.raises(ParseError) as exc:
             parse_edge_stream(io.StringIO("a\udcff b 1\nb c\udcff \udcff\n"))
         assert (str(exc.value), exc.value.line_no) == ("line 2: bad timestamp '\\udcff'", 2)
-
-    def test_valid_tsv_builds_no_raw_event(self, monkeypatch):
-        # The per-line objects stay off the ingest path of a valid file.
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("RawEvent constructed while ingesting")
-
-        monkeypatch.setattr(RawEvent, "__init__", refuse)
-        rng = np.random.default_rng(41)
-        rows = rng.integers(0, 30, size=(500, 3))
-        data = "".join(f"{u}\t{v}\t{t}\n" for u, v, t in rows.tolist()).encode()
-        graph = simplify(parse_edge_stream(io.BytesIO(data)))
-        assert graph.m_edges > 0
 
 
 # Whitespace that str.split and str.splitlines see but the byte tokenizer
@@ -410,7 +389,7 @@ class TestColumnarIngestMatchesPerLine:
 
             def ingest(reader):
                 stream = parse_edge_stream(reader, fmt)
-                return stream.events, simplify(stream)
+                return rows(stream), simplify(stream)
 
             want = ingest_outcome(lambda: per_line_ingest_oracle(io.BytesIO(data), fmt))
             byte_parses.clear()
@@ -432,22 +411,20 @@ class TestColumnarIngestMatchesPerLine:
 
 class TestSimplify:
     def test_dedupe_keeps_earliest_and_drops_loop(self):
-        stream = TemporalEventStream.from_events(
-            (RawEvent("1", "2", 5), RawEvent("2", "1", 9), RawEvent("1", "1", 3))
-        )
+        stream = tsv_stream((("1", "2", 5), ("2", "1", 9), ("1", "1", 3)))
         graph = simplify(stream)
         assert graph.n == 2
         assert graph.m_edges == 1
         assert tuple(graph.edges[0]) == (0, 1, 5)
 
     def test_two_edges_three_nodes(self):
-        stream = TemporalEventStream.from_events((RawEvent("a", "b", 1), RawEvent("b", "c", 2)))
+        stream = tsv_stream((("a", "b", 1), ("b", "c", 2)))
         graph = simplify(stream)
         assert graph.n == 3
         assert graph.m_edges == 2
 
     def test_all_loops_is_empty_graph(self):
-        stream = TemporalEventStream.from_events((RawEvent("x", "x", 1), RawEvent("y", "y", 2)))
+        stream = tsv_stream((("x", "x", 1), ("y", "y", 2)))
         with pytest.raises(EmptyGraphError):
             simplify(stream)
 
@@ -465,11 +442,9 @@ class TestSimplify:
             for a, b in pairs:
                 for _ in range(int(rng.integers(1, 5))):
                     flip = rng.random() < 0.5
-                    events.append(
-                        RawEvent(b if flip else a, a if flip else b, int(rng.integers(100)))
-                    )
+                    events.append((b if flip else a, a if flip else b, int(rng.integers(100))))
             rng.shuffle(events)
-            graph = simplify(TemporalEventStream.from_events(events))
+            graph = simplify(tsv_stream(events))
             assert graph.m_edges == k
 
     def test_matches_pair_oracle_on_random_streams(self):
@@ -500,12 +475,7 @@ class TestSimplify:
         rng = np.random.default_rng(5)
 
         def serialize(graph):
-            return TemporalEventStream.from_events(
-                tuple(
-                    RawEvent(graph.labels[u], graph.labels[v], int(t))
-                    for u, v, t in graph.edges
-                )
-            )
+            return tsv_stream((graph.labels[u], graph.labels[v], t) for u, v, t in graph.edges)
 
         for _ in range(10):
             graph1 = simplify(random_event_stream(rng, n_events=60, loop_rate=0.1))
@@ -587,7 +557,7 @@ class TestSimplifyMatchesGreedy:
         ),
     ])
     def test_tie_classes(self, events, labels, edges):
-        stream = TemporalEventStream.from_events(RawEvent(*ev) for ev in events)
+        stream = tsv_stream(events)
         graph = simplify(stream)
         assert graph.labels == labels
         assert graph.edges.tolist() == [list(row) for row in edges]
@@ -603,9 +573,9 @@ class TestSimplifyMatchesGreedy:
                 pairs.add((min(a, b), max(a, b)))
         pairs = sorted(pairs)
         rng.shuffle(pairs)
-        events = tuple(RawEvent(str(a), str(b), 7) for a, b in pairs)
+        stream = tsv_stream((a, b, 7) for a, b in pairs)
         start = time.perf_counter()
-        graph = simplify(TemporalEventStream.from_events(events))
+        graph = simplify(stream)
         elapsed = time.perf_counter() - start
         assert graph.m_edges == 8000
         assert elapsed < 2.0
@@ -613,8 +583,7 @@ class TestSimplifyMatchesGreedy:
 
 class TestAdjacency:
     def _graph(self, *pairs):
-        events = tuple(RawEvent(a, b, i + 1) for i, (a, b) in enumerate(pairs))
-        return simplify(TemporalEventStream.from_events(events))
+        return simplify(tsv_stream((a, b, i + 1) for i, (a, b) in enumerate(pairs)))
 
     def test_path_graph(self):
         graph = self._graph(("0", "1"), ("1", "2"))
@@ -671,14 +640,12 @@ class TestAdjacency:
 
 class TestDegree:
     def test_star_center(self):
-        events = tuple(RawEvent("hub", leaf, i + 1) for i, leaf in enumerate("xyz"))
-        graph = simplify(TemporalEventStream.from_events(events))
+        graph = simplify(tsv_stream(("hub", leaf, i + 1) for i, leaf in enumerate("xyz")))
         view = adjacency(graph.edges, graph.n)
         assert degrees(view)[graph.labels.index("hub")] == 3
 
     def test_isolated_in_subset(self):
-        events = (RawEvent("a", "b", 1), RawEvent("c", "d", 2))
-        graph = simplify(TemporalEventStream.from_events(events))
+        graph = simplify(tsv_stream((("a", "b", 1), ("c", "d", 2))))
         view = adjacency(graph.edges[[0]], graph.n)
         assert degrees(view)[graph.labels.index("c")] == 0
 

@@ -6,7 +6,7 @@ import pytest
 import pbspm.evaluation as evaluation
 from pbspm.errors import DegeneratePerturbationError
 from pbspm.evaluation import ExperimentConfig, _run_points
-from pbspm.graph import RawEvent, TemporalEventStream, adjacency, simplify
+from pbspm.graph import adjacency, simplify
 from pbspm.spectral import (
     _PAIR_ROWS,
     SpectralModel,
@@ -21,7 +21,7 @@ from pbspm.spectral import (
 )
 from pbspm.split import split_train_probe
 
-from conftest import random_view, view_edges
+from conftest import random_view, tsv_stream, view_edges
 
 
 def edge_matrix(edges, n) -> np.ndarray:
@@ -43,8 +43,7 @@ def ring_graph(n, seed):
     rng = np.random.default_rng(seed)
     pairs = [(i, (i + 1) % n) for i in range(n)]
     pairs += [tuple(rng.choice(n, size=2, replace=False)) for _ in range(3 * n)]
-    events = [RawEvent(str(a), str(b), t) for t, (a, b) in enumerate(pairs, start=1)]
-    return simplify(TemporalEventStream.from_events(events))
+    return simplify(tsv_stream((a, b, t) for t, (a, b) in enumerate(pairs, start=1)))
 
 
 class TestSamplePerturbation:

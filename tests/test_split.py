@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from pbspm.errors import DegenerateSplitError
-from pbspm.graph import RawEvent, TemporalEventStream, simplify
+from pbspm.graph import simplify
 from pbspm.split import popularity, split_train_probe
 
-from conftest import random_event_stream
+from conftest import random_event_stream, tsv_stream
 
 
 def graph_from_pairs(pairs):
-    events = tuple(RawEvent(a, b, t) for a, b, t in pairs)
-    return simplify(TemporalEventStream.from_events(events))
+    return simplify(tsv_stream(pairs))
 
 
 @pytest.fixture()

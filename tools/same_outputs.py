@@ -2,15 +2,18 @@
 
     python3 tools/same_outputs.py REF
 
-REF is any commit git can resolve. It is checked out with
-``git worktree add --detach`` into a temporary directory, which is removed
-at exit. The seed-0 and seed-1 inputs of every benchmark workload are
-generated with ``perfbench/gen.py``. On each input, and at 1 and at 2 BLAS
-threads, both REF and this working tree (each run with
+REF is any commit git can resolve. It is exported with ``git archive`` into
+a temporary directory, which is removed at exit, so comparing against
+``HEAD`` also catches an output that depends on the checkout's path or
+changes between reruns. The seed-0 and seed-1 inputs of every benchmark
+workload are generated with ``perfbench/gen.py``. On each input, and at 1
+and at 2 BLAS threads, both REF and this working tree (each run with
 ``PYTHONPATH=<tree>/src``) run the workload's CLI arguments from
 ``perfbench/run.py``'s ``WORKLOADS``. On the ``sweep-grid`` input they also
-run ``spectrum``, ``diagnose`` and a matrix-averaged three-method
-``predict``. Every output file, stdout, stderr and exit code is compared.
+run ``spectrum``, ``diagnose``, a matrix-averaged three-method
+``predict``, and ``predict --method SRW`` at 1 and at 5 walk steps: at
+n=410 the walk spans four of SRW's row blocks, and five steps swap its two
+walk buffers. Every output file, stdout, stderr and exit code is compared.
 Each difference is printed, and the exit code is 1 if there is any.
 """
 
@@ -38,6 +41,8 @@ EXTRA = {
     "diagnose": ("diagnose", "--method", "PBSPM", "--alpha", "5"),
     "predict-matrix": ("predict", "--method", "SPM,PBSPM,FastPBSPM", "--m", "7",
                        "--alpha", "3", "--score-averaging", "matrix"),
+    "predict-srw-1": ("predict", "--method", "SRW", "--srw-steps", "1"),
+    "predict-srw-5": ("predict", "--method", "SRW", "--srw-steps", "5"),
 }
 
 
@@ -75,11 +80,13 @@ def main(argv=None) -> int:
     temp = Path(tempfile.mkdtemp(prefix="same-outputs-"))
     ref_tree = temp / "ref"
     try:
-        added = subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach",
-                                str(ref_tree), ref], capture_output=True, text=True)
-        if added.returncode != 0:
-            print(f"cannot check out {ref}: {added.stderr.strip()}", file=sys.stderr)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref],
+                                 capture_output=True)
+        if archive.returncode != 0:
+            print(f"cannot export {ref}: {archive.stderr.decode().strip()}", file=sys.stderr)
             return 2
+        ref_tree.mkdir()
+        subprocess.run(["tar", "-x", "-C", str(ref_tree)], input=archive.stdout, check=True)
         inputs, work = temp / "inputs", temp / "work"
         inputs.mkdir()
         work.mkdir()
@@ -103,10 +110,6 @@ def main(argv=None) -> int:
         print(f"{compared} outputs compared with {ref}, {differences} different")
         return 1 if differences else 0
     finally:
-        if ref_tree.exists():
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                            str(ref_tree)], capture_output=True)
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], capture_output=True)
         shutil.rmtree(temp, ignore_errors=True)
 
 
