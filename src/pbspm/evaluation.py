@@ -333,10 +333,11 @@ def _score_spectral(
     ``delta_cc``, which is 0.0 unboosted and None when undefined. The
     boost ``f_i * f_j`` is the same in every realization, so the mean of
     boosted scores is the boost of the mean SPM scores: ``sums`` maps the
-    full spectrum to one unboosted candidate-length sum and a truncation m to
-    its realizations' m leading eigenpairs, whose one product after the loop
-    is the sum. Returns the realizations' leading-eigenvalue shifts and
-    failures.
+    full spectrum to one unboosted candidate-length sum, which waits in the
+    retained matrix's unread upper triangle during each eigensolve, and a
+    truncation m to its realizations' m leading eigenpairs, whose one
+    product after the loop is the sum. Returns the realizations'
+    leading-eigenvalue shifts and failures.
     """
     # (m, (alpha, p_fresher)), or (m, None) when unboosted -> the vector's points.
     vectors: dict[tuple, list[_Point]] = {}
@@ -366,8 +367,8 @@ def _score_spectral(
 
     ms = dict.fromkeys(m for m, _ in vectors)
     averaged = (p.m for p in points if keep_top or p.cfg.score_averaging == "matrix")
-    # The full sum is allocated before the first eigensolve, so it leaves no hole at its peak.
-    sums = {m: np.zeros(hit.size) if m is None else [] for m in dict.fromkeys(averaged)}
+    # The full sum is None until the first eigensolve: the retained matrix's zeros.
+    sums = {m: None if m is None else [] for m in dict.fromkeys(averaged)}
     probe_inc = _endpoint_counts(graph.edges[len(split.train) :], graph.n)
 
     shared = points[0].cfg
@@ -378,8 +379,18 @@ def _score_spectral(
             sample = sample_perturbation(split.train, shared.p_h, shared.seed + r)
             retained = adjacency(sample.retained, graph.n)
             removed, sample = sample.removed, None  # the kept rows go before the eigensolve
-            model = eigendecompose(retained)
-            retained = None  # and the matrix before the correction
+            if sums.get(None) is not None:
+                # eigh reads only the lower triangle, and the candidates, all above the
+                # diagonal, are zeros of the retained matrix: the full sum waits there.
+                retained.setflags(write=True)
+                retained[cand] = sums[None]
+                sums[None] = None
+            try:
+                model = eigendecompose(retained)
+            finally:  # a failed solve keeps the sum too
+                if None in sums:
+                    sums[None] = retained[cand]
+                retained = None  # and the matrix goes before the correction
             model = eigenvalue_correction(model, removed)
         except NumericalError as err:
             failures.append(f"realization {r}: {err}")
@@ -405,8 +416,10 @@ def _score_spectral(
                 sums[m] += spm
             for key in (key for key in vectors if key[0] == m):
                 cut(key, spm, "precision")
-        # Free the eigenvectors (x1 and leading are views of them) before the next eigh.
-        model = leading = spm = x1 = None
+        # Free the eigenvectors (x1 and leading are views of them) before the next eigh,
+        # and the corrected eigenvalues: a small array left high in the heap keeps
+        # the memory freed below it resident.
+        model = leading = weights = spm = x1 = None
     if not shifts:
         raise NumericalError(f"all {shared.realizations} realizations failed: {failures}")
 

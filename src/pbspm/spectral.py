@@ -133,7 +133,9 @@ def eigendecompose(matrix: np.ndarray) -> SpectralModel:
 
     Ties break by signed eigenvalue descending, then solver order. Each
     eigenvector is sign-fixed so its largest-magnitude component is positive,
-    making downstream results independent of solver sign choices.
+    making downstream results independent of solver sign choices. Only the
+    diagonal and the lower triangle are read, so entries above the diagonal
+    may hold anything.
     """
     try:
         lam, vec = np.linalg.eigh(matrix)

@@ -10,6 +10,8 @@ gap measured on seeds 0-3.
 
 The abstract's robustness claim is read as Lü et al. (*PNAS* 112:2325, 2015)
 test SPM: the same streams with random spurious contacts added to training.
+Two more stresses move the split point, and choose alpha on a validation
+split of the training edges instead of on the probe.
 """
 
 import math
@@ -19,22 +21,33 @@ import numpy as np
 import pytest
 
 from pbspm.evaluation import ExperimentConfig, _run_points
-from pbspm.graph import parse_edge_stream, simplify
+from pbspm.graph import TemporalGraph, parse_edge_stream, simplify
 from pbspm.split import split_train_probe
 
 SEEDS = (0, 1, 2, 3)
 ALPHAS = (0.0, 2.0, 5.0, 10.0)
 
 
-def claim_reports(gen, tmp_path_factory, seed, drift):
-    """PBSPM at every alpha, SPM, and FastPBSPM at alpha 5 with m = n // 10, from one engine run."""
+def stream_graph(gen, tmp_path_factory, seed, drift=True):
+    """The ``sweep-grid`` stream of ``seed``, with its planted drift or without it."""
     spec = gen.SPECS["sweep-grid"]
     if not drift:
         spec = replace(spec, late_start=1.0)
     path = tmp_path_factory.mktemp("claims") / f"stream-{seed}.tsv"
     gen.write_stream(path, gen.contacts(spec, seed))
     with open(path, "rb") as fh:
-        graph = simplify(parse_edge_stream(fh))
+        return simplify(parse_edge_stream(fh))
+
+
+def lead_over_spm(graph, cfg):
+    """PBSPM's precision at ``cfg`` minus SPM's, from one engine run."""
+    pbspm, spm = _run_points(graph, [cfg, replace(cfg, method="SPM")])
+    return pbspm[0].mean_precision - spm[0].mean_precision
+
+
+def claim_reports(gen, tmp_path_factory, seed, drift):
+    """PBSPM at every alpha, SPM, and FastPBSPM at alpha 5 with m = n // 10, from one engine run."""
+    graph = stream_graph(gen, tmp_path_factory, seed, drift)
     base = ExperimentConfig(method="PBSPM", p_fresher=0.1, realizations=10, seed=0)
     cfgs = [replace(base, alpha=alpha) for alpha in ALPHAS]
     cfgs += [replace(base, method="SPM"),
@@ -104,3 +117,29 @@ def test_boost_survives_spurious_edges(gen, tmp_path_factory, seed, q):
     pbspm, spm, *indices = spurious_reports(gen, tmp_path_factory, seed, q)
     assert pbspm - spm >= 0.05
     assert pbspm > max(indices)
+
+
+@pytest.mark.parametrize("probe_fraction", (0.05, 0.2))
+@pytest.mark.parametrize("seed", (0, 1))
+def test_boost_leads_at_other_split_points(gen, tmp_path_factory, seed, probe_fraction):
+    # Measured on seeds 0 and 1: PBSPM at alpha 5 leads SPM by 0.069-0.098
+    # with a 5% probe and by 0.106-0.145 with a 20% one. With a 30% probe it
+    # trails by 0.033-0.039: training then ends at 66% of the span, before
+    # the late block joins at 75%.
+    base = ExperimentConfig(method="PBSPM", alpha=5.0, p_fresher=0.1, realizations=10,
+                            seed=0, probe_fraction=probe_fraction)
+    assert lead_over_spm(stream_graph(gen, tmp_path_factory, seed), base) >= 0.05
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+def test_boost_leads_at_alpha_chosen_without_the_probe(gen, tmp_path_factory, seed):
+    # The newest 10% of the training edges validate alpha. Measured on seeds
+    # 0-3: validation picks alpha 5, the probe's best too, and it leads SPM
+    # on the probe by 0.108-0.128.
+    graph = stream_graph(gen, tmp_path_factory, seed)
+    base = ExperimentConfig(method="PBSPM", p_fresher=0.1, realizations=10, seed=0)
+    alphas = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0)
+    prefix = TemporalGraph(graph.labels, split_train_probe(graph, 0.1).train)
+    reports = _run_points(prefix, [replace(base, alpha=alpha) for alpha in alphas])
+    alpha = alphas[int(np.argmax([report.mean_precision for report, _ in reports]))]
+    assert lead_over_spm(graph, replace(base, alpha=alpha)) >= 0.05

@@ -179,6 +179,19 @@ class TestEigendecompose:
             col = model.eigenvectors[:, k]
             assert col[np.argmax(np.abs(col))] > 0
 
+    @pytest.mark.parametrize("n", [5, 64, 300])
+    def test_reads_only_the_lower_triangle(self, n):
+        # The engine keeps its running score sum above the diagonal of each
+        # retained matrix while it is decomposed.
+        rng = np.random.default_rng(n)
+        view = random_view(rng, n, p=0.1)
+        filled = view.copy()
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        filled[upper] = rng.normal(scale=10.0, size=np.count_nonzero(upper))
+        want, got = eigendecompose(view), eigendecompose(filled)
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.eigenvectors, want.eigenvectors)
+
 
 class TestEigenvalues:
     def test_match_eigendecompose_order_and_selected_m(self):

@@ -11,10 +11,12 @@ and at 2 BLAS threads, both REF and this working tree (each run with
 ``PYTHONPATH=<tree>/src``) run the workload's CLI arguments from
 ``perfbench/run.py``'s ``WORKLOADS``. On the ``sweep-grid`` input they also
 run ``spectrum``, ``diagnose``, a matrix-averaged three-method
-``predict``, and ``predict --method SRW`` at 1 and at 5 walk steps: at
-n=410 the walk spans four of SRW's row blocks, and five steps swap its two
-walk buffers. Every output file, stdout, stderr and exit code is compared.
-Each difference is printed, and the exit code is 1 if there is any.
+``predict``, a one-realization SPM and PBSPM ``predict``, whose score sum
+is read back from its only eigensolve's input, and ``predict --method SRW``
+at 1 and at 5 walk steps: at n=410 the walk spans four of SRW's row blocks,
+and five steps swap its two walk buffers. Every output file, stdout, stderr
+and exit code is compared. Each difference is printed, and the exit code is
+1 if there is any.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ EXTRA = {
     "diagnose": ("diagnose", "--method", "PBSPM", "--alpha", "5"),
     "predict-matrix": ("predict", "--method", "SPM,PBSPM,FastPBSPM", "--m", "7",
                        "--alpha", "3", "--score-averaging", "matrix"),
+    "predict-one-realization": ("predict", "--method", "SPM,PBSPM", "--realizations", "1"),
     "predict-srw-1": ("predict", "--method", "SRW", "--srw-steps", "1"),
     "predict-srw-5": ("predict", "--method", "SRW", "--srw-steps", "5"),
 }
