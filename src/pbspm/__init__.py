@@ -23,7 +23,6 @@ from .evaluation import (
     ExperimentConfig,
     PrecisionReport,
     RankedCandidates,
-    SweepPoint,
     delta_cc,
     pearson_cc,
     precision_at,

@@ -39,7 +39,6 @@ __all__ = [
     "RankedCandidates",
     "ExperimentConfig",
     "PrecisionReport",
-    "SweepPoint",
     "rank_candidates",
     "precision_at",
     "pearson_cc",
@@ -154,13 +153,6 @@ class PrecisionReport:
     mean_delta_cc: Optional[float]
     resolved_m: Optional[int] = None
     failures: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    alpha: float
-    p_fresher: float
-    report: PrecisionReport
 
 
 def _candidates(train_adj: np.ndarray) -> np.ndarray:
@@ -366,12 +358,17 @@ def _score_spectral(
             _cut(scores, cand, hit, count, rank)
 
     ms = dict.fromkeys(m for m, _ in vectors)
+    shared = points[0].cfg
     averaged = (p.m for p in points if keep_top or p.cfg.score_averaging == "matrix")
     # The full sum is None until the first eigensolve: the retained matrix's zeros.
-    sums = {m: None if m is None else [] for m in dict.fromkeys(averaged)}
+    # A truncation's pairs go into columns allocated here, one block of m per
+    # realization: a copy made in the loop may land high in the heap and keep
+    # the memory freed below it resident.
+    reps = shared.realizations
+    sums = {m: None if m is None else (np.empty((graph.n, reps * m)), np.empty(reps * m))
+            for m in dict.fromkeys(averaged)}
     probe_inc = _endpoint_counts(graph.edges[len(split.train) :], graph.n)
 
-    shared = points[0].cfg
     shifts: list[float] = []
     failures: list[str] = []
     for r in range(shared.realizations):
@@ -410,7 +407,9 @@ def _score_spectral(
         for m in ms:
             leading, weights = _leading_pairs(model, m)
             if m is not None and m in sums:
-                sums[m].append((leading.copy(), weights.copy()))
+                at = (len(shifts) - 1) * m  # this realization's block
+                sums[m][0][:, at : at + m] = leading
+                sums[m][1][at : at + m] = weights
             spm = _pair_sum(leading, weights)[cand]
             if m is None and m in sums:
                 sums[m] += spm
@@ -427,9 +426,9 @@ def _score_spectral(
         if m is None:
             mean = sums.pop(m)
         else:
-            leading, weights = zip(*sums.pop(m))
-            leading, weights = np.hstack(leading), np.concatenate(weights)
-            mean = _pair_sum(leading, weights)[cand]
+            leading, weights = sums.pop(m)
+            used = len(shifts) * m  # the blocks of the realizations that did not fail
+            mean = _pair_sum(leading[:, :used], weights[:used])[cand]
         mean /= len(shifts)
         for key in (key for key in vectors if key[0] == m):
             cut(key, mean, "matrix", vectors[key] if keep_top else ())
@@ -544,24 +543,25 @@ def sweep(
     base_cfg: ExperimentConfig,
     alphas: Sequence[float],
     p_freshers: Sequence[float],
-) -> list[SweepPoint]:
+) -> list[PrecisionReport]:
     """Precision over the (alpha, p_fresher) grid with one shared split.
 
-    Each realization is perturbed and decomposed once and scored at every
-    grid point, so all points share the same perturbations; results are
-    identical to running each point through ``run_experiment`` with
-    precision averaging.
+    One report per grid point, p_fresher outermost, then alpha; a point's
+    coordinates are ``report.config.alpha`` and ``.p_fresher``. Each
+    realization is perturbed and decomposed once and scored at every grid
+    point, so all points share the same perturbations; results are identical
+    to running each point through ``run_experiment`` with precision averaging.
     """
     if len(alphas) == 0 or len(p_freshers) == 0:
         raise ValueError("alpha and p_fresher grids must be non-empty")
-    results = _run_points(graph, _sweep_configs(base_cfg, alphas, p_freshers, ()))
-    return [SweepPoint(r.config.alpha, r.config.p_fresher, r) for r, _ in results]
+    return [r for r, _ in _run_points(graph, _sweep_configs(base_cfg, alphas, p_freshers, ()))]
 
 
 def sweep_m(
     graph: TemporalGraph, base_cfg: ExperimentConfig, ms: Sequence[int]
-) -> list[tuple[int, PrecisionReport]]:
-    """Precision of the truncated reconstruction for each requested m."""
+) -> list[PrecisionReport]:
+    """Precision of the truncated reconstruction for each requested m, in
+    ``ms`` order; a report's m is ``report.config.m``."""
     if len(ms) == 0:
         raise ValueError("m grid must be non-empty")
-    return [(r.config.m, r) for r, _ in _run_points(graph, _sweep_configs(base_cfg, (), (), ms))]
+    return [r for r, _ in _run_points(graph, _sweep_configs(base_cfg, (), (), ms))]

@@ -36,17 +36,15 @@ class TemporalEventStream:
 
     ``labels`` holds the distinct node labels in order of first appearance,
     source before target. ``source`` and ``target`` are int64 codes into
-    ``labels`` and ``timestamp`` is int64, one entry per event. ``weight`` is
-    float64 and reads NaN where ``weighted``, a bool column, is False: the
-    event has no weight. Build a stream with :func:`parse_edge_stream`.
+    ``labels`` and ``timestamp`` is int64, one entry per event. A line's
+    weight is checked to parse as a float, then dropped: no method reads it.
+    Build a stream with :func:`parse_edge_stream`.
     """
 
     labels: tuple[str, ...]
     source: np.ndarray
     target: np.ndarray
     timestamp: np.ndarray
-    weight: np.ndarray
-    weighted: np.ndarray
 
     def __len__(self) -> int:
         return len(self.timestamp)
@@ -119,8 +117,10 @@ def parse_edge_stream(reader: IO, format: str = "tsv") -> TemporalEventStream:
 
     Lines hold ``source target [weight] timestamp``; fields are whitespace
     separated for ``tsv`` and comma separated for ``csv``. Lines starting
-    with ``%`` or ``#`` are comments; blank lines are ignored. A timestamp is
-    an integer in the int64 range, possibly written as a float (``50.0``).
+    with ``%`` or ``#`` are comments; blank lines are ignored. A weight must
+    parse as a float and is then dropped. A timestamp is an integer in the
+    int64 range, possibly written as a float (``50.0``). One leading UTF-8
+    byte-order mark is ignored.
 
     CSV is decoded and parsed line by line, by the grammar that names a TSV
     file's first bad line. Every TSV input is tokenized from bytes with
@@ -130,14 +130,16 @@ def parse_edge_stream(reader: IO, format: str = "tsv") -> TemporalEventStream:
     spaces and LFs first. Only a TSV file that fails is read line by line.
 
     Raises:
-        ParseError: a non-comment line does not fit the 3/4-field layout or
-            its timestamp is not an int64, a CSV line holds a NUL, or a byte
-            input is not valid UTF-8. It names the first such line.
+        ParseError: a non-comment line does not fit the 3/4-field layout,
+            its weight is not a float or its timestamp is not an int64, a
+            CSV line holds a NUL, or a byte input is not valid UTF-8. It
+            names the first such line.
         EmptyInputError: no events survive.
     """
     if format not in ("tsv", "csv"):
         raise ValueError(f"unknown format {format!r}")
     data = reader.read()
+    data = data.removeprefix(b"\xef\xbb\xbf" if isinstance(data, bytes) else "\ufeff")
     text = None if isinstance(data, bytes) else data
     if format == "csv":
         return _parse_lines(_decode(data) if text is None else text, format)
@@ -168,7 +170,7 @@ def _parse_lines(text: str, format: str) -> TemporalEventStream:
         ParseError: at the first line that fails a check, naming it.
         EmptyInputError: no line is an event.
     """
-    labels, stamps, weights, weighted = [], [], [], []
+    labels, stamps = [], []
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped[0] in "%#":
@@ -184,12 +186,10 @@ def _parse_lines(text: str, format: str) -> TemporalEventStream:
                 raise ParseError(str(err), line_no) from None
         if len(fields) == 4:
             try:
-                weights.append(float(fields[2]))
+                float(fields[2])
             except ValueError:
                 raise ParseError(f"bad weight {fields[2]!r}", line_no) from None
-        elif len(fields) == 3:
-            weights.append(np.nan)
-        else:
+        elif len(fields) != 3:
             raise ParseError(f"expected 3 or 4 fields, got {len(fields)}", line_no)
         if not fields[0] or not fields[1]:
             raise ParseError("empty node label", line_no)
@@ -199,12 +199,10 @@ def _parse_lines(text: str, format: str) -> TemporalEventStream:
             raise ParseError(str(err), line_no) from None
         labels.append(fields[0])
         labels.append(fields[1])
-        weighted.append(len(fields) == 4)
     if not stamps:
         raise EmptyInputError("edge stream contains no events")
     distinct, code = _first_appearance(labels)  # source, target, source, ...
-    stamps, weights = np.array(stamps, np.int64), np.array(weights, np.float64)
-    return _frozen(distinct, code[0::2], code[1::2], stamps, weights, np.array(weighted, bool))
+    return _frozen(distinct, code[0::2], code[1::2], np.array(stamps, np.int64))
 
 
 # The whitespace of str.split() and the line ends of str.splitlines() among
@@ -238,8 +236,8 @@ def _parse_tsv_bytes(data: bytes) -> TemporalEventStream:
     weighted = n_fields == 4
     if not (weighted | (n_fields == 3)).all():
         raise ValueError("a line does not have 3 or 4 fields")
-    weight = np.full(first.size, np.nan)
-    weight[weighted] = [float(token) for token in _tokens(data, start, end, first[weighted] + 2)]
+    for token in _tokens(data, start, end, first[weighted] + 2):
+        float(token)  # a bad weight raises; the weight itself is dropped
     stamp = first + n_fields - 1
     timestamp = _read_stamps(data, buf, start[stamp], end[stamp])
     label = np.column_stack((first, first + 1)).ravel()  # source, target, source, ...
@@ -247,7 +245,7 @@ def _parse_tsv_bytes(data: bytes) -> TemporalEventStream:
     start, end = start[label], end[label]  # frees the other tokens' bounds
     del label
     labels, codes = _label_codes(data, start, end)
-    return _frozen(labels, codes[0::2], codes[1::2], timestamp, weight, weighted)
+    return _frozen(labels, codes[0::2], codes[1::2], timestamp)
 
 
 def _token_bounds(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

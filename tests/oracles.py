@@ -15,24 +15,21 @@ from pbspm.graph import TemporalEventStream, TemporalGraph
 
 
 class Row(NamedTuple):
-    """One contact event as a line gives it; ``weight`` is None on a 3-field line."""
+    """One contact event as a line gives it, its weight dropped."""
 
     source: str
     target: str
     timestamp: int
-    weight: Optional[float]
 
 
 def rows(stream: TemporalEventStream) -> tuple[Row, ...]:
     """The events of a stream's columns, one :class:`Row` each, in file order."""
     label = stream.labels.__getitem__
-    weights = zip(stream.weight.tolist(), stream.weighted.tolist())
     return tuple(map(
         Row,
         map(label, stream.source.tolist()),
         map(label, stream.target.tolist()),
         stream.timestamp.tolist(),
-        [w if has else None for w, has in weights],
     ))
 
 
@@ -219,18 +216,17 @@ def _oracle_parse_edge_stream(reader: IO, format: str = "tsv") -> tuple[Row, ...
             fields = stripped.split()
         if len(fields) == 3:
             src, dst, ts_token = fields
-            weight = None
         elif len(fields) == 4:
             src, dst, w_token, ts_token = fields
             try:
-                weight = float(w_token)
+                float(w_token)
             except ValueError:
                 raise ParseError(f"bad weight {w_token!r}", line_no) from None
         else:
             raise ParseError(f"expected 3 or 4 fields, got {len(fields)}", line_no)
         if not src or not dst:
             raise ParseError("empty node label", line_no)
-        events.append(Row(src, dst, _oracle_parse_timestamp(ts_token, line_no), weight))
+        events.append(Row(src, dst, _oracle_parse_timestamp(ts_token, line_no)))
     if not events:
         raise EmptyInputError("edge stream contains no events")
     return tuple(events)

@@ -277,6 +277,6 @@ class TestCriterion10CurveShape:
             realizations=REALIZATIONS, seed=SEED,
         )
         points = sweep(graph, base, alphas=[0.0, 3.0, 10.0], p_freshers=[0.05])
-        by_alpha = {p.alpha: p.report.mean_precision for p in points}
+        by_alpha = {p.config.alpha: p.mean_precision for p in points}
         assert by_alpha[3.0] > by_alpha[0.0]
         assert by_alpha[3.0] > by_alpha[10.0]

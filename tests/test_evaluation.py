@@ -412,9 +412,9 @@ class TestRunExperiment:
         )
         assert mid.mean_precision > zero.mean_precision
 
-    @pytest.mark.parametrize("averaging", ["precision", "matrix"])
-    def test_failed_realization_is_reported_not_fatal(self, shift_graph, monkeypatch,
-                                                      averaging):
+    @staticmethod
+    def fail_second_solve(monkeypatch):
+        """Make the engine's second eigensolve fail; return the real solver."""
         import pbspm.evaluation as evaluation
         from pbspm.errors import NumericalError
 
@@ -428,6 +428,12 @@ class TestRunExperiment:
             return real(view)
 
         monkeypatch.setattr(evaluation, "eigendecompose", flaky)
+        return real
+
+    @pytest.mark.parametrize("averaging", ["precision", "matrix"])
+    def test_failed_realization_is_reported_not_fatal(self, shift_graph, monkeypatch,
+                                                      averaging):
+        real = self.fail_second_solve(monkeypatch)
         # At L = 400 the mean of realizations 0 and 2 has another precision
         # than either one alone or than all three.
         cfg = ExperimentConfig(method="SPM", p_fresher=0.15, seed=1, realizations=3, L=400,
@@ -448,6 +454,29 @@ class TestRunExperiment:
             return spm_scores(eigenvalue_correction(model, sample.removed))
 
         ranked = rank_candidates((spm(0) + spm(2)) / 2, adjacency(split.train, shift_graph.n))
+        assert report.mean_precision == precision_at(ranked, split.probe, cfg.L)
+
+    def test_failed_realization_leaves_its_truncated_block_unread(self, shift_graph,
+                                                                  monkeypatch):
+        # A truncation's pairs fill one block of m columns per realization that
+        # solved; realization 1 fails, so realization 2 fills the second block
+        # and the third is never read.
+        real = self.fail_second_solve(monkeypatch)
+        cfg = ExperimentConfig(method="FastPBSPM", m=6, alpha=3.0, p_fresher=0.15, seed=1,
+                               realizations=3, L=400, score_averaging="matrix")
+        report = run_experiment(shift_graph, cfg)
+        assert len(report.failures) == 1
+        split = split_train_probe(shift_graph, cfg.probe_fraction)
+        pop = popularity(split.train, shift_graph.n, cfg.p_fresher)
+
+        def scores(r):
+            sample = sample_perturbation(split.train, cfg.p_h, cfg.seed + r)
+            model = real(adjacency(sample.retained, shift_graph.n))
+            return pbspm_scores(eigenvalue_correction(model, sample.removed), pop, cfg.alpha,
+                                m=cfg.m)
+
+        mean = (scores(0) + scores(2)) / 2
+        ranked = rank_candidates(mean, adjacency(split.train, shift_graph.n))
         assert report.mean_precision == precision_at(ranked, split.probe, cfg.L)
 
     def test_all_realizations_failing_raises(self, shift_graph, monkeypatch):
@@ -472,12 +501,15 @@ class TestSweep:
                                           realizations=3)
         )
         assert len(points) == 1
-        assert points[0].report.mean_precision == spm.mean_precision
+        assert points[0].mean_precision == spm.mean_precision
 
     def test_grid_size(self, shift_graph):
         base = ExperimentConfig(method="PBSPM", p_fresher=0.15, seed=9, realizations=2)
         points = sweep(shift_graph, base, alphas=[0.0, 2.0, 4.0], p_freshers=[0.1, 0.15])
-        assert len(points) == 6
+        # p_fresher outermost, then alpha.
+        assert [(p.config.p_fresher, p.config.alpha) for p in points] == [
+            (pf, alpha) for pf in (0.1, 0.15) for alpha in (0.0, 2.0, 4.0)
+        ]
 
     def test_points_match_run_experiment(self, shift_graph):
         base = ExperimentConfig(method="PBSPM", p_fresher=0.15, seed=5, realizations=3)
@@ -487,7 +519,7 @@ class TestSweep:
             ExperimentConfig(method="PBSPM", alpha=4.0, p_fresher=0.15, seed=5,
                              realizations=3),
         )
-        assert points[0].report.per_realization == direct.per_realization
+        assert points[0].per_realization == direct.per_realization
 
     def test_empty_grid_rejected(self, shift_graph):
         base = ExperimentConfig(method="PBSPM", p_fresher=0.15, seed=5)
@@ -510,7 +542,7 @@ class TestSweepM:
             ExperimentConfig(method="PBSPM", alpha=5.0, p_fresher=0.15, seed=42,
                              realizations=3),
         )
-        by_m = dict(results)
+        by_m = {report.config.m: report for report in results}
         assert by_m[shift_graph.n].mean_precision == full.mean_precision
 
     def test_m_out_of_range_rejected(self, shift_graph):

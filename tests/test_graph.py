@@ -30,11 +30,11 @@ class TestParseEdgeStream:
     def test_four_field_line(self):
         stream = parse_edge_stream(io.BytesIO(b"1 2 1 1246360000\n"))
         assert len(stream) == 1
-        assert rows(stream) == (("1", "2", 1246360000, 1.0),)
+        assert rows(stream) == (("1", "2", 1246360000),)
 
     def test_three_field_line_tab_separated(self):
         stream = parse_edge_stream(io.BytesIO(b"a\tb\t5\n"))
-        assert rows(stream) == (("a", "b", 5, None),)
+        assert rows(stream) == (("a", "b", 5),)
 
     def test_comment_skipped_and_self_loop_retained(self):
         stream = parse_edge_stream(io.BytesIO(b"% comment\n1 1 1 7\n"))
@@ -170,9 +170,23 @@ class TestParseEdgeStream:
         for reader in (io.BytesIO(text.encode()), io.StringIO(text)):
             got = parse_edge_stream(reader, "csv")
             assert got.labels == want.labels
-            for name in ("source", "target", "timestamp", "weight", "weighted"):
+            for name in ("source", "target", "timestamp"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["bytes", "text"])
+    @pytest.mark.parametrize("fmt", ["tsv", "csv"])
+    def test_leading_byte_order_mark_is_ignored(self, fmt, binary):
+        # A byte reader gives the mark as b"\xef\xbb\xbf", a text reader as "\ufeff".
+        def parse(text):
+            return parse_edge_stream(io.BytesIO(text.encode()) if binary else io.StringIO(text), fmt)
+
+        sep = "," if fmt == "csv" else " "
+        text = f"a{sep}b{sep}1\nb{sep}a{sep}2\na{sep}c{sep}3\n"
+        want, got = parse(text), parse("\ufeff" + text)
+        assert got.labels == want.labels == ("a", "b", "c")
+        for name in ("source", "target", "timestamp"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
 
     def test_first_bad_line_is_reported(self):
         # Line 2 has a bad weight and line 3 a wrong field count: line 2 wins.
@@ -187,9 +201,6 @@ class TestParseEdgeStream:
         assert stream.source.tolist() == [0, 1]
         assert stream.target.tolist() == [1, 2]
         assert stream.timestamp.tolist() == [7, 3]
-        assert stream.weighted.tolist() == [False, True]
-        assert np.isnan(stream.weight[0]) and stream.weight[1] == 0.5
-        assert [ev.weight for ev in rows(stream)] == [None, 0.5]
 
     @pytest.mark.parametrize(
         "space",
