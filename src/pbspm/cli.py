@@ -115,12 +115,13 @@ def _write(args: argparse.Namespace, emit: Sequence[str], tables: dict,
     args.out_dir.mkdir(parents=True, exist_ok=True)
     if "csv" in emit:
         for name, (columns, rows) in tables.items():
-            with open(args.out_dir / name, "w", newline="") as fh:
+            with open(args.out_dir / name, "w", encoding="utf-8", newline="",
+                      errors="surrogateescape") as fh:  # a file name's undecoded bytes
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(columns)
                 writer.writerows([_fmt6(row[column]) for column in columns] for row in rows)
     if "json" in emit:
-        with open(args.out_dir / json_name, "w") as fh:
+        with open(args.out_dir / json_name, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
@@ -155,7 +156,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     _write(args, emit, {"report.csv": (_REPORT_COLUMNS, rows)}, "report.json", payload)
 
     for report, top in results:
-        with open(args.out_dir / f"predictions_{report.config.method}.txt", "w") as fh:
+        name = f"predictions_{report.config.method}.txt"
+        with open(args.out_dir / name, "w", encoding="utf-8") as fh:
             for (u, v), score in zip(top.pairs, top.scores):
                 fh.write(f"{graph.labels[u]}\t{graph.labels[v]}\t{float(score)!r}\n")
     return 0

@@ -5,14 +5,15 @@ events. Scoring operates on the simple graph obtained by dropping self-loops
 and collapsing repeated contacts of a pair onto the pair's earliest event,
 which is the time the edge entered the network.
 
-Every TSV file is tokenized from its bytes by one array parser; a file that
-is not plain ASCII is decoded and rebuilt for it first. CSV is parsed line by
-line, by the one line grammar that also names a TSV file's bad line.
+A plain TSV file, ASCII with digit timestamps, is tokenized from its bytes
+by one array parser. Every other input, CSV included, is parsed line by line,
+by the one line grammar that also names a TSV file's bad line.
 """
 
 from __future__ import annotations
 
 import csv
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -122,12 +123,11 @@ def parse_edge_stream(reader: IO, format: str = "tsv") -> TemporalEventStream:
     int64 range, possibly written as a float (``50.0``). One leading UTF-8
     byte-order mark is ignored.
 
-    CSV is decoded and parsed line by line, by the grammar that names a TSV
-    file's first bad line. Every TSV input is tokenized from bytes with
-    array operations. An ASCII byte input whose only whitespace is space,
-    tab, LF and CR before LF goes in as it is; any other is decoded, and its
-    ``str.splitlines`` lines and ``str.split`` fields are rebuilt with single
-    spaces and LFs first. Only a TSV file that fails is read line by line.
+    A TSV input that is ASCII, whose only whitespace is space, tab, LF and CR
+    before LF, and whose timestamps are 1 to 18 digits is tokenized from its
+    bytes with array operations; a text reader's text is encoded for it
+    first. Every other input is decoded and parsed line by line, by the
+    grammar that names a file's first bad line.
 
     Raises:
         ParseError: a non-comment line does not fit the 3/4-field layout,
@@ -140,21 +140,14 @@ def parse_edge_stream(reader: IO, format: str = "tsv") -> TemporalEventStream:
         raise ValueError(f"unknown format {format!r}")
     data = reader.read()
     data = data.removeprefix(b"\xef\xbb\xbf" if isinstance(data, bytes) else "\ufeff")
-    text = None if isinstance(data, bytes) else data
-    if format == "csv":
-        return _parse_lines(_decode(data) if text is None else text, format)
-    if text is None and not _ascii_separated(data):
-        text = _decode(data)
-    if text is not None:
-        # str.splitlines' lines of str.split's fields, rejoined by LF and
-        # space; a text reader's lone surrogates pass through.
-        lines = map(" ".join, map(str.split, text.splitlines()))
-        data = "\n".join(lines).encode("utf-8", "surrogatepass")
-    try:
-        return _parse_tsv_bytes(data)
-    except (ValueError, OverflowError):
-        _parse_lines(data.decode("utf-8") if text is None else text, format)
-        raise
+    if isinstance(data, str) and data.isascii():
+        data = data.encode()
+    if isinstance(data, bytes):
+        if format == "tsv" and _ascii_separated(data):
+            with suppress(ValueError):  # the grammar names the bad line, or reads the file
+                return _parse_tsv_bytes(data)
+        data = _decode(data)
+    return _parse_lines(data, format)
 
 
 def _parse_lines(text: str, format: str) -> TemporalEventStream:
@@ -222,13 +215,11 @@ def _ascii_separated(data: bytes) -> bool:
 
 
 def _parse_tsv_bytes(data: bytes) -> TemporalEventStream:
-    """Parse a TSV file from its bytes: ASCII that passes ``_ascii_separated``,
-    or the UTF-8 (surrogates passed) of a rebuilt text.
+    """Parse a TSV file from its bytes, ASCII that passes ``_ascii_separated``.
 
     Tokens are the runs of bytes other than space, tab, CR and LF, and a line
-    is the tokens between two LFs, so a UTF-8 character never straddles a
-    token's edge. A malformed line raises ValueError without saying which
-    line it is.
+    is the tokens between two LFs. A malformed line, or a timestamp that is
+    not 1 to 18 digits, raises ValueError without saying which line it is.
     """
     buf = np.frombuffer(data, np.uint8)
     start, end = _token_bounds(buf)
@@ -239,7 +230,7 @@ def _parse_tsv_bytes(data: bytes) -> TemporalEventStream:
     for token in _tokens(data, start, end, first[weighted] + 2):
         float(token)  # a bad weight raises; the weight itself is dropped
     stamp = first + n_fields - 1
-    timestamp = _read_stamps(data, buf, start[stamp], end[stamp])
+    timestamp = _read_stamps(buf, start[stamp], end[stamp])
     label = np.column_stack((first, first + 1)).ravel()  # source, target, source, ...
     del first, n_fields, stamp
     start, end = start[label], end[label]  # frees the other tokens' bounds
@@ -278,40 +269,34 @@ def _event_lines(buf: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.nda
 def _tokens(data: bytes, start: np.ndarray, end: np.ndarray, which) -> list[str]:
     """The tokens ``which`` of ``data``, decoded one by one."""
     bounds = zip(start[which].tolist(), end[which].tolist())
-    return [data[s:e].decode("utf-8", "surrogatepass") for s, e in bounds]
+    return [data[s:e].decode() for s, e in bounds]
 
 
-def _read_stamps(data: bytes, buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """The int64 values of the timestamp tokens ``[start, end)``.
+def _read_stamps(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The int64 values of the timestamp tokens ``[start, end)``, each 1 to 18
+    ASCII digits, by a Horner loop over digit columns, right-aligned.
 
-    Up to 18 ASCII digits are read by a Horner loop over digit columns,
-    right-aligned; anything else (a sign, ``50.0``, ``1e3``, or 19 digits or
-    more, which may overflow) goes through ``_timestamp`` one by one.
+    Raises:
+        ValueError: a token is not 1 to 18 digits, e.g. ``-3``, ``50.0``.
     """
     length = end - start
+    shortest, width = int(length.min()), int(length.max())
+    if width > 18:  # 19 digits may overflow int64
+        raise ValueError("a timestamp has more than 18 digits")
     value = np.zeros(start.size, dtype=np.int64)
-    other = length > 18
-    shortest = int(length.min())
-    width = min(int(length.max()), 18)
     at = end - width  # end - 1 - place: each token's digit in column `place`
     for place in range(width - 1, -1, -1):
         # For a token shorter than place + 1, `at` falls before it, or wraps
-        # round to the end of `buf`; `has` masks that byte out.
+        # round to the end of `buf`; the length mask zeroes that byte.
         digit = buf[at]
         digit -= ord("0")
-        if place < shortest:  # every token has this column
-            other |= digit > 9
-        else:
-            has = length > place
-            other |= has & (digit > 9)
-            digit *= has
-        # A non-digit's column may overflow `value`; `other` replaces it below.
+        if place >= shortest:  # some token lacks this column
+            digit *= length > place
+        if (digit > 9).any():
+            raise ValueError("a timestamp is not a digit string")
         value *= 10
         value += digit
         at += 1
-    slow = np.flatnonzero(other)
-    if slow.size:
-        value[slow] = [_timestamp(token) for token in _tokens(data, start, end, slow)]
     return value
 
 
@@ -333,7 +318,7 @@ def _label_codes(
     if length.max() > 7:
         bounds = zip(start.tolist(), end.tolist())
         distinct, code = _first_appearance([data[s:e] for s, e in bounds])
-        return tuple(label.decode("utf-8", "surrogatepass") for label in distinct), code
+        return tuple(label.decode() for label in distinct), code
     # words[i] holds data[i:i + 8] as a little-endian integer.
     words = np.ndarray((len(data) + 1,), dtype="<u8", buffer=data + bytes(8), strides=(1,))
     key = words[start] & _LOW_BYTES[length]

@@ -20,6 +20,8 @@ from pbspm.evaluation import METHODS, ExperimentConfig
 from pbspm.graph import parse_edge_stream, simplify
 from pbspm.split import split_train_probe
 
+from conftest import popularity_shift_events, tsv_text
+
 SCHEMA_PATH = Path(pbspm.__file__).parent / "schemas" / "report.schema.json"
 
 
@@ -615,6 +617,32 @@ class TestModuleEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_outputs_are_utf8_in_an_ascii_locale(self, tmp_path):
+        # The C locale's default encoding is ASCII, and its file system encoding
+        # escapes the name's other bytes; labels and the name come out as UTF-8.
+        dataset = tmp_path / "réseau.tsv"
+        rows = [(f"ü{a}", f"ü{b}", t) for a, b, t in popularity_shift_events()]
+        dataset.write_bytes(tsv_text(rows).encode())
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=str(Path(pbspm.__file__).parents[1]))
+        commands = {
+            "predict": ("--method", "CN,PBSPM", "--realizations", "2"),
+            "sweep": ("--alpha-grid", "0,5", "--realizations", "2"),
+            "spectrum": (),
+        }
+        outputs = {}
+        for command, args in commands.items():
+            proc = subprocess.run(
+                [sys.executable, "-m", "pbspm.cli", command, *args, "--input", dataset.name,
+                 "--out-dir", command], cwd=tmp_path, env=env, capture_output=True,
+            )
+            assert proc.returncode == 0, (command, proc.stderr)
+            for path in (tmp_path / command).iterdir():
+                outputs[f"{command}/{path.name}"] = path.read_bytes().decode("utf-8")
+        assert len(outputs) == 8, sorted(outputs)
+        assert outputs["predict/report.csv"].splitlines()[1].startswith("réseau,CN,")
+        assert outputs["predict/predictions_CN.txt"].startswith("ü")
 
 
 class TestBlasThreadCount:

@@ -261,6 +261,38 @@ class TestParseEdgeStream:
         want = ingest_outcome(lambda: per_line_ingest_oracle(io.BytesIO(data)))
         assert ingest_outcome(lambda: (rows(stream), simplify(stream))) == want
 
+    @pytest.mark.parametrize("binary, text, route", [
+        (True, "a b 1\nb c 2\n", ["_parse_tsv_bytes"]),
+        (False, "a b 1\nb c 2\n", ["_parse_tsv_bytes"]),
+        (True, "a \xfc 1\n\xfc c 2\n", ["_parse_lines"]),
+        (True, "a b 1\x0bb c 2\n", ["_parse_lines"]),
+        (True, "a\xa0b 1\nb c 2\n", ["_parse_lines"]),
+        (True, "a b 1\rb c 2\n", ["_parse_lines"]),
+        (True, "a b 50.0\nb c 2\n", ["_parse_tsv_bytes", "_parse_lines"]),
+        (True, "a b -3\nb c 2\n", ["_parse_tsv_bytes", "_parse_lines"]),
+        (True, "a b +7\nb c 2\n", ["_parse_tsv_bytes", "_parse_lines"]),
+        (True, "a b 1000000000000000000\nb c 2\n", ["_parse_tsv_bytes", "_parse_lines"]),
+    ], ids=["plain-bytes", "ascii-text", "non-ascii-label", "VT", "NBSP", "lone-CR",
+            "float-stamp", "negative-stamp", "plus-stamp", "19-digit-stamp"])
+    def test_only_plain_ascii_with_digit_stamps_is_tokenized(self, binary, text, route,
+                                                             monkeypatch):
+        # Any other input is read by the line grammar, also after the byte
+        # tokenizer has raised on it, and gives the stream the grammar gives.
+        import pbspm.graph as graph
+
+        calls = []
+        for name in ("_parse_tsv_bytes", "_parse_lines"):
+            real = getattr(graph, name)
+            monkeypatch.setattr(graph, name,
+                                lambda *args, name=name, real=real: calls.append(name) or real(*args))
+        stream = parse_edge_stream(io.BytesIO(text.encode()) if binary else io.StringIO(text))
+        assert calls == route
+        want = graph._parse_lines(text, "tsv")
+        assert stream.labels == want.labels
+        for name in ("source", "target", "timestamp"):
+            a, b = getattr(stream, name), getattr(want, name)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+
     def test_text_reader_with_lone_surrogates(self):
         # A str reader may hold surrogates that no UTF-8 encoder accepts.
         text = "a\udcff b 1\nb c 2\n\ud83d\ude00 \ude00\ud83d 3\u3000\n"
@@ -277,9 +309,9 @@ class TestParseEdgeStream:
 
 # Whitespace that str.split and str.splitlines see but the byte tokenizer
 # does not: two ASCII separators (\x0b also ends a line), two non-ASCII
-# spaces, and a CR that ends a line on its own. A file holding one is rebuilt
-# with spaces and LFs before it is tokenized.
-REBUILT_SPACES = ["\x0b", "\x1f", "\xa0", "\u3000", "\r"]
+# spaces, and a CR that ends a line on its own. A file holding one is read by
+# the line grammar.
+GRAMMAR_SPACES = ["\x0b", "\x1f", "\xa0", "\u3000", "\r"]
 
 
 def random_contact_file(rng, fmt):
@@ -288,28 +320,35 @@ def random_contact_file(rng, fmt):
     Few labels and stamps make repeated pairs and large equal-stamp groups;
     lines mix 3 and 4 fields, separators, comments, blank lines, CRLF and
     stamps written as floats, with signs or with leading zeros. Labels
-    include long ones that share a prefix with shorter ones. Half the TSV
-    files also hold one kind of whitespace from ``REBUILT_SPACES``. Returns
-    the bytes and the kind of bad line.
+    include long ones that share a prefix with shorter ones. Half the files
+    are plain, as the byte tokenizer reads them: ASCII labels and every
+    stamp written as digits only. Half the TSV files also hold one kind
+    of whitespace from ``GRAMMAR_SPACES``. Returns the bytes and the kind of
+    bad line.
     """
     pool = ["1", "2", "17", "0017", "node-000000000017", "node-000000000018", "a", "Node",
             "κόμβος", "节点", "ü", "x.y"]
+    plain = rng.random() < 0.5
+    if plain:
+        pool = [label for label in pool if label.isascii()]
     labels = list(rng.choice(pool, size=int(rng.integers(2, len(pool) + 1)), replace=False))
     t_max = int(rng.integers(1, 6))
     sep = "," if fmt == "csv" else "\t"
     separators, line_ends = [" ", "\t", "  ", " \t"], ["\n", "\r\n"]
-    rebuilt = None
+    odd_space = None
     if fmt == "tsv" and rng.random() < 0.5:
-        rebuilt = REBUILT_SPACES[int(rng.integers(len(REBUILT_SPACES)))]
+        odd_space = GRAMMAR_SPACES[int(rng.integers(len(GRAMMAR_SPACES)))]
         # \x0b splits a line, so it only ends lines, as a lone CR does.
-        (line_ends if rebuilt in "\x0b\r" else separators).append(rebuilt)
+        (line_ends if odd_space in "\x0b\r" else separators).append(odd_space)
 
     def pick(options):
         return options[int(rng.integers(len(options)))]
 
     def event_fields():
-        stamp = int(rng.integers(-1, t_max))
-        if rng.random() < 0.03:  # 19 digits, at the edges of the int64 range
+        stamp = int(rng.integers(0 if plain else -1, t_max))
+        if plain:
+            stamp_token = pick([str(stamp), f"{stamp:03d}"])
+        elif rng.random() < 0.03:  # 19 digits, at the edges of the int64 range
             stamp_token = pick([str(2**63 - 1), str(-(2**63))])
         else:
             stamp_token = pick([str(stamp), f"{stamp}.0", f"{stamp}e0", f"{stamp:+d}",
@@ -362,8 +401,8 @@ def random_contact_file(rng, fmt):
         data += line + pick(line_ends).encode()
     if rng.random() < 0.2:
         data = data.rstrip(b"\r\n")
-    if rebuilt is not None:  # at least once, whatever was picked above
-        data += rebuilt.encode()
+    if odd_space is not None:  # at least once, whatever was picked above
+        data += odd_space.encode()
     return data, kind
 
 
@@ -377,24 +416,28 @@ def ingest_outcome(ingest):
     return [repr(ev) for ev in events], graph.labels, graph.edges.tolist()
 
 
+def plain_stamps(text):
+    """Whether every event line's last field is 1 to 18 ASCII digits."""
+    fields = (line.split() for line in text.splitlines())
+    return all(f[-1].isascii() and f[-1].isdigit() and len(f[-1]) <= 18
+               for f in fields if f and f[0][0] not in "%#")
+
+
 class TestColumnarIngestMatchesPerLine:
-    """The parse (TSV by the byte tokenizer, CSV by the line grammar) and the
-    columnar simplify against the per-line ingest they replaced."""
+    """The parse (plain TSV by the byte tokenizer, the rest by the line
+    grammar) and the columnar simplify against the per-line ingest they
+    replaced."""
 
     @pytest.mark.parametrize("fmt", ["tsv", "csv"])
     def test_random_files(self, fmt, monkeypatch):
         import pbspm.graph as graph
 
-        byte_parses = []
+        byte_parses = []  # each stream the byte tokenizer returned
         parse_bytes = graph._parse_tsv_bytes
-
-        def counting(data):
-            byte_parses.append(data)
-            return parse_bytes(data)
-
-        monkeypatch.setattr(graph, "_parse_tsv_bytes", counting)
+        monkeypatch.setattr(graph, "_parse_tsv_bytes",
+                            lambda data: byte_parses.append(parse_bytes(data)) or byte_parses[-1])
         rng = np.random.default_rng(43 if fmt == "tsv" else 47)
-        outcomes = []
+        outcomes, byte_returns = [], 0
         for _ in range(300):
             data, kind = random_contact_file(rng, fmt)
 
@@ -406,18 +449,25 @@ class TestColumnarIngestMatchesPerLine:
             byte_parses.clear()
             got = ingest_outcome(lambda: ingest(io.BytesIO(data)))
             assert got == want, data
-            if kind != "utf-8":  # a bad byte is reported before any parse runs
-                # Every TSV file goes through the one byte tokenizer.
-                assert len(byte_parses) == (fmt == "tsv"), data
+            # The byte tokenizer returns a stream exactly for a TSV file that
+            # parses, is ASCII whose only whitespace it splits on, and has
+            # digit stamps. A text reader's text is ASCII exactly when the
+            # bytes are, and only ASCII text is encoded for the tokenizer.
+            plain = (fmt == "tsv" and want[0] not in (ParseError, EmptyInputError)
+                     and graph._ascii_separated(data) and plain_stamps(data.decode()))
+            assert len(byte_parses) == plain, data
+            byte_returns += plain
+            if kind != "utf-8":
                 byte_parses.clear()
                 assert ingest_outcome(lambda: ingest(io.StringIO(data.decode()))) == want, data
-                assert len(byte_parses) == (fmt == "tsv"), data
+                assert len(byte_parses) == plain, data
             if kind is None and not isinstance(want[0], type):
                 stream = parse_edge_stream(io.BytesIO(data), fmt)
                 assert_same_graph(simplify(stream), greedy_simplify_oracle(stream))
             outcomes.append(want[0] if isinstance(want[0], type) else "graph")
         assert outcomes.count(ParseError) >= 100
         assert outcomes.count("graph") >= 100
+        assert byte_returns >= (30 if fmt == "tsv" else 0), byte_returns
 
 
 class TestSimplify:

@@ -15,10 +15,13 @@ run ``spectrum``, ``diagnose``, a matrix-averaged three-method
 is read back from its only eigensolve's input, and ``predict --method SRW``
 at 1 and at 5 walk steps: at n=410 the walk spans four of SRW's row blocks,
 and five steps swap its two walk buffers. The same stream is also written
-with a weight field (``1.5``) on every other line, and ``predict --method
-SPM,PBSPM,CN`` runs on it, so the parse of 4-field lines is compared too.
-Every output file, stdout, stderr and exit code is compared. Each difference
-is printed, and the exit code is 1 if there is any.
+three more ways, and ``predict --method SPM,PBSPM,CN`` runs on each: with a
+weight field (``1.5``) on every other line, so the parse of 4-field lines is
+compared too; with every label prefixed by ``ü``; and with every stamp
+written ``{t}.0``. The last two are not plain ASCII with digit stamps, so
+the line grammar reads them, not the byte tokenizer. Every output file,
+stdout, stderr and exit code is compared. Each difference is printed, and
+the exit code is 1 if there is any.
 """
 
 from __future__ import annotations
@@ -49,8 +52,13 @@ EXTRA = {
     "predict-srw-1": ("predict", "--method", "SRW", "--srw-steps", "1"),
     "predict-srw-5": ("predict", "--method", "SRW", "--srw-steps", "5"),
 }
-# Commands on the sweep-grid input with a weight on every other line.
-WEIGHTED = {"predict-weighted": ("predict", "--method", "SPM,PBSPM,CN")}
+# The sweep-grid stream written other ways, by each variant's line of event i.
+VARIANTS = {
+    "weighted": lambda i, u, v, t: f"{u}\t{v}\t1.5\t{t}\n" if i % 2 else f"{u}\t{v}\t{t}\n",
+    "non-ascii": lambda i, u, v, t: f"ü{u}\tü{v}\t{t}\n",
+    "float-stamps": lambda i, u, v, t: f"{u}\t{v}\t{t}.0\n",
+}
+VARIANT_ARGS = ("predict", "--method", "SPM,PBSPM,CN")
 
 
 def commands(inputs: Path, seed: int) -> dict[str, tuple[str, ...]]:
@@ -61,16 +69,12 @@ def commands(inputs: Path, seed: int) -> dict[str, tuple[str, ...]]:
     }
     sweep_input = ("--input", str(inputs / f"sweep-grid-{seed}.tsv"))
     runs.update((name, (*args, *sweep_input)) for name, args in EXTRA.items())
-    weighted_input = ("--input", str(inputs / f"sweep-grid-weighted-{seed}.tsv"))
-    runs.update((name, (*args, *weighted_input)) for name, args in WEIGHTED.items())
+    runs.update(
+        (f"predict-{variant}",
+         (*VARIANT_ARGS, "--input", str(inputs / f"sweep-grid-{variant}-{seed}.tsv")))
+        for variant in VARIANTS
+    )
     return runs
-
-
-def write_weighted(path: Path, rows) -> None:
-    """Write ``gen.contacts`` rows as a TSV edge list whose odd lines carry a weight."""
-    lines = (f"{u}\t{v}\t1.5\t{t}\n" if i % 2 else f"{u}\t{v}\t{t}\n"
-             for i, (u, v, t) in enumerate(rows.tolist()))
-    path.write_text("".join(lines))
 
 
 def outcome(tree: Path, args: tuple[str, ...], threads: int, work: Path) -> dict[str, bytes]:
@@ -111,8 +115,10 @@ def main(argv=None) -> int:
                 gen.write_stream(inputs / f"{name}-{seed}.tsv",
                                  gen.contacts(gen.SPECS[name], seed))
         for seed in SEEDS:
-            write_weighted(inputs / f"sweep-grid-weighted-{seed}.tsv",
-                           gen.contacts(gen.SPECS["sweep-grid"], seed))
+            rows = gen.contacts(gen.SPECS["sweep-grid"], seed).tolist()
+            for variant, line in VARIANTS.items():
+                text = "".join(line(i, u, v, t) for i, (u, v, t) in enumerate(rows))
+                (inputs / f"sweep-grid-{variant}-{seed}.tsv").write_text(text, encoding="utf-8")
         differences = compared = 0
         for seed in SEEDS:
             for threads in BLAS_THREADS:
