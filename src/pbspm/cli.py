@@ -19,6 +19,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -77,6 +78,12 @@ def _load_graph(args: argparse.Namespace) -> TemporalGraph:
         return simplify(parse_edge_stream(fh, args.format))
 
 
+def _utf8(path: str | Path) -> str:
+    """``path`` as UTF-8 text, whatever the locale decoded it from: each byte
+    that is not UTF-8 becomes U+FFFD, so every output names it alike."""
+    return os.fsencode(path).decode("utf-8", "replace")
+
+
 def _fmt6(value) -> str:
     """CSV cell: 6 significant digits for floats, empty for None, ints and strings as is."""
     if value is None:
@@ -115,8 +122,7 @@ def _write(args: argparse.Namespace, emit: Sequence[str], tables: dict,
     args.out_dir.mkdir(parents=True, exist_ok=True)
     if "csv" in emit:
         for name, (columns, rows) in tables.items():
-            with open(args.out_dir / name, "w", encoding="utf-8", newline="",
-                      errors="surrogateescape") as fh:  # a file name's undecoded bytes
+            with open(args.out_dir / name, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(columns)
                 writer.writerows([_fmt6(row[column]) for column in columns] for row in rows)
@@ -144,11 +150,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     results = _run_points(graph, cfgs, keep_top=True)
     reports = [report for report, _ in results]
-    dataset = args.input.stem
+    dataset = _utf8(args.input.stem)
     rows = [_cells(r, _REPORT_COLUMNS, dataset=dataset) for r in reports]
     payload = {
         "dataset": dataset,
-        "input": str(args.input),
+        "input": _utf8(args.input),
         "format": args.format,
         "seed": cfgs[0].seed,
         "reports": [{"method": r.config.method, **asdict(r)} for r in reports],
@@ -190,7 +196,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for r in reports[n_grid:]
     ]
     tables: dict = {}
-    payload: dict = {"dataset": args.input.stem, "input": str(args.input)}
+    payload: dict = {"dataset": _utf8(args.input.stem), "input": _utf8(args.input)}
     if args.alpha_grid:
         for pf, name in zip(p_freshers, names):
             tables[f"sweep_alpha_pf{name}.csv"] = (
@@ -217,7 +223,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         for i, (value, gap) in enumerate(zip(lam, [*gaps, None]), start=1)
     ]
     payload = {
-        "dataset": args.input.stem,
+        "dataset": _utf8(args.input.stem),
         "n": graph.n,
         "threshold": cfg.m_threshold,
         "selected_m": select_m(lam, cfg.m_threshold),
@@ -237,7 +243,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     cfg = cfgs[0]
     graph = _load_graph(args)
     report = run_experiment(graph, cfg)
-    row = _cells(report, ("method",) + _DIAGNOSTICS_COLUMNS, dataset=args.input.stem)
+    row = _cells(report, ("method",) + _DIAGNOSTICS_COLUMNS, dataset=_utf8(args.input.stem))
     tables = {"diagnostics.csv": (_DIAGNOSTICS_COLUMNS, [row])}
     _write(args, emit, tables, "diagnostics.json", {**row, "config": asdict(cfg)})
     return 0

@@ -5,9 +5,10 @@ events. Scoring operates on the simple graph obtained by dropping self-loops
 and collapsing repeated contacts of a pair onto the pair's earliest event,
 which is the time the edge entered the network.
 
-A plain TSV file, ASCII with digit timestamps, is tokenized from its bytes
-by one array parser. Every other input, CSV included, is parsed line by line,
-by the one line grammar that also names a TSV file's bad line.
+A plain TSV file, ASCII with labels of at most 7 bytes and digit timestamps,
+is tokenized from its bytes by one array parser. Every other input, CSV
+included, is parsed line by line, by the one line grammar that also names a
+TSV file's bad line.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import csv
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
@@ -49,12 +50,6 @@ class TemporalEventStream:
 
     def __len__(self) -> int:
         return len(self.timestamp)
-
-
-def _first_appearance(tokens: Sequence) -> tuple[tuple, np.ndarray]:
-    """The distinct ``tokens`` in order of first appearance, and each token's int64 code."""
-    code = dict(zip(dict.fromkeys(tokens), range(len(tokens))))
-    return tuple(code), np.fromiter(map(code.__getitem__, tokens), np.int64, len(tokens))
 
 
 def _frozen(labels: tuple[str, ...], *columns: np.ndarray) -> TemporalEventStream:
@@ -124,10 +119,10 @@ def parse_edge_stream(reader: IO, format: str = "tsv") -> TemporalEventStream:
     byte-order mark is ignored.
 
     A TSV input that is ASCII, whose only whitespace is space, tab, LF and CR
-    before LF, and whose timestamps are 1 to 18 digits is tokenized from its
-    bytes with array operations; a text reader's text is encoded for it
-    first. Every other input is decoded and parsed line by line, by the
-    grammar that names a file's first bad line.
+    before LF, whose labels have at most 7 bytes and whose timestamps are 1
+    to 18 digits is tokenized from its bytes with array operations; a text
+    reader's text is encoded for it first. Every other input is decoded and
+    parsed line by line, by the grammar that names a file's first bad line.
 
     Raises:
         ParseError: a non-comment line does not fit the 3/4-field layout,
@@ -194,8 +189,9 @@ def _parse_lines(text: str, format: str) -> TemporalEventStream:
         labels.append(fields[1])
     if not stamps:
         raise EmptyInputError("edge stream contains no events")
-    distinct, code = _first_appearance(labels)  # source, target, source, ...
-    return _frozen(distinct, code[0::2], code[1::2], np.array(stamps, np.int64))
+    code = dict(zip(dict.fromkeys(labels), range(len(labels))))  # by first appearance
+    codes = np.fromiter(map(code.__getitem__, labels), np.int64, len(labels))
+    return _frozen(tuple(code), codes[0::2], codes[1::2], np.array(stamps, np.int64))
 
 
 # The whitespace of str.split() and the line ends of str.splitlines() among
@@ -218,8 +214,10 @@ def _parse_tsv_bytes(data: bytes) -> TemporalEventStream:
     """Parse a TSV file from its bytes, ASCII that passes ``_ascii_separated``.
 
     Tokens are the runs of bytes other than space, tab, CR and LF, and a line
-    is the tokens between two LFs. A malformed line, or a timestamp that is
-    not 1 to 18 digits, raises ValueError without saying which line it is.
+    is the tokens between two LFs. A line without 3 or 4 fields, a label over
+    7 bytes, a timestamp that is not 1 to 18 digits or a weight that is not a
+    float raises ValueError without saying which line it is. The array checks
+    run first, so such a file leaves before the weights' per-token loop.
     """
     buf = np.frombuffer(data, np.uint8)
     start, end = _token_bounds(buf)
@@ -227,12 +225,14 @@ def _parse_tsv_bytes(data: bytes) -> TemporalEventStream:
     weighted = n_fields == 4
     if not (weighted | (n_fields == 3)).all():
         raise ValueError("a line does not have 3 or 4 fields")
-    for token in _tokens(data, start, end, first[weighted] + 2):
-        float(token)  # a bad weight raises; the weight itself is dropped
+    label = np.column_stack((first, first + 1)).ravel()  # source, target, source, ...
+    if (end[label] - start[label]).max() > 7:
+        raise ValueError("a label has more than 7 bytes")
     stamp = first + n_fields - 1
     timestamp = _read_stamps(buf, start[stamp], end[stamp])
-    label = np.column_stack((first, first + 1)).ravel()  # source, target, source, ...
-    del first, n_fields, stamp
+    for token in _tokens(data, start, end, first[weighted] + 2):
+        float(token)  # a bad weight raises; the weight itself is dropped
+    del first, n_fields, weighted, stamp
     start, end = start[label], end[label]  # frees the other tokens' bounds
     del label
     labels, codes = _label_codes(data, start, end)
@@ -280,7 +280,7 @@ def _read_stamps(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndar
         ValueError: a token is not 1 to 18 digits, e.g. ``-3``, ``50.0``.
     """
     length = end - start
-    shortest, width = int(length.min()), int(length.max())
+    width = int(length.max())
     if width > 18:  # 19 digits may overflow int64
         raise ValueError("a timestamp has more than 18 digits")
     value = np.zeros(start.size, dtype=np.int64)
@@ -290,8 +290,7 @@ def _read_stamps(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndar
         # round to the end of `buf`; the length mask zeroes that byte.
         digit = buf[at]
         digit -= ord("0")
-        if place >= shortest:  # some token lacks this column
-            digit *= length > place
+        digit *= length > place
         if (digit > 9).any():
             raise ValueError("a timestamp is not a digit string")
         value *= 10
@@ -307,18 +306,11 @@ _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.uint64)
 def _label_codes(
     data: bytes, start: np.ndarray, end: np.ndarray
 ) -> tuple[tuple[str, ...], np.ndarray]:
-    """Code the label tokens ``[start, end)`` of ``data`` by first appearance.
-
-    Returns the distinct labels, each decoded once, and every token's int64
-    code. When every label has at most 7 bytes, a label is keyed exactly by
-    one 64-bit word: its bytes, and its length in the top byte. Otherwise the
-    tokens' bytes are coded by dict.
-    """
+    """Code the label tokens ``[start, end)`` of ``data``, each at most 7 bytes,
+    by first appearance: the distinct labels, each decoded once, and every
+    token's int64 code. A label's exact key is one 64-bit word: its bytes, and
+    its length in the top byte."""
     length = end - start
-    if length.max() > 7:
-        bounds = zip(start.tolist(), end.tolist())
-        distinct, code = _first_appearance([data[s:e] for s, e in bounds])
-        return tuple(label.decode() for label in distinct), code
     # words[i] holds data[i:i + 8] as a little-endian integer.
     words = np.ndarray((len(data) + 1,), dtype="<u8", buffer=data + bytes(8), strides=(1,))
     key = words[start] & _LOW_BYTES[length]

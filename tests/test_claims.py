@@ -143,3 +143,21 @@ def test_boost_leads_at_alpha_chosen_without_the_probe(gen, tmp_path_factory, se
     reports = _run_points(prefix, [replace(base, alpha=alpha) for alpha in alphas])
     alpha = alphas[int(np.argmax([report.mean_precision for report, _ in reports]))]
     assert lead_over_spm(graph, replace(base, alpha=alpha)) >= 0.05
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+def test_fast_variant_tracks_pbspm_at_m_chosen_without_the_probe(gen, tmp_path_factory, seed):
+    # The newest 10% of the training edges validate m, from fractions of n.
+    # Measured on seeds 0 and 1: validation picks m = 31 (7.5% of n), and
+    # FastPBSPM there is within 0.006-0.008 of PBSPM on the probe. Auto-m
+    # gives m = 1 on both, where FastPBSPM scores 0.037 on seed 0 against
+    # PBSPM's 0.309.
+    graph = stream_graph(gen, tmp_path_factory, seed)
+    base = ExperimentConfig(method="FastPBSPM", alpha=5.0, p_fresher=0.1, realizations=10,
+                            seed=0)
+    ms = [round(f * graph.n) for f in (0.005, 0.01, 0.02, 0.035, 0.05, 0.075, 0.1, 0.15, 0.25)]
+    prefix = TemporalGraph(graph.labels, split_train_probe(graph, 0.1).train)
+    reports = _run_points(prefix, [replace(base, m=m) for m in ms])
+    m = ms[int(np.argmax([report.mean_precision for report, _ in reports]))]
+    (fast, _), (pbspm, _) = _run_points(graph, [replace(base, m=m), replace(base, method="PBSPM")])
+    assert abs(fast.mean_precision - pbspm.mean_precision) <= 0.03

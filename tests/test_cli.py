@@ -620,7 +620,8 @@ class TestModuleEntryPoint:
 
     def test_outputs_are_utf8_in_an_ascii_locale(self, tmp_path):
         # The C locale's default encoding is ASCII, and its file system encoding
-        # escapes the name's other bytes; labels and the name come out as UTF-8.
+        # escapes the name's other bytes; labels and the name come out as UTF-8,
+        # with no lone-surrogate escape in any file.
         dataset = tmp_path / "réseau.tsv"
         rows = [(f"ü{a}", f"ü{b}", t) for a, b, t in popularity_shift_events()]
         dataset.write_bytes(tsv_text(rows).encode())
@@ -630,6 +631,7 @@ class TestModuleEntryPoint:
             "predict": ("--method", "CN,PBSPM", "--realizations", "2"),
             "sweep": ("--alpha-grid", "0,5", "--realizations", "2"),
             "spectrum": (),
+            "diagnose": ("--method", "PBSPM", "--realizations", "2"),
         }
         outputs = {}
         for command, args in commands.items():
@@ -640,9 +642,15 @@ class TestModuleEntryPoint:
             assert proc.returncode == 0, (command, proc.stderr)
             for path in (tmp_path / command).iterdir():
                 outputs[f"{command}/{path.name}"] = path.read_bytes().decode("utf-8")
-        assert len(outputs) == 8, sorted(outputs)
+        assert len(outputs) == 10, sorted(outputs)
         assert outputs["predict/report.csv"].splitlines()[1].startswith("réseau,CN,")
+        assert outputs["diagnose/diagnostics.csv"].splitlines()[1].startswith("réseau,")
         assert outputs["predict/predictions_CN.txt"].startswith("ü")
+        assert [name for name, text in outputs.items() if "\\udc" in text] == []
+        jsons = {name: json.loads(text) for name, text in outputs.items() if name.endswith(".json")}
+        assert {name: p["dataset"] for name, p in jsons.items()} == dict.fromkeys(jsons, "réseau")
+        assert {name: p["input"] for name, p in jsons.items() if "input" in p} == {
+            "predict/report.json": "réseau.tsv", "sweep/sweep.json": "réseau.tsv"}
 
 
 class TestBlasThreadCount:

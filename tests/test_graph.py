@@ -224,14 +224,14 @@ class TestParseEdgeStream:
         # label key would merge them.
         import pbspm.graph as graph
 
-        fallbacks = []
-        real = graph._first_appearance
-        monkeypatch.setattr(graph, "_first_appearance", lambda t: fallbacks.append(1) or real(t))
+        grammar = []
+        real = graph._parse_lines
+        monkeypatch.setattr(graph, "_parse_lines", lambda *a: grammar.append(1) or real(*a))
         bits = [bin(i).count("1") % 2 for i in range(2048)]
         one = b"".join(b"aaaaaaaa" if bit else b"bbbbbbbb" for bit in bits)
         other = b"".join(b"bbbbbbbb" if bit else b"aaaaaaaa" for bit in bits)
         stream = parse_edge_stream(io.BytesIO(one + b" " + other + b" 1\n" + other + b" c 2\n"))
-        assert fallbacks == [1]  # labels over 7 bytes are coded by dict
+        assert grammar == [1]  # labels over 7 bytes are read by the line grammar
         assert stream.labels == (one.decode(), other.decode(), "c")
         assert stream.source.tolist() == [0, 1]
         assert stream.target.tolist() == [1, 2]
@@ -239,12 +239,12 @@ class TestParseEdgeStream:
     @pytest.mark.parametrize("longest", range(1, 9))
     def test_label_keys_tell_length_and_trailing_nuls_apart(self, longest, monkeypatch):
         # Labels up to 7 bytes are keyed by their bytes and their length; an
-        # 8-byte label sends the file to the dict path.
+        # 8-byte label sends the file to the line grammar.
         import pbspm.graph as graph
 
-        fallbacks = []
-        real = graph._first_appearance
-        monkeypatch.setattr(graph, "_first_appearance", lambda t: fallbacks.append(1) or real(t))
+        grammar = []
+        real = graph._parse_lines
+        monkeypatch.setattr(graph, "_parse_lines", lambda *a: grammar.append(1) or real(*a))
         pool = ["a" + "\0" * (k - 1) for k in range(1, longest + 1)]
         pool += ["\0" * k for k in range(1, longest + 1)]
         pool += ["abcdefgh"[:k] for k in range(max(1, longest - 1), longest + 1)]
@@ -255,7 +255,7 @@ class TestParseEdgeStream:
         data = "".join(f"{u} {v} {t}\n" for t, (u, v) in enumerate(pairs)).encode()
 
         stream = parse_edge_stream(io.BytesIO(data))
-        assert fallbacks == ([1] if longest == 8 else [])
+        assert grammar == ([1] if longest == 8 else [])
         assert stream.labels == tuple(dict.fromkeys(label for pair in pairs for label in pair))
         assert len(set(stream.labels)) == len(set(pool))
         want = ingest_outcome(lambda: per_line_ingest_oracle(io.BytesIO(data)))
@@ -264,6 +264,8 @@ class TestParseEdgeStream:
     @pytest.mark.parametrize("binary, text, route", [
         (True, "a b 1\nb c 2\n", ["_parse_tsv_bytes"]),
         (False, "a b 1\nb c 2\n", ["_parse_tsv_bytes"]),
+        (True, "abcdefg b 1\nb c 2\n", ["_parse_tsv_bytes"]),
+        (True, "a b 1\nb abcdefgh 2\n", ["_parse_tsv_bytes", "_parse_lines"]),
         (True, "a \xfc 1\n\xfc c 2\n", ["_parse_lines"]),
         (True, "a b 1\x0bb c 2\n", ["_parse_lines"]),
         (True, "a\xa0b 1\nb c 2\n", ["_parse_lines"]),
@@ -272,8 +274,9 @@ class TestParseEdgeStream:
         (True, "a b -3\nb c 2\n", ["_parse_tsv_bytes", "_parse_lines"]),
         (True, "a b +7\nb c 2\n", ["_parse_tsv_bytes", "_parse_lines"]),
         (True, "a b 1000000000000000000\nb c 2\n", ["_parse_tsv_bytes", "_parse_lines"]),
-    ], ids=["plain-bytes", "ascii-text", "non-ascii-label", "VT", "NBSP", "lone-CR",
-            "float-stamp", "negative-stamp", "plus-stamp", "19-digit-stamp"])
+    ], ids=["plain-bytes", "ascii-text", "7-byte-label", "8-byte-label", "non-ascii-label",
+            "VT", "NBSP", "lone-CR", "float-stamp", "negative-stamp", "plus-stamp",
+            "19-digit-stamp"])
     def test_only_plain_ascii_with_digit_stamps_is_tokenized(self, binary, text, route,
                                                              monkeypatch):
         # Any other input is read by the line grammar, also after the byte
@@ -321,16 +324,16 @@ def random_contact_file(rng, fmt):
     lines mix 3 and 4 fields, separators, comments, blank lines, CRLF and
     stamps written as floats, with signs or with leading zeros. Labels
     include long ones that share a prefix with shorter ones. Half the files
-    are plain, as the byte tokenizer reads them: ASCII labels and every
-    stamp written as digits only. Half the TSV files also hold one kind
-    of whitespace from ``GRAMMAR_SPACES``. Returns the bytes and the kind of
-    bad line.
+    are plain, as the byte tokenizer reads them: ASCII labels of at most 7
+    bytes and every stamp written as digits only; only the other half draws
+    the long labels. Half the TSV files also hold one kind of whitespace from
+    ``GRAMMAR_SPACES``. Returns the bytes and the kind of bad line.
     """
     pool = ["1", "2", "17", "0017", "node-000000000017", "node-000000000018", "a", "Node",
             "κόμβος", "节点", "ü", "x.y"]
     plain = rng.random() < 0.5
     if plain:
-        pool = [label for label in pool if label.isascii()]
+        pool = [label for label in pool if label.isascii() and len(label) <= 7]
     labels = list(rng.choice(pool, size=int(rng.integers(2, len(pool) + 1)), replace=False))
     t_max = int(rng.integers(1, 6))
     sep = "," if fmt == "csv" else "\t"
@@ -416,11 +419,12 @@ def ingest_outcome(ingest):
     return [repr(ev) for ev in events], graph.labels, graph.edges.tolist()
 
 
-def plain_stamps(text):
-    """Whether every event line's last field is 1 to 18 ASCII digits."""
+def plain_fields(text):
+    """Whether every event line's labels have at most 7 characters and its
+    last field is 1 to 18 ASCII digits."""
     fields = (line.split() for line in text.splitlines())
-    return all(f[-1].isascii() and f[-1].isdigit() and len(f[-1]) <= 18
-               for f in fields if f and f[0][0] not in "%#")
+    return all(max(map(len, f[:2])) <= 7 and f[-1].isascii() and f[-1].isdigit()
+               and len(f[-1]) <= 18 for f in fields if f and f[0][0] not in "%#")
 
 
 class TestColumnarIngestMatchesPerLine:
@@ -451,10 +455,11 @@ class TestColumnarIngestMatchesPerLine:
             assert got == want, data
             # The byte tokenizer returns a stream exactly for a TSV file that
             # parses, is ASCII whose only whitespace it splits on, and has
-            # digit stamps. A text reader's text is ASCII exactly when the
-            # bytes are, and only ASCII text is encoded for the tokenizer.
+            # labels of at most 7 bytes and digit stamps. A text reader's text
+            # is ASCII exactly when the bytes are, and only ASCII text is
+            # encoded for the tokenizer.
             plain = (fmt == "tsv" and want[0] not in (ParseError, EmptyInputError)
-                     and graph._ascii_separated(data) and plain_stamps(data.decode()))
+                     and graph._ascii_separated(data) and plain_fields(data.decode()))
             assert len(byte_parses) == plain, data
             byte_returns += plain
             if kind != "utf-8":

@@ -15,13 +15,14 @@ run ``spectrum``, ``diagnose``, a matrix-averaged three-method
 is read back from its only eigensolve's input, and ``predict --method SRW``
 at 1 and at 5 walk steps: at n=410 the walk spans four of SRW's row blocks,
 and five steps swap its two walk buffers. The same stream is also written
-three more ways, and ``predict --method SPM,PBSPM,CN`` runs on each: with a
+four more ways, and ``predict --method SPM,PBSPM,CN`` runs on each: with a
 weight field (``1.5``) on every other line, so the parse of 4-field lines is
-compared too; with every label prefixed by ``ü``; and with every stamp
-written ``{t}.0``. The last two are not plain ASCII with digit stamps, so
-the line grammar reads them, not the byte tokenizer. Every output file,
-stdout, stderr and exit code is compared. Each difference is printed, and
-the exit code is 1 if there is any.
+compared too; with every label prefixed by ``ü``; with every stamp written
+``{t}.0``; and with every label written ``node-{u:011d}``, 16 bytes. The
+last three are not plain ASCII with labels of at most 7 bytes and digit
+stamps, so the line grammar reads them, not the byte tokenizer. Every
+output file, stdout, stderr and exit code is compared. Each difference is
+printed, and the exit code is 1 if there is any.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ VARIANTS = {
     "weighted": lambda i, u, v, t: f"{u}\t{v}\t1.5\t{t}\n" if i % 2 else f"{u}\t{v}\t{t}\n",
     "non-ascii": lambda i, u, v, t: f"ü{u}\tü{v}\t{t}\n",
     "float-stamps": lambda i, u, v, t: f"{u}\t{v}\t{t}.0\n",
+    "long-labels": lambda i, u, v, t: f"node-{u:011d}\tnode-{v:011d}\t{t}\n",
 }
 VARIANT_ARGS = ("predict", "--method", "SPM,PBSPM,CN")
 
