@@ -14,10 +14,11 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NumericalError
 from .graph import degrees
-from .spectral import _PAIR_ROWS, _frozen
+from .spectral import _PAIR_ROWS, _frozen, _solve_in_place
 
 __all__ = [
     "cn_scores",
@@ -123,13 +124,10 @@ def katz_scores(
     system = damping * a
     np.subtract(0.0, system, out=system)
     system.flat[:: len(a) + 1] += 1.0
-    try:
-        inv = np.linalg.inv(system)
-    except np.linalg.LinAlgError as err:
-        raise NumericalError(f"Katz linear system is singular: {err}") from err
-    system = None
-    inv.flat[:: len(a) + 1] -= 1.0
-    return _score_matrix(inv)
+    # Inverted in place: system becomes its inverse.
+    _solve_in_place(_umath_linalg.inv, system, "Katz linear system is singular: Singular matrix")
+    system.flat[:: len(a) + 1] -= 1.0
+    return _score_matrix(system)
 
 
 def srw_scores(a: np.ndarray, steps: int) -> np.ndarray:

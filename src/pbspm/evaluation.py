@@ -325,11 +325,10 @@ def _score_spectral(
     ``delta_cc``, which is 0.0 unboosted and None when undefined. The
     boost ``f_i * f_j`` is the same in every realization, so the mean of
     boosted scores is the boost of the mean SPM scores: ``sums`` maps the
-    full spectrum to one unboosted candidate-length sum, which waits in the
-    retained matrix's unread upper triangle during each eigensolve, and a
-    truncation m to its realizations' m leading eigenpairs, whose one
-    product after the loop is the sum. Returns the realizations'
-    leading-eigenvalue shifts and failures.
+    full spectrum to one unboosted candidate-length sum, and a truncation m
+    to its realizations' m leading eigenpairs, whose one product after the
+    loop is the sum. Each retained matrix is eigendecomposed in place.
+    Returns the realizations' leading-eigenvalue shifts and failures.
     """
     # (m, (alpha, p_fresher)), or (m, None) when unboosted -> the vector's points.
     vectors: dict[tuple, list[_Point]] = {}
@@ -360,12 +359,12 @@ def _score_spectral(
     ms = dict.fromkeys(m for m, _ in vectors)
     shared = points[0].cfg
     averaged = (p.m for p in points if keep_top or p.cfg.score_averaging == "matrix")
-    # The full sum is None until the first eigensolve: the retained matrix's zeros.
-    # A truncation's pairs go into columns allocated here, one block of m per
-    # realization: a copy made in the loop may land high in the heap and keep
-    # the memory freed below it resident.
+    # The full sum, and a truncation's pairs in columns of one block of m per
+    # realization, are allocated here: a copy made in the loop may land high in
+    # the heap and keep the memory freed below it resident.
     reps = shared.realizations
-    sums = {m: None if m is None else (np.empty((graph.n, reps * m)), np.empty(reps * m))
+    sums = {m: np.zeros(hit.size) if m is None
+            else (np.empty((graph.n, reps * m)), np.empty(reps * m))
             for m in dict.fromkeys(averaged)}
     probe_inc = _endpoint_counts(graph.edges[len(split.train) :], graph.n)
 
@@ -376,18 +375,9 @@ def _score_spectral(
             sample = sample_perturbation(split.train, shared.p_h, shared.seed + r)
             retained = adjacency(sample.retained, graph.n)
             removed, sample = sample.removed, None  # the kept rows go before the eigensolve
-            if sums.get(None) is not None:
-                # eigh reads only the lower triangle, and the candidates, all above the
-                # diagonal, are zeros of the retained matrix: the full sum waits there.
-                retained.setflags(write=True)
-                retained[cand] = sums[None]
-                sums[None] = None
-            try:
-                model = eigendecompose(retained)
-            finally:  # a failed solve keeps the sum too
-                if None in sums:
-                    sums[None] = retained[cand]
-                retained = None  # and the matrix goes before the correction
+            retained.setflags(write=True)  # solved in place, so no n x n output is made
+            model = eigendecompose(retained, overwrite=True)
+            retained = None  # and the matrix goes before the correction
             model = eigenvalue_correction(model, removed)
         except NumericalError as err:
             failures.append(f"realization {r}: {err}")

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DegeneratePerturbationError, NumericalError
 
@@ -128,24 +129,50 @@ def eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return _frozen(lam[_magnitude_order(lam)])
 
 
-def eigendecompose(matrix: np.ndarray) -> SpectralModel:
+def _solve_in_place(gufunc, work: np.ndarray, failure: str) -> tuple:
+    """Run a LAPACK gufunc on ``work`` and write its matrix result over ``work``.
+
+    ``gufunc`` is ``_umath_linalg.eigh_lo`` or ``.inv``, from numpy's private
+    module ``numpy.linalg._umath_linalg``: the gufuncs ``np.linalg.eigh`` and
+    ``np.linalg.inv`` call. Unlike those two they take ``out=``, so no n x n
+    output is allocated beside the input. The error state is theirs, and a
+    failed solve raises ``NumericalError(failure)``. Returns the outputs, the
+    last of which is ``work``.
+    """
+    def fail(err, flag):
+        raise NumericalError(failure)
+
+    out = (None,) * (gufunc.nout - 1) + (work,)
+    with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return gufunc(work, out=out, signature="d->" + "d" * gufunc.nout)
+
+
+def eigendecompose(matrix: np.ndarray, overwrite: bool = False) -> SpectralModel:
     """Full symmetric eigendecomposition, ordered by |eigenvalue| descending.
 
     Ties break by signed eigenvalue descending, then solver order. Each
     eigenvector is sign-fixed so its largest-magnitude component is positive,
     making downstream results independent of solver sign choices. Only the
     diagonal and the lower triangle are read, so entries above the diagonal
-    may hold anything.
+    may hold anything. With ``overwrite`` the solve writes over ``matrix``,
+    which must be a writable float64 array and holds no useful values after;
+    otherwise a float64 copy of it is solved.
     """
-    try:
-        lam, vec = np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as err:
-        raise NumericalError(f"eigendecomposition failed: {err}") from err
+    work = matrix if overwrite else np.array(matrix, dtype=np.float64, order="K")
+    lam, _ = _solve_in_place(_umath_linalg.eigh_lo, work,
+                             "eigendecomposition failed: Eigenvalues did not converge")
     order = _magnitude_order(lam)
     lam = lam[order]
-    vec = vec[:, order]
-    peak = np.argmax(np.abs(vec), axis=0)
-    signs = np.sign(vec[peak, np.arange(vec.shape[1])])
+    # A new array in work's memory order: _pair_sum's bits depend on that order,
+    # and a reorder in place (C order) moves averaged scores in the last ULPs.
+    vec = work[:, order]
+    work = None
+    n = vec.shape[1]
+    peak = np.empty(n, dtype=np.intp)
+    for a in range(0, n, _PAIR_ROWS):  # by column blocks: no n x n |vec| is made
+        peak[a : a + _PAIR_ROWS] = np.argmax(np.abs(vec[:, a : a + _PAIR_ROWS]), axis=0)
+    signs = np.sign(vec[peak, np.arange(n)])
     signs[signs == 0] = 1.0
     vec *= signs
     return SpectralModel(

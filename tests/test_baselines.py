@@ -138,14 +138,22 @@ class TestKatz:
                     assert scores[x, y] == pytest.approx(oracle, abs=1e-8)
 
     def test_closed_form_bitwise_equal_to_identity_subtraction(self):
+        # Inverted in place, on random graphs and six equal cliques (degenerate).
         rng = np.random.default_rng(56)
-        for n in (2, 9, 120):
-            view = random_view(rng, n, p=0.1)
+        cliques = np.kron(np.eye(6), np.ones((5, 5)) - np.eye(5))
+        for view in (*(random_view(rng, n, p=0.1) for n in (2, 9, 120, 300)), cliques):
             damping = 0.5 / max(float(np.linalg.eigvalsh(view)[-1]), 1.0)
-            eye = np.eye(n)
+            eye = np.eye(len(view))
             walks = np.linalg.inv(eye - damping * view) - eye
             expected = (walks + walks.T) / 2.0
             assert katz_scores(view, damping).tobytes() == expected.tobytes()
+
+    def test_singular_system_keeps_its_message(self):
+        # lam_max given as -1 skips the convergence check, and I - A is singular.
+        pair = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(NumericalError) as err:
+            katz_scores(pair, damping=1.0, lam_max=-1.0)
+        assert str(err.value) == "Katz linear system is singular: Singular matrix"
 
     def test_series_mode_converges_to_closed_form(self):
         rng = np.random.default_rng(56)

@@ -705,9 +705,9 @@ def eigh_calls(monkeypatch):
     calls = {"count": 0}
     real = evaluation.eigendecompose
 
-    def counting(view):
+    def counting(view, **kwargs):
         calls["count"] += 1
-        return real(view)
+        return real(view, **kwargs)
 
     monkeypatch.setattr(evaluation, "eigendecompose", counting)
     return calls

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pbspm.evaluation as evaluation
-from pbspm.errors import DegeneratePerturbationError
+from pbspm.errors import DegeneratePerturbationError, NumericalError
 from pbspm.evaluation import ExperimentConfig, _run_points
 from pbspm.graph import adjacency, simplify
 from pbspm.spectral import (
@@ -181,8 +181,7 @@ class TestEigendecompose:
 
     @pytest.mark.parametrize("n", [5, 64, 300])
     def test_reads_only_the_lower_triangle(self, n):
-        # The engine keeps its running score sum above the diagonal of each
-        # retained matrix while it is decomposed.
+        # Entries above the diagonal may hold anything.
         rng = np.random.default_rng(n)
         view = random_view(rng, n, p=0.1)
         filled = view.copy()
@@ -191,6 +190,61 @@ class TestEigendecompose:
         want, got = eigendecompose(view), eigendecompose(filled)
         assert np.array_equal(got.eigenvalues, want.eigenvalues)
         assert np.array_equal(got.eigenvectors, want.eigenvectors)
+
+
+def eigh_oracle(matrix):
+    """The decomposition through ``np.linalg.eigh``, ordered and sign-fixed alike."""
+    lam, vec = np.linalg.eigh(matrix)
+    order = np.lexsort((np.arange(lam.size), -lam, -np.abs(lam)))
+    lam, vec = lam[order], vec[:, order]
+    peak = np.argmax(np.abs(vec), axis=0)
+    signs = np.sign(vec[peak, np.arange(vec.shape[1])])
+    signs[signs == 0] = 1.0
+    return lam, vec * signs
+
+
+def solve_inputs():
+    """Random graphs over one to three column blocks, and degenerate ones."""
+    rng = np.random.default_rng(61)
+    cliques = np.kron(np.eye(6), np.ones((5, 5)) - np.eye(5))  # six equal blocks
+    with_isolated = np.zeros((40, 40))
+    with_isolated[:30, :30] = cliques
+    yield from (random_view(rng, n, p=0.1) for n in (5, 64, 300))
+    yield with_isolated
+    yield np.zeros((7, 7))
+
+
+class TestInPlaceSolve:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bit_equal_to_numpy_eigh(self, order):
+        # The eigenvectors keep the memory order numpy's eigh gives them too:
+        # the pair sums' bits depend on it.
+        for matrix in solve_inputs():
+            matrix = np.array(matrix, order=order)
+            lam, vec = eigh_oracle(matrix)
+            model = eigendecompose(matrix)
+            assert np.array_equal(model.eigenvalues, lam)
+            assert np.array_equal(model.eigenvectors, vec)
+            assert model.eigenvectors.strides == vec.strides
+
+    def test_overwrite_gives_the_same_model(self):
+        for matrix in solve_inputs():
+            want = eigendecompose(matrix)
+            got = eigendecompose(matrix.copy(), overwrite=True)
+            assert np.array_equal(got.eigenvalues, want.eigenvalues)
+            assert np.array_equal(got.eigenvectors, want.eigenvectors)
+            assert got.eigenvectors.strides == want.eigenvectors.strides
+
+    def test_copy_leaves_a_writable_input_unchanged(self):
+        for matrix in solve_inputs():
+            writable = matrix.copy()
+            eigendecompose(writable)
+            assert writable.tobytes() == matrix.tobytes()
+
+    def test_failed_solve_keeps_its_message(self):
+        with pytest.raises(NumericalError) as err:
+            eigendecompose(np.full((4, 4), np.nan))
+        assert str(err.value) == "eigendecomposition failed: Eigenvalues did not converge"
 
 
 class TestEigenvalues:

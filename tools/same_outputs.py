@@ -11,10 +11,11 @@ and at 2 BLAS threads, both REF and this working tree (each run with
 ``PYTHONPATH=<tree>/src``) run the workload's CLI arguments from
 ``perfbench/run.py``'s ``WORKLOADS``. On the ``sweep-grid`` input they also
 run ``spectrum``, ``diagnose``, a matrix-averaged three-method
-``predict``, a one-realization SPM and PBSPM ``predict``, whose score sum
-is read back from its only eigensolve's input, and ``predict --method SRW``
-at 1 and at 5 walk steps: at n=410 the walk spans four of SRW's row blocks,
-and five steps swap its two walk buffers. The same stream is also written
+``predict``, a one-realization SPM and PBSPM ``predict``, ``predict
+--method Katz --katz-damping 0.01``, whose inverse is written over its
+linear system as ``predict-large``'s is, and ``predict --method SRW`` at 1
+and at 5 walk steps: at n=410 the walk spans four of SRW's row blocks, and
+five steps swap its two walk buffers. The same stream is also written
 four more ways, and ``predict --method SPM,PBSPM,CN`` runs on each: with a
 weight field (``1.5``) on every other line, so the parse of 4-field lines is
 compared too; with every label prefixed by ``ü``; with every stamp written
@@ -50,6 +51,7 @@ EXTRA = {
     "predict-matrix": ("predict", "--method", "SPM,PBSPM,FastPBSPM", "--m", "7",
                        "--alpha", "3", "--score-averaging", "matrix"),
     "predict-one-realization": ("predict", "--method", "SPM,PBSPM", "--realizations", "1"),
+    "predict-katz": ("predict", "--method", "Katz", "--katz-damping", "0.01"),
     "predict-srw-1": ("predict", "--method", "SRW", "--srw-steps", "1"),
     "predict-srw-5": ("predict", "--method", "SRW", "--srw-steps", "5"),
 }
