@@ -5,15 +5,18 @@ events. Scoring operates on the simple graph obtained by dropping self-loops
 and collapsing repeated contacts of a pair onto the pair's earliest event,
 which is the time the edge entered the network.
 
-A plain TSV file, ASCII with labels of at most 7 bytes and digit timestamps,
-is tokenized from its bytes by one array parser. Every other input, CSV
-included, is parsed line by line, by the one line grammar that also names a
-TSV file's bad line.
+A plain TSV file is read by numpy's C text reader: ASCII, 3 or 4 fields on
+every line, labels of at most 7 bytes, int64 stamps, ``%`` or ``#`` only in a
+leading header and no NUL. Every other input, CSV included, is parsed line by
+line, by the one line grammar that also names a TSV file's bad line.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import re
+import warnings
 from contextlib import suppress
 from dataclasses import dataclass
 from typing import IO
@@ -118,11 +121,13 @@ def parse_edge_stream(reader: IO, format: str = "tsv") -> TemporalEventStream:
     int64 range, possibly written as a float (``50.0``). One leading UTF-8
     byte-order mark is ignored.
 
-    A TSV input that is ASCII, whose only whitespace is space, tab, LF and CR
-    before LF, whose labels have at most 7 bytes and whose timestamps are 1
-    to 18 digits is tokenized from its bytes with array operations; a text
-    reader's text is encoded for it first. Every other input is decoded and
-    parsed line by line, by the grammar that names a file's first bad line.
+    A plain TSV input is read by numpy's C text reader, ``np.loadtxt``; a
+    text reader's text is encoded for it first. Plain means ASCII whose only
+    whitespace is space, tab, LF and CR before LF, with the same 3 or 4
+    fields on every line, labels of at most 7 bytes, stamps that numpy reads
+    as int64, ``%`` or ``#`` only in the leading lines, and no NUL. Every
+    other input is decoded and parsed line by line, by the grammar that names
+    a file's first bad line.
 
     Raises:
         ParseError: a non-comment line does not fit the 3/4-field layout,
@@ -210,124 +215,54 @@ def _ascii_separated(data: bytes) -> bool:
     return b"\r" not in data or data.count(b"\r") == data.count(b"\r\n")
 
 
+# The leading blank and comment lines of a file that passes ``_ascii_separated``.
+_HEADER = re.compile(rb"(?:[ \t\r]*(?:[%#][^\n]*)?\n)*")
+
+
 def _parse_tsv_bytes(data: bytes) -> TemporalEventStream:
-    """Parse a TSV file from its bytes, ASCII that passes ``_ascii_separated``.
+    """Parse a TSV file from its bytes, ASCII that passes ``_ascii_separated``,
+    by numpy's C text reader.
 
-    Tokens are the runs of bytes other than space, tab, CR and LF, and a line
-    is the tokens between two LFs. A line without 3 or 4 fields, a label over
-    7 bytes, a timestamp that is not 1 to 18 digits or a weight that is not a
-    float raises ValueError without saying which line it is. The array checks
-    run first, so such a file leaves before the weights' per-token loop.
+    Raises ValueError, without saying which line, for a file that numpy could
+    read otherwise than the line grammar: one with a NUL, which ``S8`` drops
+    from a label's end, or a ``%`` or ``#`` after its leading header of blank
+    and comment lines; one whose lines do not all have the same 3 or 4
+    fields; one with a label over 7 bytes, which ``S8`` cuts to 8; or one with
+    a stamp or weight that numpy does not read.
     """
-    buf = np.frombuffer(data, np.uint8)
-    start, end = _token_bounds(buf)
-    first, n_fields = _event_lines(buf, start)
-    weighted = n_fields == 4
-    if not (weighted | (n_fields == 3)).all():
-        raise ValueError("a line does not have 3 or 4 fields")
-    label = np.column_stack((first, first + 1)).ravel()  # source, target, source, ...
-    if (end[label] - start[label]).max() > 7:
+    body = data[_HEADER.match(data).end() :]
+    if b"\0" in body or b"%" in body or b"#" in body:
+        raise ValueError("a NUL, or a comment mark after the header")
+    n_fields = len(body.split(b"\n", 1)[0].split())
+    if n_fields not in (3, 4):
+        raise ValueError("the first event line does not have 3 or 4 fields")
+    dtype = [("s", "S8"), ("t", "S8")] + [("w", "f8")] * (n_fields - 3) + [("ts", "i8")]
+    with warnings.catch_warnings():
+        # numpy 1.24 reads the int64 stamp 5.5 as 5 with this warning; 2.4 raises.
+        warnings.simplefilter("error", DeprecationWarning)
+        table = np.loadtxt(io.BytesIO(body), dtype=dtype, comments=None, ndmin=1,
+                           encoding="ascii")
+    names = np.column_stack((table["s"], table["t"])).ravel()  # source, target, ...
+    timestamp = table["ts"].copy()
+    del table
+    # With no NUL, a label of at most 7 bytes is keyed exactly by its bytes.
+    key = names.view("<u8")
+    if key.max() >= 1 << 56:
         raise ValueError("a label has more than 7 bytes")
-    stamp = first + n_fields - 1
-    timestamp = _read_stamps(buf, start[stamp], end[stamp])
-    for token in _tokens(data, start, end, first[weighted] + 2):
-        float(token)  # a bad weight raises; the weight itself is dropped
-    del first, n_fields, weighted, stamp
-    start, end = start[label], end[label]  # frees the other tokens' bounds
-    del label
-    labels, codes = _label_codes(data, start, end)
-    return _frozen(labels, codes[0::2], codes[1::2], timestamp)
-
-
-def _token_bounds(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each token of ``buf`` starts, and where it ends (exclusive)."""
-    in_token = (buf != 32) & (buf != 9) & (buf != 10) & (buf != 13)
-    edges = np.flatnonzero(np.diff(in_token, prepend=False, append=False))
-    return edges[0::2], edges[1::2]
-
-
-def _event_lines(buf: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first token and the token count of each event line: each line
-    that has a token and is not a comment.
-
-    Raises:
-        EmptyInputError: no line is an event line.
-    """
-    # A token opens a line when an LF lies between it and the token before it.
-    opens = np.zeros(start.size + 1, dtype=bool)
-    opens[np.searchsorted(start, np.flatnonzero(buf == 10))] = True
-    opens[0] = True
-    first = np.flatnonzero(opens[:-1])
-    n_fields = np.diff(first, append=start.size)
-    lead = buf[start[first]]
-    event = (lead != ord("%")) & (lead != ord("#"))
-    if not event.any():
-        raise EmptyInputError("edge stream contains no events")
-    return first[event], n_fields[event]
-
-
-def _tokens(data: bytes, start: np.ndarray, end: np.ndarray, which) -> list[str]:
-    """The tokens ``which`` of ``data``, decoded one by one."""
-    bounds = zip(start[which].tolist(), end[which].tolist())
-    return [data[s:e].decode() for s, e in bounds]
-
-
-def _read_stamps(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """The int64 values of the timestamp tokens ``[start, end)``, each 1 to 18
-    ASCII digits, by a Horner loop over digit columns, right-aligned.
-
-    Raises:
-        ValueError: a token is not 1 to 18 digits, e.g. ``-3``, ``50.0``.
-    """
-    length = end - start
-    width = int(length.max())
-    if width > 18:  # 19 digits may overflow int64
-        raise ValueError("a timestamp has more than 18 digits")
-    value = np.zeros(start.size, dtype=np.int64)
-    at = end - width  # end - 1 - place: each token's digit in column `place`
-    for place in range(width - 1, -1, -1):
-        # For a token shorter than place + 1, `at` falls before it, or wraps
-        # round to the end of `buf`; the length mask zeroes that byte.
-        digit = buf[at]
-        digit -= ord("0")
-        digit *= length > place
-        if (digit > 9).any():
-            raise ValueError("a timestamp is not a digit string")
-        value *= 10
-        value += digit
-        at += 1
-    return value
-
-
-# Masks of the low 0..7 bytes of a little-endian 64-bit word.
-_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.uint64)
-
-
-def _label_codes(
-    data: bytes, start: np.ndarray, end: np.ndarray
-) -> tuple[tuple[str, ...], np.ndarray]:
-    """Code the label tokens ``[start, end)`` of ``data``, each at most 7 bytes,
-    by first appearance: the distinct labels, each decoded once, and every
-    token's int64 code. A label's exact key is one 64-bit word: its bytes, and
-    its length in the top byte."""
-    length = end - start
-    # words[i] holds data[i:i + 8] as a little-endian integer.
-    words = np.ndarray((len(data) + 1,), dtype="<u8", buffer=data + bytes(8), strides=(1,))
-    key = words[start] & _LOW_BYTES[length]
-    key += length.astype(np.uint64) << np.uint64(56)
     order = np.argsort(key)
     key = key[order]
     new = np.r_[True, key[1:] != key[:-1]]
     del key
     group = np.empty(new.size, dtype=np.intp)
     group[order] = np.cumsum(new) - 1
-    first = np.minimum.reduceat(order, np.flatnonzero(new))  # each key's first token
+    first = np.minimum.reduceat(order, np.flatnonzero(new))  # each key's first label
     del order, new
     by_appearance = np.argsort(first)
     code = np.empty(first.size, dtype=np.int64)
     code[by_appearance] = np.arange(first.size)
-    labels = tuple(_tokens(data, start, end, first[by_appearance]))
-    return labels, code[group]
+    labels = tuple(names[first[by_appearance]].astype(str).tolist())
+    codes = code[group]
+    return _frozen(labels, codes[0::2], codes[1::2], timestamp)
 
 
 def simplify(stream: TemporalEventStream) -> TemporalGraph:

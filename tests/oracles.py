@@ -148,8 +148,8 @@ def greedy_simplify_oracle(stream: TemporalEventStream) -> TemporalGraph:
 def per_line_ingest_oracle(
     reader: IO, format: str = "tsv"
 ) -> tuple[tuple[Row, ...], TemporalGraph]:
-    """The per-line ingest that ``parse_edge_stream`` (TSV by a byte
-    tokenizer, CSV by a line grammar into columns) and the columnar
+    """The per-line ingest that ``parse_edge_stream`` (plain TSV by numpy's
+    reader, the rest by a line grammar into columns) and the columnar
     ``simplify`` replaced: one :class:`Row` per line, then a dict of first
     contacts keyed by label pair. Returns the events and their simple graph,
     or raises what that ingest raised.

@@ -16,13 +16,15 @@ run ``spectrum``, ``diagnose``, a matrix-averaged three-method
 linear system as ``predict-large``'s is, and ``predict --method SRW`` at 1
 and at 5 walk steps: at n=410 the walk spans four of SRW's row blocks, and
 five steps swap its two walk buffers. The same stream is also written
-four more ways, and ``predict --method SPM,PBSPM,CN`` runs on each: with a
-weight field (``1.5``) on every other line, so the parse of 4-field lines is
-compared too; with every label prefixed by ``ü``; with every stamp written
-``{t}.0``; and with every label written ``node-{u:011d}``, 16 bytes. The
-last three are not plain ASCII with labels of at most 7 bytes and digit
-stamps, so the line grammar reads them, not the byte tokenizer. Every
-output file, stdout, stderr and exit code is compared. Each difference is
+six more ways, and ``predict --method SPM,PBSPM,CN`` runs on each: with a
+weight field (``1.5``) on every other line, so the parse of mixed 3- and
+4-field lines is compared too; with every label prefixed by ``ü``; with
+every stamp written ``{t}.0``; with every label written ``node-{u:011d}``,
+16 bytes; after a KONECT-style header of two ``%`` lines
+(``konect-header``); and with every stamp written ``+{t}``
+(``signed-stamps``). numpy's text reader reads the last two, as it reads
+the workloads' inputs; the line grammar reads the other four. Every output
+file, stdout, stderr and exit code is compared. Each difference is
 printed, and the exit code is 1 if there is any.
 """
 
@@ -61,6 +63,9 @@ VARIANTS = {
     "non-ascii": lambda i, u, v, t: f"ü{u}\tü{v}\t{t}\n",
     "float-stamps": lambda i, u, v, t: f"{u}\t{v}\t{t}.0\n",
     "long-labels": lambda i, u, v, t: f"node-{u:011d}\tnode-{v:011d}\t{t}\n",
+    "konect-header": lambda i, u, v, t: ("% sym unweighted\n% 17000 410 410\n" if i == 0 else "")
+    + f"{u}\t{v}\t{t}\n",
+    "signed-stamps": lambda i, u, v, t: f"{u}\t{v}\t+{t}\n",
 }
 VARIANT_ARGS = ("predict", "--method", "SPM,PBSPM,CN")
 
