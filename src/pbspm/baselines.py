@@ -26,7 +26,6 @@ __all__ = [
     "ra_scores",
     "katz_scores",
     "srw_scores",
-    "max_eigenvalue",
 ]
 
 

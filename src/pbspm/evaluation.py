@@ -35,7 +35,6 @@ from .split import TrainProbeSplit, _endpoint_counts, popularity, split_train_pr
 
 __all__ = [
     "METHODS",
-    "SPECTRAL_METHODS",
     "RankedCandidates",
     "ExperimentConfig",
     "PrecisionReport",
@@ -332,23 +331,21 @@ def _score_spectral(
     """
     # (m, (alpha, p_fresher)), or (m, None) when unboosted -> the vector's points.
     vectors: dict[tuple, list[_Point]] = {}
-    by_boost: dict[Optional[tuple], list[_Point]] = {}  # the same points by boost alone
     for p in points:
         unboosted = p.cfg.method == "SPM" or p.cfg.alpha == 0
         key = (p.m, None if unboosted else (p.cfg.alpha, p.cfg.p_fresher))
         vectors.setdefault(key, []).append(p)
-        by_boost.setdefault(key[1], []).append(p)
-    boosted = [boost for boost in by_boost if boost is not None]
-    p_freshers = dict.fromkeys(pf for _, pf in boosted)
-    pops = {pf: popularity(split.train, graph.n, pf) for pf in p_freshers}
-    boosts = {(alpha, pf): 1.0 + alpha * pops[pf] for alpha, pf in boosted}
+    # (alpha, p_fresher) -> the boost f, and None -> None when unboosted.
+    boosts = dict.fromkeys(boost for _, boost in vectors)
+    pops = {pf: popularity(split.train, graph.n, pf) for pf in {b[1] for b in boosts if b}}
+    boosts.update({b: 1.0 + b[0] * pops[b[1]] for b in boosts if b})
 
     per_row = np.count_nonzero(cand, axis=1)  # candidates (i, j) of each row i
 
     def cut(key: tuple, spm: np.ndarray, averaging: str, rank: Sequence[_Point] = ()) -> None:
         count = [p for p in vectors[key] if p.cfg.score_averaging == averaging]
         if count or rank:
-            f = boosts.get(key[1])
+            f = boosts[key[1]]
             scores = spm
             if f is not None:  # (f_i * f_j) * S_ij, the product pbspm_scores takes
                 scores = np.repeat(f, per_row)  # f_i of each candidate (i, j)
@@ -386,14 +383,12 @@ def _score_spectral(
             sample = retained = None
         shifts.append(float(model.corrections[0]))
         x1 = model.eigenvectors[:, 0]
-        for boost, boost_points in by_boost.items():
-            f = boosts.get(boost)
+        dccs = {}  # boost -> this realization's delta_cc
+        for boost, f in boosts.items():
             try:  # unboosted, x1 against itself: exactly 0.0
-                dcc = delta_cc(model, x1 if f is None else x1 * f, probe_inc)
+                dccs[boost] = delta_cc(model, x1 if f is None else x1 * f, probe_inc)
             except ZeroVarianceError:
-                dcc = None
-            for p in boost_points:
-                p.delta_ccs.append(dcc)
+                dccs[boost] = None
         for m in ms:
             leading, weights = _leading_pairs(model, m)
             if m is not None and m in sums:
@@ -404,6 +399,8 @@ def _score_spectral(
             if m is None and m in sums:
                 sums[m] += spm
             for key in (key for key in vectors if key[0] == m):
+                for p in vectors[key]:
+                    p.delta_ccs.append(dccs[key[1]])
                 cut(key, spm, "precision")
         # Free the eigenvectors (x1 and leading are views of them) before the next eigh,
         # and the corrected eigenvalues: a small array left high in the heap keeps

@@ -26,7 +26,6 @@ __all__ = [
     "SpectralModel",
     "sample_perturbation",
     "eigendecompose",
-    "eigenvalues",
     "eigenvalue_correction",
     "spm_scores",
     "pbspm_scores",

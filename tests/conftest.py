@@ -92,7 +92,8 @@ def shift_graph():
 def shift_dataset(tmp_path):
     """The popularity-shift network written as a 3-column TSV file."""
     path = tmp_path / "shiftnet.tsv"
-    path.write_text("% synthetic contact network\n" + tsv_text(popularity_shift_events()))
+    text = "% synthetic contact network\n" + tsv_text(popularity_shift_events())
+    path.write_text(text, encoding="utf-8")
     return path
 
 

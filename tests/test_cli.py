@@ -50,7 +50,7 @@ class TestPredict:
         out = tmp_path / "out"
         rc = run_cli("predict", *common_args(shift_dataset, out), "--method", "CN")
         assert rc == 0
-        with open(out / "report.csv") as fh:
+        with open(out / "report.csv", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert rows[0]["method"] == "CN"
@@ -62,14 +62,14 @@ class TestPredict:
             "predict", *common_args(shift_dataset, out), "--method", "CN,SPM,PBSPM"
         )
         assert rc == 0
-        with open(out / "report.csv") as fh:
+        with open(out / "report.csv", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["method"] for r in rows] == ["CN", "SPM", "PBSPM"]
 
     def test_prediction_lists_written(self, shift_dataset, tmp_path):
         out = tmp_path / "out"
         run_cli("predict", *common_args(shift_dataset, out), "--method", "PBSPM")
-        lines = (out / "predictions_PBSPM.txt").read_text().splitlines()
+        lines = (out / "predictions_PBSPM.txt").read_text(encoding="utf-8").splitlines()
         assert len(lines) >= 1
         first = lines[0].split("\t")
         assert len(first) == 3
@@ -80,8 +80,8 @@ class TestPredict:
         run_cli(
             "predict", *common_args(shift_dataset, out), "--method", "PBSPM,FastPBSPM,AA"
         )
-        schema = json.loads(SCHEMA_PATH.read_text())
-        payload = json.loads((out / "report.json").read_text())
+        schema = json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))
+        payload = json.loads((out / "report.json").read_text(encoding="utf-8"))
         jsonschema.validate(payload, schema)
         fast = next(r for r in payload["reports"] if r["method"] == "FastPBSPM")
         assert fast["resolved_m"] >= 1
@@ -119,7 +119,7 @@ class TestPredict:
         rc = run_cli("predict", *common_args(shift_dataset, out),
                      "--method", "CN,SPM,PBSPM,FastPBSPM", "--m", 7)
         assert rc == 0
-        with open(out / "report.csv") as fh:
+        with open(out / "report.csv", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         # Only FastPBSPM truncates; the other methods ignore --m.
         assert {r["method"]: r["m"] for r in rows} == {
@@ -136,7 +136,8 @@ class TestCountDroppedInL:
         pairs += [(i, i + 2) for i in range(9)]
         pairs += [(0, 6), (1, 7), (2, 8), (3, "ghost1"), ("ghost2", "ghost3")]
         path = tmp_path / "dropped.tsv"
-        path.write_text("".join(f"n{a}\tn{b}\t{t}\n" for t, (a, b) in enumerate(pairs, 1)))
+        text = "".join(f"n{a}\tn{b}\t{t}\n" for t, (a, b) in enumerate(pairs, 1))
+        path.write_text(text, encoding="utf-8")
         with open(path, "rb") as fh:
             graph = simplify(parse_edge_stream(fh))
         split = split_train_probe(graph, 0.1)
@@ -147,9 +148,10 @@ class TestCountDroppedInL:
             rc = run_cli("predict", "--input", path, "--method", "CN,SPM",
                          "--score-averaging", "matrix", "--out-dir", out, *flag)
             assert rc == 0
-            for report in json.loads((out / "report.json").read_text())["reports"]:
+            for report in json.loads((out / "report.json").read_text(encoding="utf-8"))["reports"]:
                 assert report["L"] == L
-                lines = (out / f"predictions_{report['method']}.txt").read_text().splitlines()
+                ranked = out / f"predictions_{report['method']}.txt"
+                lines = ranked.read_text(encoding="utf-8").splitlines()
                 assert len(lines) == L
                 hits = sum(frozenset(line.split("\t")[:2]) in probe for line in lines)
                 assert report["mean_precision"] == hits / L
@@ -164,7 +166,7 @@ class TestSweep:
         )
         assert rc == 0
         path = out / "sweep_alpha_pf0.15.csv"
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 11
         assert list(rows[0].keys()) == ["alpha", "mean_precision", "std_precision"]
@@ -177,14 +179,14 @@ class TestSweep:
             "--m-grid", f"1,10,{graph_n}",
         )
         assert rc == 0
-        with open(out / "sweep_m.csv") as fh:
+        with open(out / "sweep_m.csv", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert list(rows[0].keys()) == ["m_over_n", "mean_precision"]
         assert float(rows[-1]["m_over_n"]) == 1.0
 
         out2 = tmp_path / "full"
         run_cli("predict", *common_args(shift_dataset, out2), "--method", "PBSPM")
-        with open(out2 / "report.csv") as fh:
+        with open(out2 / "report.csv", encoding="utf-8") as fh:
             full = list(csv.DictReader(fh))[0]
         assert float(rows[-1]["mean_precision"]) == pytest.approx(
             float(full["mean_precision"]), abs=1e-6
@@ -219,18 +221,18 @@ class TestSpectrum:
         out = tmp_path / "out"
         rc = run_cli("spectrum", "--input", shift_dataset, "--out-dir", out)
         assert rc == 0
-        with open(out / "spectrum.csv") as fh:
+        with open(out / "spectrum.csv", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert list(rows[0].keys()) == ["i", "lambda_i", "abs_lambda_i", "gap_i"]
         assert len(rows) == 80
         assert rows[-1]["gap_i"] == ""
-        meta = json.loads((out / "spectrum.json").read_text())
+        meta = json.loads((out / "spectrum.json").read_text(encoding="utf-8"))
         assert meta["selected_m"] >= 1
         assert len(meta["eigenvalues"]) == 80
 
     def test_failing_spectrum_leaves_no_directory(self, tmp_path):
         tiny = tmp_path / "tiny.tsv"
-        tiny.write_text("1 2 3\n2 3 4\n")
+        tiny.write_text("1 2 3\n2 3 4\n", encoding="utf-8")
         out = tmp_path / "out"
         rc = run_cli("spectrum", "--input", tiny, "--out-dir", out)
         assert rc == 2
@@ -239,7 +241,7 @@ class TestSpectrum:
     def test_gap_matches_eigenvalue_columns(self, shift_dataset, tmp_path):
         out = tmp_path / "out"
         run_cli("spectrum", "--input", shift_dataset, "--out-dir", out)
-        meta = json.loads((out / "spectrum.json").read_text())
+        meta = json.loads((out / "spectrum.json").read_text(encoding="utf-8"))
         lam = meta["eigenvalues"]
         for i, gap in enumerate(meta["gaps"]):
             assert gap == pytest.approx(abs(lam[i]) - abs(lam[i + 1]), abs=1e-12)
@@ -253,7 +255,7 @@ class TestDiagnose:
             "--method", "PBSPM",
         )
         assert rc == 0
-        with open(out / "diagnostics.csv") as fh:
+        with open(out / "diagnostics.csv", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert list(rows[0].keys()) == [
             "dataset", "mean_delta_lambda1", "delta_cc", "realizations",
@@ -270,7 +272,7 @@ class TestDiagnose:
 
 
 def read_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
 
 
@@ -281,7 +283,7 @@ class TestCsvMatchesJson:
         out = tmp_path / "out"
         rc = run_cli("predict", *common_args(shift_dataset, out), "--method", ",".join(METHODS))
         assert rc == 0
-        payload = json.loads((out / "report.json").read_text())
+        payload = json.loads((out / "report.json").read_text(encoding="utf-8"))
         rows = read_csv(out / "report.csv")
         assert len(rows) == len(payload["reports"]) == len(METHODS)
         for row, report in zip(rows, payload["reports"]):
@@ -295,7 +297,7 @@ class TestCsvMatchesJson:
         rc = run_cli("sweep", *common_args(shift_dataset, out), "--alpha-grid", "0,2.5,5",
                      "--p-fresher-grid", "0.05,0.2", "--m-grid", "1,7,80")
         assert rc == 0
-        payload = json.loads((out / "sweep.json").read_text())
+        payload = json.loads((out / "sweep.json").read_text(encoding="utf-8"))
         assert len(payload["alpha_sweep"]) == 6
         for name in ("0.05", "0.2"):
             points = [p for p in payload["alpha_sweep"] if f"{p['p_fresher']:g}" == name]
@@ -308,7 +310,7 @@ class TestCsvMatchesJson:
     def test_spectrum(self, shift_dataset, tmp_path):
         out = tmp_path / "out"
         assert run_cli("spectrum", "--input", shift_dataset, "--out-dir", out) == 0
-        payload = json.loads((out / "spectrum.json").read_text())
+        payload = json.loads((out / "spectrum.json").read_text(encoding="utf-8"))
         lam, gaps = payload["eigenvalues"], payload["gaps"] + [None]
         expected = [
             {"i": _fmt6(i + 1), "lambda_i": _fmt6(value), "abs_lambda_i": _fmt6(abs(value)),
@@ -321,7 +323,7 @@ class TestCsvMatchesJson:
         out = tmp_path / "out"
         rc = run_cli("diagnose", *common_args(shift_dataset, out), "--method", "PBSPM")
         assert rc == 0
-        payload = json.loads((out / "diagnostics.json").read_text())
+        payload = json.loads((out / "diagnostics.json").read_text(encoding="utf-8"))
         (row,) = read_csv(out / "diagnostics.csv")
         assert row == {column: _fmt6(payload[column]) for column in row}
         assert payload["method"] == "PBSPM" and payload["config"]["alpha"] == 5.0
@@ -357,17 +359,18 @@ class TestMetamorphic:
 
     @pytest.mark.parametrize("transform", [relabel, stretch_time, append_duplicates_and_loops])
     def test_predict_output_is_invariant(self, shift_dataset, tmp_path, transform):
-        header, *body = shift_dataset.read_text().splitlines()
+        header, *body = shift_dataset.read_text(encoding="utf-8").splitlines()
         lines, back = transform([tuple(line.split("\t")) for line in body])
         moved = tmp_path / "moved.tsv"
-        moved.write_text(header + "\n" + "".join("\t".join(line) + "\n" for line in lines))
+        text = header + "\n" + "".join("\t".join(line) + "\n" for line in lines)
+        moved.write_text(text, encoding="utf-8")
 
         outputs = []
         for name, dataset in (("base", shift_dataset), ("moved", moved)):
             out = tmp_path / name
             rc = run_cli("predict", *common_args(dataset, out), "--method", ",".join(METHODS))
             assert rc == 0
-            payload = json.loads((out / "report.json").read_text())
+            payload = json.loads((out / "report.json").read_text(encoding="utf-8"))
             assert payload.pop("input") == str(dataset)
             assert payload.pop("dataset") == dataset.stem
             outputs.append((out, payload))
@@ -376,9 +379,10 @@ class TestMetamorphic:
 
         for method in METHODS:
             rows = [line.split("\t") for line in
-                    (out / f"predictions_{method}.txt").read_text().splitlines()]
+                    (out / f"predictions_{method}.txt").read_text(encoding="utf-8").splitlines()]
             mapped = "".join(f"{back.get(a, a)}\t{back.get(b, b)}\t{s}\n" for a, b, s in rows)
-            assert mapped == (base / f"predictions_{method}.txt").read_text(), method
+            ranked = (base / f"predictions_{method}.txt").read_text(encoding="utf-8")
+            assert mapped == ranked, method
 
 
 class TestFetch:
@@ -421,15 +425,19 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "sweep", "spectrum", "diagnose"])
-    @pytest.mark.parametrize("emit", ["", " , "], ids=["empty", "commas"])
+    @pytest.mark.parametrize("emit, message", [
+        ("", "names no format"),
+        (" , ", "names no format"),
+        ("csv,xml", "unknown emit format 'xml'"),
+    ], ids=["empty", "commas", "unknown"])
     def test_emit_without_format_fails_before_loading_input(
-        self, tmp_path, capsys, command, emit
+        self, tmp_path, capsys, command, emit, message
     ):
         # The input does not exist: reading it first would be a data error (2).
         rc = run_cli(command, "--input", tmp_path / "missing.tsv", "--out-dir", tmp_path / "out",
                      "--emit", emit)
         assert rc == 1
-        assert "names no format" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("method, flag, value, field", [
@@ -471,6 +479,23 @@ class TestExitCodes:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_fast_m_above_n_is_usage_error(self, shift_dataset, tmp_path, capsys):
+        with open(shift_dataset, "rb") as fh:
+            n = simplify(parse_edge_stream(fh)).n
+        rc = run_cli("predict", *common_args(shift_dataset, tmp_path / "out"),
+                     "--method", "FastPBSPM", "--m", n + 1)
+        assert rc == 1
+        assert f"m must be in [1, {n}], got {n + 1}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_out_dir_naming_a_file_is_io_error(self, shift_dataset, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"")
+        rc = run_cli("predict", *common_args(shift_dataset, taken), "--method", "CN")
+        assert rc == 2
+        assert "pbspm: i/o error:" in capsys.readouterr().err
+        assert taken.read_bytes() == b""
+
     def test_bad_flag_is_usage_error(self, shift_dataset, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("predict", "--not-a-flag", "x")
@@ -483,7 +508,7 @@ class TestExitCodes:
 
     def test_malformed_input_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.tsv"
-        bad.write_text("1 2\n")
+        bad.write_text("1 2\n", encoding="utf-8")
         rc = run_cli("predict", "--input", bad, "--method", "CN",
                      "--out-dir", tmp_path / "out")
         assert rc == 2
@@ -500,7 +525,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["predict", "spectrum"])
     def test_csv_field_over_size_limit_is_data_error(self, tmp_path, capsys, command):
         bad = tmp_path / "bad.csv"
-        bad.write_text("1,2,3\n2,3,4\n" + "x" * 200_000 + ",3,5\n")
+        bad.write_text("1,2,3\n2,3,4\n" + "x" * 200_000 + ",3,5\n", encoding="utf-8")
         rc = run_cli(command, "--input", bad, "--format", "csv",
                      "--out-dir", tmp_path / "out")
         assert rc == 2
@@ -514,7 +539,7 @@ class TestExitCodes:
     ], ids=["new-pair", "seen-pair", "float"])
     def test_timestamp_outside_int64_is_data_error(self, tmp_path, capsys, text, line_no):
         bad = tmp_path / "bad.tsv"
-        bad.write_text(text)
+        bad.write_text(text, encoding="utf-8")
         rc = run_cli("predict", "--input", bad, "--method", "CN",
                      "--out-dir", tmp_path / "out")
         assert rc == 2
@@ -606,7 +631,7 @@ class TestModuleEntryPoint:
     def test_module_runner_help(self):
         proc = subprocess.run(
             [sys.executable, "-m", "pbspm.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, encoding="utf-8",
         )
         assert proc.returncode == 0
         assert "predict" in proc.stdout
@@ -614,7 +639,9 @@ class TestModuleEntryPoint:
     def test_import_leaves_fetch_and_scipy_modules_unloaded(self):
         # Every command pays for what `import pbspm.cli` loads.
         code = "import sys, pbspm.cli; print(sorted({'urllib.request', 'scipy'} & set(sys.modules)))"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, encoding="utf-8"
+        )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -671,14 +698,15 @@ class TestBlasThreadCount:
         proc = subprocess.run(
             [sys.executable, "-m", "pbspm.cli", "predict", *map(str, common_args(dataset, out)),
              "--method", ",".join(METHODS)],
-            env=env, capture_output=True, text=True,
+            env=env, capture_output=True, encoding="utf-8",
         )
         assert proc.returncode == 0, proc.stderr
         return out
 
     def test_one_and_two_threads_agree(self, sweep_grid_dataset, tmp_path):
         one, two = (self.run_at(t, sweep_grid_dataset, tmp_path / f"t{t}") for t in (1, 2))
-        reports = [json.loads((out / "report.json").read_text())["reports"] for out in (one, two)]
+        reports = [json.loads((out / "report.json").read_text(encoding="utf-8"))["reports"]
+                   for out in (one, two)]
         assert [r["method"] for r in reports[0]] == list(METHODS)
         for a, b in zip(*reports):
             for key in ("per_realization", "mean_precision", "std_precision", "resolved_m",
@@ -690,7 +718,8 @@ class TestBlasThreadCount:
                 else:
                     assert b[key] == pytest.approx(a[key], rel=self.FLOAT_REL, abs=1e-15)
         for method in METHODS:
-            texts = [(out / f"predictions_{method}.txt").read_text() for out in (one, two)]
+            texts = [(out / f"predictions_{method}.txt").read_text(encoding="utf-8")
+                     for out in (one, two)]
             rows = [[line.split("\t") for line in text.splitlines()] for text in texts]
             assert [r[:2] for r in rows[0]] == [r[:2] for r in rows[1]], method
             scores = [np.array([float(r[2]) for r in rs]) for rs in rows]

@@ -326,6 +326,10 @@ class TestPearsonCc:
         with pytest.raises(ValueError):
             pearson_cc(np.arange(4.0), np.arange(5.0))
 
+    def test_one_sample_rejected(self):
+        with pytest.raises(ValueError, match="need at least 2 samples, got 1"):
+            pearson_cc([1.0], [2.0])
+
 
 class TestDeltaCc:
     def test_unboosted_vector_gives_exact_zero(self):
@@ -479,6 +483,19 @@ class TestRunExperiment:
         ranked = rank_candidates(mean, adjacency(split.train, shift_graph.n))
         assert report.mean_precision == precision_at(ranked, split.probe, cfg.L)
 
+    def test_constant_probe_increment_leaves_delta_cc_undefined(self):
+        # Training is a ring with chords on 12 nodes; the 6 later edges pair
+        # node i with i + 6, so every node gains exactly one probe edge and no
+        # vector correlates with the increment.
+        ring = [(i, (i + d) % 12) for d in (1, 2) for i in range(12)]
+        later = [(i, i + 6) for i in range(6)]
+        graph = simplify(tsv_stream([(a, b, t) for t, (a, b) in enumerate(ring + later)]))
+        for method in ("SPM", "PBSPM"):
+            report = run_experiment(graph, ExperimentConfig(
+                method=method, alpha=5.0, p_fresher=0.25, probe_fraction=0.2, realizations=2))
+            assert len(report.per_realization) == 2
+            assert report.mean_delta_cc is None, method
+
     def test_all_realizations_failing_raises(self, shift_graph, monkeypatch):
         import pbspm.evaluation as evaluation
         from pbspm.errors import NumericalError
@@ -549,6 +566,11 @@ class TestSweepM:
         base = ExperimentConfig(method="PBSPM", alpha=5.0, p_fresher=0.15, seed=42)
         with pytest.raises(ValueError):
             sweep_m(shift_graph, base, ms=[0])
+
+    def test_empty_grid_rejected(self, shift_graph):
+        base = ExperimentConfig(method="PBSPM", alpha=5.0, p_fresher=0.15, seed=42)
+        with pytest.raises(ValueError, match="m grid must be non-empty"):
+            sweep_m(shift_graph, base, ms=[])
 
 
 class TestOnePassEngine:
@@ -868,6 +890,10 @@ class TestConfigValidation:
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig(method="SPM", seed=-1)
+
+    def test_zero_L(self):
+        with pytest.raises(ValueError, match="L must be >= 1, got 0"):
+            ExperimentConfig(method="CN", L=0)
 
     def test_bad_averaging(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,25 @@
-"""Static checks on the package's names, read with ``ast`` alone.
+"""Checks on the package's names.
 
-Every name a module lists in ``__all__`` must exist in it, and no module may
-import a name it never uses, unless the import's line says ``# noqa: F401``.
-A package ``__init__.py`` is exempt from the second check: its imports are
-the names it publishes.
+Read with ``ast`` alone: every name a module lists in ``__all__`` must exist
+in it, and no module may import a name it never uses, unless the import's
+line says ``# noqa: F401``. A package ``__init__.py`` is exempt from the
+second check: its imports are the names it publishes.
+
+Imported: ``pbspm`` publishes its library modules and the names each one
+gives ``import *`` (its ``__all__``, or, in ``errors``, which has none, every
+class it defines), and nothing else, so there is one list of names.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
+import pbspm
+
 MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "pbspm").glob("*.py"))
+# Every module but the CLI, which ``import pbspm`` does not load; importing
+# ``pbspm.cli`` elsewhere binds ``cli`` on the package, so it is not counted.
+REPUBLISHED = ("baselines", "errors", "evaluation", "graph", "spectral", "split")
 
 
 def _bound_at_top(tree: ast.Module) -> set[str]:
@@ -57,3 +67,17 @@ def test_exports_exist_and_every_import_is_used():
                 if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                     problems.append(f"{path.name}:{alias.lineno}: {name!r} imported, never used")
     assert not problems, "\n".join(problems)
+
+
+def _star(module) -> list[str]:
+    """The names ``from module import *`` binds."""
+    return getattr(module, "__all__", [name for name in vars(module) if not name.startswith("_")])
+
+
+def test_package_publishes_exactly_its_modules_all():
+    modules = [importlib.import_module(f"pbspm.{name}") for name in REPUBLISHED]
+    public = {name for name in dir(pbspm) if not name.startswith("_")} - {"cli"}
+    assert public == set(REPUBLISHED).union(*map(_star, modules))
+    for module in modules:
+        for name in _star(module):
+            assert getattr(pbspm, name) is getattr(module, name), (module.__name__, name)

@@ -56,6 +56,10 @@ class TestSplitTrainProbe:
         assert len(split.train) == 9
         assert len(split.probe) + split.probe_dropped == 1
 
+    def test_empty_side_is_degenerate(self, ten_edge_graph):
+        with pytest.raises(DegenerateSplitError, match="leaves an empty side"):
+            split_train_probe(ten_edge_graph, 0.99)
+
     def test_too_few_edges(self):
         graph = graph_from_pairs([("a", "b", 1), ("b", "c", 2), ("c", "d", 3),
                                   ("d", "e", 4), ("e", "f", 5), ("f", "a", 6),
