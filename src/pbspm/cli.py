@@ -5,7 +5,6 @@ Subcommands:
     sweep     precision curves over alpha / p_fresher grids and over m
     spectrum  eigenvalues and gaps of the training adjacency, auto-selected m
     diagnose  mean leading-eigenvalue shift and correlation gain
-    fetch     download a dataset from a user-supplied URL, verify its sha256
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 Outputs are byte-identical across reruns with the same arguments, seed and
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import os
 import sys
@@ -249,21 +247,6 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fetch(args: argparse.Namespace) -> int:
-    """Download a dataset file and require its sha256 to match."""
-    import urllib.request  # only here: the import costs every other command time
-
-    with urllib.request.urlopen(args.url) as response:
-        payload = response.read()
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest.lower() != args.sha256.lower():
-        raise DataError(f"checksum mismatch: expected {args.sha256}, got {digest}")
-    args.dest.parent.mkdir(parents=True, exist_ok=True)
-    args.dest.write_bytes(payload)
-    print(f"fetched {len(payload)} bytes -> {args.dest}")
-    return 0
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse, but usage failures exit 1 instead of 2."""
 
@@ -357,11 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, readers, keywords in _FLAGS:
             if name in readers:
                 sub.add_argument(flag, **keywords)
-
-    fetch = commands.add_parser("fetch")
-    fetch.add_argument("--url", required=True)
-    fetch.add_argument("--sha256", required=True)
-    fetch.add_argument("--dest", required=True, type=Path)
     return parser
 
 

@@ -395,7 +395,7 @@ def _score_spectral(
                 at = (len(shifts) - 1) * m  # this realization's block
                 sums[m][0][:, at : at + m] = leading
                 sums[m][1][at : at + m] = weights
-            spm = _pair_sum(leading, weights)[cand]
+            spm = _pair_sum(leading, weights, cand)
             if m is None and m in sums:
                 sums[m] += spm
             for key in (key for key in vectors if key[0] == m):
@@ -415,7 +415,7 @@ def _score_spectral(
         else:
             leading, weights = sums.pop(m)
             used = len(shifts) * m  # the blocks of the realizations that did not fail
-            mean = _pair_sum(leading[:, :used], weights[:used])[cand]
+            mean = _pair_sum(leading[:, :used], weights[:used], cand)
         mean /= len(shifts)
         for key in (key for key in vectors if key[0] == m):
             cut(key, mean, "matrix", vectors[key] if keep_top else ())

@@ -68,8 +68,8 @@ class SpectralModel:
 
 # Removed edges whose eigenvector rows eigenvalue_correction gathers at once.
 _CORRECTION_ROWS = 256
-# Rows of the pair sum one product fills. A block's scaled rows and product
-# stay small beside the n x n result; 256 rows raised the engine's peak.
+# Rows of the pair sum one product fills. A block's scaled rows, product and
+# pairs stay small beside the engine's n x n arrays; 256 rows raised its peak.
 _PAIR_ROWS = 128
 
 
@@ -211,19 +211,20 @@ def eigenvalue_correction(model: SpectralModel, removed: np.ndarray) -> Spectral
     )
 
 
-def _pair_sum(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``sum_k weights[k] * outer(vectors[:, k], vectors[:, k])`` on and above the diagonal.
+def _pair_sum(vectors: np.ndarray, weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``sum_k weights[k] * vectors[i, k] * vectors[j, k]`` at each pair ``(i, j)`` of ``mask``.
 
-    Row block ``a:b`` gets ``(X[a:b] * w) @ X[a:].T``, so no product below
-    the diagonal is formed. Entries below it are not part of the result and
-    hold arbitrary values: zeroing them would write pages that the blocks
-    never touch, and raise the resident peak.
+    ``mask`` is an n x n boolean array, false below the diagonal. The pairs
+    come back as one vector in row-major order, the order ``S[mask]`` reads.
+    Row block ``a:b`` forms ``(X[a:b] * w) @ X[a:].T`` and hands over its own
+    pairs, so no product below the diagonal and no n x n float array is made.
     """
     n = vectors.shape[0]
-    out = np.empty((n, n))
+    start = np.r_[0, np.cumsum(np.count_nonzero(mask, axis=1))]
+    out = np.empty(start[-1])
     for a in range(0, n, _PAIR_ROWS):
         b = min(a + _PAIR_ROWS, n)
-        np.matmul(vectors[a:b] * weights, vectors[a:].T, out=out[a:b, a:])
+        out[start[a] : start[b]] = ((vectors[a:b] * weights) @ vectors[a:].T)[mask[a:b, a:]]
     return out
 
 
@@ -241,8 +242,11 @@ def spm_scores(model: SpectralModel, m: Optional[int] = None) -> np.ndarray:
     """
     if m is not None and not 1 <= m <= model.n:
         raise ValueError(f"m must be in [1, {model.n}], got {m}")
-    scores = _pair_sum(*_leading_pairs(model, m))
-    np.copyto(scores, scores.T, where=np.tri(model.n, k=-1, dtype=bool))
+    upper = ~np.tri(model.n, k=-1, dtype=bool)  # on and above the diagonal
+    pairs = _pair_sum(*_leading_pairs(model, m), upper)
+    scores = np.empty((model.n, model.n))
+    scores[upper] = pairs
+    scores.T[upper] = pairs  # the mirror image, with no copy of S
     return _frozen(scores)
 
 

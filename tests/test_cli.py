@@ -385,27 +385,6 @@ class TestMetamorphic:
             assert mapped == ranked, method
 
 
-class TestFetch:
-    def test_fetch_with_matching_checksum(self, tmp_path):
-        src = tmp_path / "remote.tsv"
-        src.write_bytes(b"1 2 3\n4 5 6\n")
-        digest = hashlib.sha256(src.read_bytes()).hexdigest()
-        dest = tmp_path / "data" / "local.tsv"
-        rc = run_cli("fetch", "--url", src.as_uri(), "--sha256", digest,
-                     "--dest", dest)
-        assert rc == 0
-        assert dest.read_bytes() == src.read_bytes()
-
-    def test_fetch_checksum_mismatch_is_data_error(self, tmp_path):
-        src = tmp_path / "remote.tsv"
-        src.write_bytes(b"1 2 3\n")
-        dest = tmp_path / "local.tsv"
-        rc = run_cli("fetch", "--url", src.as_uri(), "--sha256", "0" * 64,
-                     "--dest", dest)
-        assert rc == 2
-        assert not dest.exists()
-
-
 class TestExitCodes:
     def test_missing_input_is_data_error(self, tmp_path):
         rc = run_cli("predict", "--input", tmp_path / "nope.tsv", "--method", "CN",
@@ -558,7 +537,6 @@ COMMAND_FLAGS = {
                           "--alpha-grid", "--p-fresher-grid", "--m-grid"},
     "spectrum": IO_FLAGS | {"--m-threshold"},
     "diagnose": RUN_FLAGS,
-    "fetch": {"--url", "--sha256", "--dest"},
 }
 
 
@@ -575,7 +553,7 @@ class TestFlags:
             for name, sub in subcommand_parsers().items()
         }
         assert declared == COMMAND_FLAGS
-        assert sum(len(flags) for flags in declared.values()) == 57
+        assert sum(len(flags) for flags in declared.values()) == 54
 
     def test_experiment_flags_have_no_default_of_their_own(self):
         config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)} | {"methods"}
@@ -599,6 +577,15 @@ class TestFlags:
             run_cli(command, "--input", shift_dataset, "--out-dir", tmp_path / "out", *rest)
         assert exc.value.code == 1
         assert not (tmp_path / "out").exists()
+
+    def test_removed_fetch_command_is_usage_error(self, tmp_path, capsys):
+        dest = tmp_path / "local.tsv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("fetch", "--url", (tmp_path / "remote.tsv").as_uri(), "--sha256", "0" * 64,
+                    "--dest", dest)
+        assert exc.value.code == 1
+        assert "invalid choice: 'fetch'" in capsys.readouterr().err
+        assert not dest.exists()
 
     def test_unknown_flag_prints_the_subcommand_usage(self, shift_dataset, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -795,8 +795,8 @@ PEAK_NXN = {
     "RA": 3.5,
     "Katz": 3.4,
     "SRW": 5.75,
-    "PBSPM,SPM,FastPBSPM,CN,Katz": 3.7,
-    "sweep": 4.36,
+    "PBSPM,SPM,FastPBSPM,CN,Katz": 3.45,
+    "sweep": 4.0,
 }
 
 

@@ -1,5 +1,7 @@
 """Perturbation sampling, eigendecomposition, corrections, reconstructions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from pbspm.graph import adjacency, simplify
 from pbspm.spectral import (
     _PAIR_ROWS,
     SpectralModel,
+    _pair_sum,
     eigendecompose,
     eigenvalue_correction,
     eigenvalues,
@@ -355,9 +358,40 @@ class TestSpmScores:
             expected += w * np.outer(x, x)
         np.testing.assert_allclose(spm_scores(model), expected, atol=1e-10)
 
+    @pytest.mark.parametrize("m", [30, None])
+    def test_tracked_peak_below_two_score_matrices(self, m):
+        # S, its upper-triangle pairs and one mask: about 1.63 n x n floats.
+        # Mirroring S from a copy of itself, or a row block as large as the
+        # pairs at this n, reads 2.1-2.6.
+        n = 300
+        model = corrected_model(random_view(np.random.default_rng(16), n, p=0.05))
+        tracemalloc.start()
+        try:
+            spm_scores(model, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * n * n * 8
+
 
 class TestPairSumBlocks:
-    """The reconstruction fills its upper triangle in blocks of ``_PAIR_ROWS`` rows."""
+    """The reconstruction hands over a mask's pairs in blocks of ``_PAIR_ROWS`` rows."""
+
+    @pytest.mark.parametrize("kind", ["candidates", "upper", "none", "second-block-empty"])
+    @pytest.mark.parametrize("n", [_PAIR_ROWS - 1, 2 * _PAIR_ROWS, 2 * _PAIR_ROWS + 1])
+    def test_mask_pairs_in_row_major_order(self, n, kind):
+        rng = np.random.default_rng(n)
+        model = eigendecompose(random_view(rng, n, p=0.1))
+        vectors, weights = model.eigenvectors[:, :9], rng.standard_normal(9)
+        candidates = np.triu(random_view(rng, n, p=0.1) == 0, 1)
+        if kind == "second-block-empty":  # at n < _PAIR_ROWS, no second block
+            candidates[_PAIR_ROWS : 2 * _PAIR_ROWS] = False
+        mask = {"upper": np.triu(np.ones((n, n), dtype=bool)),
+                "none": np.zeros((n, n), dtype=bool)}.get(kind, candidates)
+        pairs = _pair_sum(vectors, weights, mask)
+        assert pairs.shape == (np.count_nonzero(mask),)
+        dense = (vectors * weights) @ vectors.T
+        np.testing.assert_allclose(pairs, dense[mask], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("m", [1, 8, None])
     @pytest.mark.parametrize("n", [_PAIR_ROWS - 1, 2 * _PAIR_ROWS, 2 * _PAIR_ROWS + 1])
