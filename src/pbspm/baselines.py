@@ -18,7 +18,7 @@ from numpy.linalg import _umath_linalg
 
 from .errors import NumericalError
 from .graph import degrees
-from .spectral import _PAIR_ROWS, _frozen, _solve_in_place
+from .spectral import _frozen, _solve_in_place
 
 __all__ = [
     "cn_scores",
@@ -32,6 +32,16 @@ __all__ = [
 def _score_matrix(values: np.ndarray) -> np.ndarray:
     # (M + M.T) / 2 makes BLAS round-off exactly symmetric.
     return _frozen((values + values.T) / 2.0)
+
+
+def _walk_sum(first: np.ndarray, step: np.ndarray, count: int) -> np.ndarray:
+    """``first + first @ step + ... + first @ step^(count - 1)``, a new array."""
+    total = first.copy()
+    walk = first
+    for _ in range(count - 1):
+        walk = walk @ step
+        total += walk
+    return total
 
 
 def cn_scores(a: np.ndarray) -> np.ndarray:
@@ -112,12 +122,7 @@ def katz_scores(
         )
     if max_path_length is not None:
         damped = damping * a
-        total = np.zeros_like(a)
-        power = np.eye(len(a))
-        for _ in range(max_path_length):
-            power = power @ damped
-            total += power
-        return _score_matrix(total)
+        return _score_matrix(_walk_sum(damped, damped, max_path_length))
     # I - damping * A, built as 0 - damping * A plus 1 on the diagonal so that
     # every zero stays +0, as in the subtraction from the identity.
     system = damping * a
@@ -134,8 +139,9 @@ def srw_scores(a: np.ndarray, steps: int) -> np.ndarray:
 
     With row-stochastic transition matrix P and stationary weights
     ``q_x = k_x / 2|E|``, accumulates ``q_x P^tau[x, y] + q_y P^tau[y, x]``
-    for tau = 1..steps. Zero-degree nodes contribute zero rows: no walk
-    leaves an isolated node.
+    for tau = 1..steps. Since ``k_x P^tau[x, y] = [A P^(tau-1)][x, y]``, that
+    is ``(S + S.T) / 2|E|`` with ``S = A (I + P + ... + P^(steps-1))``.
+    Zero-degree nodes contribute zero rows: no walk leaves an isolated node.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -143,28 +149,9 @@ def srw_scores(a: np.ndarray, steps: int) -> np.ndarray:
     two_e = k.sum()
     if two_e == 0:
         return _frozen(np.zeros_like(a))
-    q = k / two_e
     transition = np.divide(
         a, k[:, None], out=np.zeros_like(a), where=k[:, None] > 0
     )
-    # Two walk buffers: ``free`` takes each step's weighted walk, then the next
-    # walk, while ``walk`` still holds the last one.
-    walk, free = transition, np.empty_like(a)
-    total = np.zeros_like(a)
-    for step in range(steps):
-        if step == 1:  # the first product may not overwrite ``transition``
-            walk = walk @ transition
-        elif step:
-            np.matmul(walk, transition, out=free)
-            walk, free = free, walk
-        np.multiply(q[:, None], walk, out=free)
-        # W + W.T in place, by row blocks: each entry is one sum W[i, j] + W[j, i],
-        # so the result is symmetric entry by entry, as a full W + W.T is.
-        for lo in range(0, len(a), _PAIR_ROWS):
-            hi = lo + _PAIR_ROWS
-            pair = free[lo:hi, lo:] + free[lo:, lo:hi].T
-            free[lo:hi, lo:] = pair
-            free[lo:, lo:hi] = pair.T
-            del pair  # before the next block's is allocated
-        total += free
-    return _frozen(total)
+    walks = _walk_sum(a, transition, steps)
+    walks *= 2.0 / two_e
+    return _score_matrix(walks)

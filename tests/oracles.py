@@ -73,6 +73,22 @@ def srw_walk_oracle(view, t):
     return np.array(s)
 
 
+
+def srw_step_oracle(view, t):
+    """SRW by its definition in numpy: each step's walk probabilities weighted
+    by ``q`` and added to their transpose, for steps 1..t."""
+    k = view.sum(axis=1)
+    q = k / k.sum()
+    transition = np.divide(view, k[:, None], out=np.zeros_like(view), where=k[:, None] > 0)
+    walk = transition
+    total = np.zeros_like(view)
+    for step in range(t):
+        if step:
+            walk = walk @ transition
+        weighted = q[:, None] * walk
+        total += weighted + weighted.T
+    return total
+
 def greedy_simplify_oracle(stream: TemporalEventStream) -> TemporalGraph:
     """The original quadratic ``simplify``: before every emit it rescans the
     whole equal-timestamp group for the smallest prospective key.

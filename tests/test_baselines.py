@@ -9,7 +9,7 @@ from pbspm.baselines import aa_scores, cn_scores, katz_scores, ra_scores, srw_sc
 from pbspm.errors import NumericalError
 
 from conftest import random_view
-from oracles import katz_walk_oracle, neighbor_sets, srw_walk_oracle
+from oracles import katz_walk_oracle, neighbor_sets, srw_step_oracle, srw_walk_oracle
 
 
 PATH3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.float64)
@@ -148,6 +148,22 @@ class TestKatz:
             expected = (walks + walks.T) / 2.0
             assert katz_scores(view, damping).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("n", [50, 300])
+    def test_series_mode_bitwise_equal_to_the_power_loop(self, n):
+        rng = np.random.default_rng(n)
+        view = random_view(rng, n, p=0.05)
+        damping = 0.5 / max(float(np.linalg.eigvalsh(view)[-1]), 1.0)
+        damped = damping * view
+        for length in (1, 2, 3, 6):
+            power = np.eye(n)
+            total = np.zeros((n, n))
+            for _ in range(length):
+                power = power @ damped
+                total += power
+            expected = (total + total.T) / 2.0
+            scores = katz_scores(view, damping=damping, max_path_length=length)
+            assert np.array_equal(scores, expected), length
+
     def test_singular_system_keeps_its_message(self):
         # lam_max given as -1 skips the convergence check, and I - A is singular.
         pair = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -222,6 +238,20 @@ class TestSrw:
             scores = srw_scores(view, steps=3)
             oracle = srw_walk_oracle(view, t=3)
             np.testing.assert_allclose(scores, oracle, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [150, 300])
+    def test_matches_step_oracle_at_realistic_size(self, n):
+        rng = np.random.default_rng(n)
+        view = np.array(random_view(rng, n, p=0.05))
+        isolated = rng.choice(n, size=n // 10, replace=False)
+        view[isolated] = 0.0
+        view[:, isolated] = 0.0
+        for steps in range(1, 6):
+            scores = srw_scores(view, steps)
+            reference = srw_step_oracle(view, steps)
+            assert np.abs(scores - reference).max() <= 1e-13 * reference.max(), steps
+            assert np.array_equal(scores, scores.T)
+            assert not scores[isolated].any()
 
     def test_isolated_node_row_is_zero(self):
         matrix = np.zeros((3, 3))

@@ -794,7 +794,7 @@ PEAK_NXN = {
     "AA": 3.5,
     "RA": 3.5,
     "Katz": 3.4,
-    "SRW": 5.75,
+    "SRW": 5.25,
     "PBSPM,SPM,FastPBSPM,CN,Katz": 3.45,
     "sweep": 4.0,
 }

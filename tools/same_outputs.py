@@ -13,9 +13,9 @@ and at 2 BLAS threads, both REF and this working tree (each run with
 run ``spectrum``, ``diagnose``, a matrix-averaged three-method
 ``predict``, a one-realization SPM and PBSPM ``predict``, ``predict
 --method Katz --katz-damping 0.01``, whose inverse is written over its
-linear system as ``predict-large``'s is, and ``predict --method SRW`` at 1
-and at 5 walk steps: at n=410 the walk spans four of SRW's row blocks, and
-five steps swap its two walk buffers. The same stream is also written
+linear system as ``predict-large``'s is, the same with
+``--katz-max-path-length 4``, which sums Katz's series instead, and
+``predict --method SRW`` at 1 and at 5 walk steps. The same stream is also written
 six more ways, and ``predict --method SPM,PBSPM,CN`` runs on each: with a
 weight field (``1.5``) on every other line, so the parse of mixed 3- and
 4-field lines is compared too; with every label prefixed by ``ü``; with
@@ -25,7 +25,11 @@ every stamp written ``{t}.0``; with every label written ``node-{u:011d}``,
 (``signed-stamps``). numpy's text reader reads the last two, as it reads
 the workloads' inputs; the line grammar reads the other four. Every output
 file, stdout, stderr and exit code is compared. Each difference is
-printed, and the exit code is 1 if there is any.
+printed, and the exit code is 1 if there is any. A differing
+``predictions_*.txt`` is also described: whether both trees list the same
+pairs in the same order, and if so the largest score move relative to the
+largest score, so a change that moves scores only in the last ULPs shows
+as one.
 
 Run it alone. Its child processes ask for every CPU, so anything run beside
 it slows down badly: on 2 vCPUs the tier-1 suite took 494.9 s beside it,
@@ -58,6 +62,8 @@ EXTRA = {
                        "--alpha", "3", "--score-averaging", "matrix"),
     "predict-one-realization": ("predict", "--method", "SPM,PBSPM", "--realizations", "1"),
     "predict-katz": ("predict", "--method", "Katz", "--katz-damping", "0.01"),
+    "predict-katz-series": ("predict", "--method", "Katz", "--katz-damping", "0.01",
+                            "--katz-max-path-length", "4"),
     "predict-srw-1": ("predict", "--method", "SRW", "--srw-steps", "1"),
     "predict-srw-5": ("predict", "--method", "SRW", "--srw-steps", "5"),
 }
@@ -106,6 +112,18 @@ def outcome(tree: Path, args: tuple[str, ...], threads: int, work: Path) -> dict
     return result
 
 
+def describe_predictions(want: bytes, got: bytes) -> str:
+    """How two ``u<TAB>v<TAB>score`` prediction lists differ."""
+    old, new = ([line.rsplit("\t", 1) for line in text.decode("utf-8").splitlines()]
+                for text in (want, got))
+    if [pair for pair, _ in old] != [pair for pair, _ in new]:
+        return "different pairs or order"
+    move = max(abs(float(b) - float(a)) for (_, a), (_, b) in zip(old, new))
+    top = max(abs(float(a)) for _, a in old)
+    return (f"same pairs in the same order, scores moved by {move / top if top else move:.2g}"
+            " of the largest")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", metavar="REF", help="the commit to compare against")
@@ -144,6 +162,8 @@ def main(argv=None) -> int:
                             differences += 1
                             side = ("only at REF" if key not in got else
                                     "only here" if key not in want else "differs")
+                            if side == "differs" and Path(key).name.startswith("predictions_"):
+                                side += ": " + describe_predictions(want[key], got[key])
                             print(f"seed {seed}, {threads} BLAS threads, {name}: {key} {side}")
         print(f"{compared} outputs compared with {ref}, {differences} different")
         return 1 if differences else 0
