@@ -325,7 +325,8 @@ def _score_spectral(
     boost ``f_i * f_j`` is the same in every realization, so the mean of
     boosted scores is the boost of the mean SPM scores: ``sums`` maps the
     full spectrum to one unboosted candidate-length sum, and a truncation m
-    to its realizations' m leading eigenpairs, whose one product after the
+    to the same sum or, while n·R·m is below the candidate count, to its
+    realizations' m leading eigenpairs, stacked, whose one product after the
     loop is the sum. Each retained matrix is eigendecomposed in place.
     Returns the realizations' leading-eigenvalue shifts and failures.
     """
@@ -356,12 +357,12 @@ def _score_spectral(
     ms = dict.fromkeys(m for m, _ in vectors)
     shared = points[0].cfg
     averaged = (p.m for p in points if keep_top or p.cfg.score_averaging == "matrix")
-    # The full sum, and a truncation's pairs in columns of one block of m per
-    # realization, are allocated here: a copy made in the loop may land high in
+    # A sum, or a truncation's pairs in columns of one block of m per
+    # realization, is allocated here: a copy made in the loop may land high in
     # the heap and keep the memory freed below it resident.
     reps = shared.realizations
-    sums = {m: np.zeros(hit.size) if m is None
-            else (np.empty((graph.n, reps * m)), np.empty(reps * m))
+    sums = {m: (np.empty((graph.n, reps * m)), np.empty(reps * m))
+            if m is not None and graph.n * reps * m < hit.size else np.zeros(hit.size)
             for m in dict.fromkeys(averaged)}
     probe_inc = _endpoint_counts(graph.edges[len(split.train) :], graph.n)
 
@@ -391,12 +392,13 @@ def _score_spectral(
                 dccs[boost] = None
         for m in ms:
             leading, weights = _leading_pairs(model, m)
-            if m is not None and m in sums:
+            stacked = isinstance(sums.get(m), tuple)
+            if stacked:
                 at = (len(shifts) - 1) * m  # this realization's block
                 sums[m][0][:, at : at + m] = leading
                 sums[m][1][at : at + m] = weights
             spm = _pair_sum(leading, weights, cand)
-            if m is None and m in sums:
+            if m in sums and not stacked:
                 sums[m] += spm
             for key in (key for key in vectors if key[0] == m):
                 for p in vectors[key]:
@@ -410,10 +412,9 @@ def _score_spectral(
         raise NumericalError(f"all {shared.realizations} realizations failed: {failures}")
 
     for m in list(sums):
-        if m is None:
-            mean = sums.pop(m)
-        else:
-            leading, weights = sums.pop(m)
+        mean = sums.pop(m)
+        if isinstance(mean, tuple):
+            leading, weights = mean
             used = len(shifts) * m  # the blocks of the realizations that did not fail
             mean = _pair_sum(leading[:, :used], weights[:used], cand)
         mean /= len(shifts)

@@ -66,10 +66,8 @@ class SpectralModel:
         return self.eigenvalues.shape[0]
 
 
-# Removed edges whose eigenvector rows eigenvalue_correction gathers at once.
-_CORRECTION_ROWS = 256
-# Rows of the pair sum one product fills. A block's scaled rows, product and
-# pairs stay small beside the engine's n x n arrays; 256 rows raised its peak.
+# Rows of the pair sum one product fills, and removed edges whose eigenvector rows
+# eigenvalue_correction gathers at once; 256 pair-sum rows raised the engine's peak.
 _PAIR_ROWS = 128
 
 
@@ -188,16 +186,16 @@ def eigenvalue_correction(model: SpectralModel, removed: np.ndarray) -> Spectral
     ``PerturbationSample.removed``. For unit eigenvectors the shift of pair
     ``k`` is ``x_k^T dA x_k = 2 * sum of x_k[u] * x_k[v]`` over the rows, so
     the cost scales with the removed edge count, not with n^2. The rows are
-    gathered ``_CORRECTION_ROWS`` at a time, so memory stays at a few hundred
-    rows of n, whatever the removed edge count.
+    gathered ``_PAIR_ROWS`` at a time, so memory stays at that many rows of
+    n, whatever the removed edge count.
     """
     removed = np.asarray(removed)
     if removed.size and (removed.min() < 0 or removed.max() >= model.n):
         raise ValueError(f"removed edge endpoint outside [0, {model.n})")
     X = model.eigenvectors
     corrections = np.zeros(X.shape[1])
-    for start in range(0, removed.shape[0], _CORRECTION_ROWS):
-        rows = removed[start : start + _CORRECTION_ROWS]
+    for start in range(0, removed.shape[0], _PAIR_ROWS):
+        rows = removed[start : start + _PAIR_ROWS]
         # The running total goes into the first row, and one sum down axis 0
         # then adds the terms sequentially in edge order, as one einsum over
         # all rows would.

@@ -738,9 +738,11 @@ class TestOnePassEngine:
 class TestAveragedScores:
     """The engine's mean boosted scores against the mean of the boosted matrices.
 
-    The engine boosts the averaged SPM scores, and averages a truncation from
-    its stacked eigenpairs; the oracle sums ``f_i * f_j * S_ij`` matrices
-    realization by realization, as ``pbspm_scores`` gives them.
+    The engine boosts the averaged SPM scores. It averages a truncation from
+    its stacked eigenpairs while n·R·m is below the candidate count, as at
+    m=1 here, and from a running sum of its scores otherwise, as at m=20.
+    The oracle sums ``f_i * f_j * S_ij`` matrices realization by
+    realization, as ``pbspm_scores`` gives them.
     """
 
     @pytest.mark.parametrize("source", ["shift", 0, 1, 2])
@@ -753,6 +755,7 @@ class TestAveragedScores:
         split = split_train_probe(graph, 0.1)
         train_adj = adjacency(split.train, graph.n)
         n_cand = int(np.count_nonzero(np.triu(train_adj == 0, 1)))
+        assert graph.n * 4 * 1 < n_cand <= graph.n * 4 * 20  # m=1 stacked, m=20 summed
         base = ExperimentConfig(method="PBSPM", alpha=4.0, p_fresher=0.2, seed=5,
                                 realizations=4)
         cfgs = [
@@ -762,6 +765,8 @@ class TestAveragedScores:
             replace(base, method="FastPBSPM"),
             replace(base, score_averaging="matrix"),
             replace(base, method="FastPBSPM", m=6, score_averaging="matrix"),
+            replace(base, method="FastPBSPM", m=1, score_averaging="matrix"),
+            replace(base, method="FastPBSPM", m=20, score_averaging="matrix"),
         ]
         for cfg, (report, top) in zip(cfgs, _run_points(graph, cfgs, keep_top=True)):
             per, mean_precision, mean_top, _ = engine_oracle(graph, cfg)
@@ -778,17 +783,22 @@ class TestAveragedScores:
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), cfg
 
 
-# Tracked (tracemalloc) peak of one keep_top _run_points call at R=2, in n x n
-# float64 arrays, per method set. It counts every numpy array; the LAPACK
-# workspace numpy's eigh gufunc allocates outside them (its input copy and two
-# n x n of dsyevd work) is untracked, and adds about 3 to the resident peak.
+# Tracked (tracemalloc) peak of one keep_top _run_points call, in n x n float64
+# arrays, per method set. It counts every numpy array; the LAPACK workspace
+# numpy's eigh gufunc allocates outside them (its input copy and two n x n of
+# dsyevd work) is untracked, and adds about 3 to the resident peak.
 # ``FastPBSPM:k`` is FastPBSPM at m = k; plain FastPBSPM takes the auto m.
+# A set runs 2 realizations, or R with the suffix ``/R``: at R=10 the n·R·m
+# floats of m=100 or 250 stacked eigenpairs would outnumber the ~42.5k
+# candidates, so the engine keeps a running sum instead.
 # ``sweep`` is the benchmark's sweep: PBSPM over ``BENCHMARK_SWEEP``.
 PEAK_NXN = {
     "PBSPM": 3.35,
     "FastPBSPM": 2.85,
     "FastPBSPM:1": 2.85,
     "FastPBSPM:8": 2.9,
+    "FastPBSPM:100/10": 3.4,
+    "FastPBSPM:250/10": 3.4,
     "SPM": 3.35,
     "CN": 3.3,
     "AA": 3.5,
@@ -802,15 +812,16 @@ PEAK_NXN = {
 
 @pytest.mark.parametrize("methods", sorted(PEAK_NXN))
 def test_engine_peak_within_its_nxn_budget(methods):
+    names, _, reps = methods.partition("/")
     for seed in (0, 1):
         rng = np.random.default_rng(seed)
         graph = simplify(random_event_stream(rng, n_labels=300, n_events=3000, t_max=10**6))
-        base = ExperimentConfig(alpha=5.0, realizations=2, seed=seed)
-        if methods == "sweep":
+        base = ExperimentConfig(alpha=5.0, realizations=int(reps or 2), seed=seed)
+        if names == "sweep":
             cfgs = _sweep_configs(replace(base, method="PBSPM"), *BENCHMARK_SWEEP)
         else:
             cfgs = []
-            for spec in methods.split(","):
+            for spec in names.split(","):
                 method, _, m = spec.partition(":")
                 cfgs.append(replace(base, method=method, m=int(m) if m else None))
         tracemalloc.start()

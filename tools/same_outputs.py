@@ -14,22 +14,26 @@ run ``spectrum``, ``diagnose``, a matrix-averaged three-method
 ``predict``, a one-realization SPM and PBSPM ``predict``, ``predict
 --method Katz --katz-damping 0.01``, whose inverse is written over its
 linear system as ``predict-large``'s is, the same with
-``--katz-max-path-length 4``, which sums Katz's series instead, and
-``predict --method SRW`` at 1 and at 5 walk steps. The same stream is also written
-six more ways, and ``predict --method SPM,PBSPM,CN`` runs on each: with a
-weight field (``1.5``) on every other line, so the parse of mixed 3- and
-4-field lines is compared too; with every label prefixed by ``ü``; with
-every stamp written ``{t}.0``; with every label written ``node-{u:011d}``,
-16 bytes; after a KONECT-style header of two ``%`` lines
-(``konect-header``); and with every stamp written ``+{t}``
-(``signed-stamps``). numpy's text reader reads the last two, as it reads
-the workloads' inputs; the line grammar reads the other four. Every output
-file, stdout, stderr and exit code is compared. Each difference is
-printed, and the exit code is 1 if there is any. A differing
-``predictions_*.txt`` is also described: whether both trees list the same
-pairs in the same order, and if so the largest score move relative to the
-largest score, so a change that moves scores only in the last ULPs shows
-as one.
+``--katz-max-path-length 4``, which sums Katz's series instead,
+``predict --method SRW`` at 1 and at 5 walk steps, and ``predict --method
+FastPBSPM --m 41 --alpha 5``, whose 410·10·41 stacked floats would
+outnumber the candidates, so its mean scores are a running sum. The same
+stream is also written seven more ways, and ``predict --method
+SPM,PBSPM,CN`` runs on each: with a weight field (``1.5``) on every other
+line, so the parse of mixed 3- and 4-field lines is compared too; with
+every label prefixed by ``ü``; with every stamp written ``{t}.0``; with
+every label written ``node-{u:011d}``, 16 bytes; after a KONECT-style
+header of two ``%`` lines (``konect-header``); with every stamp written
+``+{t}`` (``signed-stamps``); and with every stamp written ``10**9 - t``
+(``descending-stamps``), so the file runs backwards in time and
+``simplify``'s time sort does real work. numpy's text reader reads the
+last three, as it reads the workloads' inputs; the line grammar reads the
+other four. Every output file, stdout, stderr and exit code is compared.
+Each difference is printed, and the exit code is 1 if there is any. A
+differing ``predictions_*.txt`` is also described: whether both trees list
+the same pairs in the same order, and if so the largest score move
+relative to the largest score, so a change that moves scores only in the
+last ULPs shows as one.
 
 Run it alone. Its child processes ask for every CPU, so anything run beside
 it slows down badly: on 2 vCPUs the tier-1 suite took 494.9 s beside it,
@@ -66,6 +70,7 @@ EXTRA = {
                             "--katz-max-path-length", "4"),
     "predict-srw-1": ("predict", "--method", "SRW", "--srw-steps", "1"),
     "predict-srw-5": ("predict", "--method", "SRW", "--srw-steps", "5"),
+    "predict-fast-summed": ("predict", "--method", "FastPBSPM", "--m", "41", "--alpha", "5"),
 }
 # The sweep-grid stream written other ways, by each variant's line of event i.
 VARIANTS = {
@@ -76,6 +81,7 @@ VARIANTS = {
     "konect-header": lambda i, u, v, t: ("% sym unweighted\n% 17000 410 410\n" if i == 0 else "")
     + f"{u}\t{v}\t{t}\n",
     "signed-stamps": lambda i, u, v, t: f"{u}\t{v}\t+{t}\n",
+    "descending-stamps": lambda i, u, v, t: f"{u}\t{v}\t{10**9 - t}\n",
 }
 VARIANT_ARGS = ("predict", "--method", "SPM,PBSPM,CN")
 
