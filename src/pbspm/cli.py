@@ -59,16 +59,6 @@ def _configs(args: argparse.Namespace) -> list[ExperimentConfig]:
     return [replace(base, method=method) for method in methods] or [base]
 
 
-def _emit(args: argparse.Namespace) -> tuple[str, ...]:
-    emit = tuple(tok.strip() for tok in args.emit.split(",") if tok.strip())
-    if not emit:
-        raise ValueError(f"--emit {args.emit!r} names no format; expected csv and/or json")
-    for fmt in emit:
-        if fmt not in ("csv", "json"):
-            raise ValueError(f"unknown emit format {fmt!r}")
-    return emit
-
-
 def _load_graph(args: argparse.Namespace) -> TemporalGraph:
     if not args.input.exists():
         raise DataError(f"input file not found: {args.input}")
@@ -108,9 +98,8 @@ def _cells(report: PrecisionReport, columns: Sequence[str], **extra) -> dict:
     return {column: values[column] for column in columns}
 
 
-def _write(args: argparse.Namespace, emit: Sequence[str], tables: dict,
-           json_name: str, payload: dict) -> None:
-    """Create ``--out-dir`` and write the formats ``--emit`` names.
+def _write(args: argparse.Namespace, tables: dict, json_name: str, payload: dict) -> None:
+    """Create ``--out-dir`` and write the CSV tables and the JSON payload.
 
     ``tables`` maps each CSV file name to its columns and its rows, each row a
     mapping that holds at least those columns; ``payload`` is written as JSON
@@ -118,16 +107,14 @@ def _write(args: argparse.Namespace, emit: Sequence[str], tables: dict,
     so a failing command leaves no ``--out-dir`` behind.
     """
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    if "csv" in emit:
-        for name, (columns, rows) in tables.items():
-            with open(args.out_dir / name, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(columns)
-                writer.writerows([_fmt6(row[column]) for column in columns] for row in rows)
-    if "json" in emit:
-        with open(args.out_dir / json_name, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+    for name, (columns, rows) in tables.items():
+        with open(args.out_dir / name, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([_fmt6(row[column]) for column in columns] for row in rows)
+    with open(args.out_dir / json_name, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
 
 
 _REPORT_COLUMNS = (
@@ -144,7 +131,6 @@ _DIAGNOSTICS_COLUMNS = ("dataset", "mean_delta_lambda1", "delta_cc", "realizatio
 def cmd_predict(args: argparse.Namespace) -> int:
     """Run every requested method and emit reports plus prediction lists."""
     cfgs = _configs(args)
-    emit = _emit(args)
     graph = _load_graph(args)
     results = _run_points(graph, cfgs, keep_top=True)
     reports = [report for report, _ in results]
@@ -157,7 +143,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         "seed": cfgs[0].seed,
         "reports": [{"method": r.config.method, **asdict(r)} for r in reports],
     }
-    _write(args, emit, {"report.csv": (_REPORT_COLUMNS, rows)}, "report.json", payload)
+    _write(args, {"report.csv": (_REPORT_COLUMNS, rows)}, "report.json", payload)
 
     for report, top in results:
         name = f"predictions_{report.config.method}.txt"
@@ -170,7 +156,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Emit precision-vs-alpha curves and, when asked, a precision-vs-m curve."""
     cfgs = _configs(args)
-    emit = _emit(args)
     if not args.alpha_grid and not args.m_grid:
         raise ValueError("sweep needs --alpha-grid and/or --m-grid")
     if args.p_fresher_grid and not args.alpha_grid:
@@ -204,14 +189,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.m_grid:
         tables["sweep_m.csv"] = (_M_COLUMNS, m_rows)
         payload["m_sweep"] = m_rows
-    _write(args, emit, tables, "sweep.json", payload)
+    _write(args, tables, "sweep.json", payload)
     return 0
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     """Spectrum of the training adjacency: eigenvalues, gaps, auto-selected m."""
     (cfg,) = _configs(args)
-    emit = _emit(args)
     graph = _load_graph(args)
     split = split_train_probe(graph, cfg.probe_fraction)
     lam = eigenvalues(adjacency(split.train, graph.n))
@@ -228,14 +212,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         "eigenvalues": [float(v) for v in lam],
         "gaps": gaps,
     }
-    _write(args, emit, {"spectrum.csv": (_SPECTRUM_COLUMNS, rows)}, "spectrum.json", payload)
+    _write(args, {"spectrum.csv": (_SPECTRUM_COLUMNS, rows)}, "spectrum.json", payload)
     return 0
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     """Mean leading-eigenvalue shift and correlation gain for one method."""
     cfgs = _configs(args)
-    emit = _emit(args)
     if len(cfgs) != 1 or cfgs[0].method not in ("SPM", "PBSPM", "FastPBSPM"):
         raise ValueError("diagnose requires exactly one spectral method")
     cfg = cfgs[0]
@@ -243,7 +226,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     report = run_experiment(graph, cfg)
     row = _cells(report, ("method",) + _DIAGNOSTICS_COLUMNS, dataset=_utf8(args.input.stem))
     tables = {"diagnostics.csv": (_DIAGNOSTICS_COLUMNS, [row])}
-    _write(args, emit, tables, "diagnostics.json", {**row, "config": asdict(cfg)})
+    _write(args, tables, "diagnostics.json", {**row, "config": asdict(cfg)})
     return 0
 
 
@@ -309,7 +292,6 @@ _FLAGS = (
     ("--L", ("predict", "sweep"), dict(type=int,
                                        help="ranking cutoff; defaults to the probe size")),
     ("--out-dir", _ALL, dict(type=Path, default=Path("out"))),
-    ("--emit", _ALL, dict(default="csv,json", help="comma list of csv,json")),
     ("--score-averaging", ("predict",), dict(choices=("precision", "matrix"))),
     ("--probe-fraction", _ALL, dict(type=float)),
     ("--count-dropped-in-L", ("predict", "sweep"),

@@ -107,13 +107,6 @@ class TestPredict:
         assert rc == 0
         assert (out / "predictions_PBSPM.txt").exists()
 
-    def test_csv_only_emission(self, shift_dataset, tmp_path):
-        out = tmp_path / "out"
-        run_cli("predict", *common_args(shift_dataset, out), "--method", "CN",
-                "--emit", "csv")
-        assert (out / "report.csv").exists()
-        assert not (out / "report.json").exists()
-
     def test_m_column_is_the_truncation_used(self, shift_dataset, tmp_path):
         out = tmp_path / "out"
         rc = run_cli("predict", *common_args(shift_dataset, out),
@@ -404,19 +397,14 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "sweep", "spectrum", "diagnose"])
-    @pytest.mark.parametrize("emit, message", [
-        ("", "names no format"),
-        (" , ", "names no format"),
-        ("csv,xml", "unknown emit format 'xml'"),
-    ], ids=["empty", "commas", "unknown"])
-    def test_emit_without_format_fails_before_loading_input(
-        self, tmp_path, capsys, command, emit, message
-    ):
-        # The input does not exist: reading it first would be a data error (2).
-        rc = run_cli(command, "--input", tmp_path / "missing.tsv", "--out-dir", tmp_path / "out",
-                     "--emit", emit)
-        assert rc == 1
-        assert message in capsys.readouterr().err
+    def test_removed_emit_flag_is_usage_error(self, tmp_path, capsys, command):
+        # Every command writes both its CSV and its JSON files. The input does
+        # not exist: reading it first would be a data error (2).
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--input", tmp_path / "missing.tsv", "--out-dir", tmp_path / "out",
+                    "--emit", "csv")
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --emit csv" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("method, flag, value, field", [
@@ -527,7 +515,7 @@ class TestExitCodes:
 
 
 # Every flag each subcommand declares: only those it reads.
-IO_FLAGS = {"--input", "--format", "--out-dir", "--emit", "--probe-fraction"}
+IO_FLAGS = {"--input", "--format", "--out-dir", "--probe-fraction"}
 RUN_FLAGS = IO_FLAGS | {"--method", "--alpha", "--p-fresher", "--p-h", "--realizations", "--seed"}
 COMMAND_FLAGS = {
     "predict": RUN_FLAGS | {"--m", "--L", "--count-dropped-in-L", "--m-threshold",
@@ -553,7 +541,7 @@ class TestFlags:
             for name, sub in subcommand_parsers().items()
         }
         assert declared == COMMAND_FLAGS
-        assert sum(len(flags) for flags in declared.values()) == 54
+        assert sum(len(flags) for flags in declared.values()) == 50
 
     def test_experiment_flags_have_no_default_of_their_own(self):
         config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)} | {"methods"}
@@ -811,7 +799,6 @@ class TestOnePass:
         ("predict", "--method", "FastPBSPM", "--m-threshold", "nan"),
         ("sweep", "--alpha-grid", "0,nan"),
         ("sweep", "--m-grid", "1,5", "--p-fresher-grid", "0.1,0.2"),
-        ("predict", "--emit", ""),
         ("predict", "--L", "1000000000"),
     ])
     def test_bad_values_rejected_before_decomposing_or_writing(

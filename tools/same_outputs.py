@@ -18,17 +18,19 @@ linear system as ``predict-large``'s is, the same with
 ``predict --method SRW`` at 1 and at 5 walk steps, and ``predict --method
 FastPBSPM --m 41 --alpha 5``, whose 410·10·41 stacked floats would
 outnumber the candidates, so its mean scores are a running sum. The same
-stream is also written seven more ways, and ``predict --method
+stream is also written eight more ways, and ``predict --method
 SPM,PBSPM,CN`` runs on each: with a weight field (``1.5``) on every other
 line, so the parse of mixed 3- and 4-field lines is compared too; with
 every label prefixed by ``ü``; with every stamp written ``{t}.0``; with
-every label written ``node-{u:011d}``, 16 bytes; after a KONECT-style
-header of two ``%`` lines (``konect-header``); with every stamp written
-``+{t}`` (``signed-stamps``); and with every stamp written ``10**9 - t``
-(``descending-stamps``), so the file runs backwards in time and
-``simplify``'s time sort does real work. numpy's text reader reads the
+every label written ``node-{u:011d}``, 16 bytes; as CSV, each event
+written ``"{u}", {v} ,{t}`` and read with ``--format csv``, so the line
+grammar's CSV branch unquotes and strips its fields (``csv``); after a
+KONECT-style header of two ``%`` lines (``konect-header``); with every
+stamp written ``+{t}`` (``signed-stamps``); and with every stamp written
+``10**9 - t`` (``descending-stamps``), so the file runs backwards in time
+and ``simplify``'s time sort does real work. numpy's text reader reads the
 last three, as it reads the workloads' inputs; the line grammar reads the
-other four. Every output file, stdout, stderr and exit code is compared.
+other five. Every output file, stdout, stderr and exit code is compared.
 Each difference is printed, and the exit code is 1 if there is any. A
 differing ``predictions_*.txt`` is also described: whether both trees list
 the same pairs in the same order, and if so the largest score move
@@ -78,6 +80,7 @@ VARIANTS = {
     "non-ascii": lambda i, u, v, t: f"ü{u}\tü{v}\t{t}\n",
     "float-stamps": lambda i, u, v, t: f"{u}\t{v}\t{t}.0\n",
     "long-labels": lambda i, u, v, t: f"node-{u:011d}\tnode-{v:011d}\t{t}\n",
+    "csv": lambda i, u, v, t: f'"{u}", {v} ,{t}\n',
     "konect-header": lambda i, u, v, t: ("% sym unweighted\n% 17000 410 410\n" if i == 0 else "")
     + f"{u}\t{v}\t{t}\n",
     "signed-stamps": lambda i, u, v, t: f"{u}\t{v}\t+{t}\n",
@@ -96,7 +99,8 @@ def commands(inputs: Path, seed: int) -> dict[str, tuple[str, ...]]:
     runs.update((name, (*args, *sweep_input)) for name, args in EXTRA.items())
     runs.update(
         (f"predict-{variant}",
-         (*VARIANT_ARGS, "--input", str(inputs / f"sweep-grid-{variant}-{seed}.tsv")))
+         (*VARIANT_ARGS, *(("--format", "csv") if variant == "csv" else ()),
+          "--input", str(inputs / f"sweep-grid-{variant}-{seed}.tsv")))
         for variant in VARIANTS
     )
     return runs
