@@ -799,6 +799,7 @@ class TestOnePass:
         ("predict", "--method", "FastPBSPM", "--m-threshold", "nan"),
         ("sweep", "--alpha-grid", "0,nan"),
         ("sweep", "--m-grid", "1,5", "--p-fresher-grid", "0.1,0.2"),
+        ("sweep", "--alpha-grid", "1", "--p-fresher-grid", "0.1,nan"),
         ("predict", "--L", "1000000000"),
     ])
     def test_bad_values_rejected_before_decomposing_or_writing(
