@@ -294,8 +294,6 @@ _FLAGS = (
     ("--out-dir", _ALL, dict(type=Path, default=Path("out"))),
     ("--score-averaging", ("predict",), dict(choices=("precision", "matrix"))),
     ("--probe-fraction", _ALL, dict(type=float)),
-    ("--count-dropped-in-L", ("predict", "sweep"),
-     dict(action="store_true", help="use the unfiltered probe size as the default L")),
     ("--katz-damping", ("predict",), dict(type=float)),
     ("--katz-max-path-length", ("predict",), dict(type=int)),
     ("--srw-steps", ("predict",), dict(type=int)),

@@ -71,8 +71,7 @@ class ExperimentConfig:
 
     The only config type: it holds the one copy of every default, and the
     layers below take its fields as plain values. ``L`` defaults to the
-    filtered probe size; ``count_dropped_in_L`` switches to the unfiltered
-    probe size instead. ``score_averaging`` selects whether precision is
+    filtered probe size. ``score_averaging`` selects whether precision is
     averaged over realizations or computed once on the averaged score matrix.
     ``katz_damping=None`` means half the convergence bound, and
     ``katz_max_path_length=None`` the closed form. Every value is
@@ -90,7 +89,6 @@ class ExperimentConfig:
     L: Optional[int] = None
     probe_fraction: float = 0.10
     score_averaging: str = "precision"
-    count_dropped_in_L: bool = False
     katz_damping: Optional[float] = None
     katz_max_path_length: Optional[int] = None
     srw_steps: int = 3
@@ -453,9 +451,7 @@ def _run_points(
     hit = _hits(cand, split.probe)
     points = []
     for cfg in cfgs:
-        L = cfg.L
-        if L is None:
-            L = split.probe_total if cfg.count_dropped_in_L else len(split.probe)
+        L = cfg.L or len(split.probe)
         if L > hit.size:
             raise ValueError(f"L={L} exceeds candidate count {hit.size}")
         points.append(_Point(cfg, L))

@@ -38,11 +38,6 @@ class TrainProbeSplit:
     probe: np.ndarray
     probe_dropped: int
 
-    @property
-    def probe_total(self) -> int:
-        """Probe size before unseen-endpoint filtering."""
-        return len(self.probe) + self.probe_dropped
-
 
 def split_train_probe(graph: TemporalGraph, probe_fraction: float) -> TrainProbeSplit:
     """Hold out the newest ``probe_fraction`` of edges as the probe set.

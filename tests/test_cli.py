@@ -120,8 +120,8 @@ class TestPredict:
         }
 
 
-class TestCountDroppedInL:
-    def test_L_counts_the_dropped_probe_pairs_and_precision_uses_it(self, tmp_path):
+class TestExplicitL:
+    def test_L_set_to_the_unfiltered_probe_size_and_precision_uses_it(self, tmp_path):
         # 45 training edges on 12 nodes: pairs at index distance 1, 2 (from
         # nodes 0-8), 3 and 5. The 5 probe edges are 3 pairs at distance 6,
         # and 2 pairs that touch nodes unseen in training, which are dropped.
@@ -134,9 +134,11 @@ class TestCountDroppedInL:
         with open(path, "rb") as fh:
             graph = simplify(parse_edge_stream(fh))
         split = split_train_probe(graph, 0.1)
-        assert (len(split.probe), split.probe_dropped, split.probe_total) == (3, 2, 5)
+        assert (len(split.probe), split.probe_dropped) == (3, 2)
         probe = {frozenset((graph.labels[u], graph.labels[v])) for u, v in split.probe}
-        for flag, L in (((), len(split.probe)), (("--count-dropped-in-L",), split.probe_total)):
+        # The default L is the 3 scorable probe pairs; --L 5 counts the 2
+        # dropped ones too.
+        for flag, L in (((), 3), (("--L", "5"), 5)):
             out = tmp_path / f"out-{L}"
             rc = run_cli("predict", "--input", path, "--method", "CN,SPM",
                          "--score-averaging", "matrix", "--out-dir", out, *flag)
@@ -407,6 +409,17 @@ class TestExitCodes:
         assert "unrecognized arguments: --emit csv" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["predict", "sweep"])
+    def test_removed_count_dropped_flag_is_usage_error(self, tmp_path, capsys, command):
+        # --L sets any ranking cutoff. The input does not exist: reading it
+        # first would be a data error (2).
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--input", tmp_path / "missing.tsv", "--out-dir", tmp_path / "out",
+                    "--count-dropped-in-L")
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --count-dropped-in-L" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("method, flag, value, field", [
         ("SPM", "--seed", "-1", "seed"),
         ("CN", "--seed", "-1", "seed"),
@@ -518,10 +531,10 @@ class TestExitCodes:
 IO_FLAGS = {"--input", "--format", "--out-dir", "--probe-fraction"}
 RUN_FLAGS = IO_FLAGS | {"--method", "--alpha", "--p-fresher", "--p-h", "--realizations", "--seed"}
 COMMAND_FLAGS = {
-    "predict": RUN_FLAGS | {"--m", "--L", "--count-dropped-in-L", "--m-threshold",
+    "predict": RUN_FLAGS | {"--m", "--L", "--m-threshold",
                             "--score-averaging", "--katz-damping", "--katz-max-path-length",
                             "--srw-steps"},
-    "sweep": RUN_FLAGS | {"--m", "--L", "--count-dropped-in-L", "--m-threshold",
+    "sweep": RUN_FLAGS | {"--m", "--L", "--m-threshold",
                           "--alpha-grid", "--p-fresher-grid", "--m-grid"},
     "spectrum": IO_FLAGS | {"--m-threshold"},
     "diagnose": RUN_FLAGS,
@@ -541,7 +554,7 @@ class TestFlags:
             for name, sub in subcommand_parsers().items()
         }
         assert declared == COMMAND_FLAGS
-        assert sum(len(flags) for flags in declared.values()) == 50
+        assert sum(len(flags) for flags in declared.values()) == 48
 
     def test_experiment_flags_have_no_default_of_their_own(self):
         config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)} | {"methods"}

@@ -88,7 +88,6 @@ class TestSplitTrainProbe:
         d, g = graph.labels.index("d"), graph.labels.index("g")
         assert split.probe.tolist() == [sorted((d, g))]
         assert split.probe_dropped == 1
-        assert split.probe_total == 2
 
     def test_train_before_probe_in_time(self):
         rng = np.random.default_rng(31)

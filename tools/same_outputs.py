@@ -15,9 +15,11 @@ run ``spectrum``, ``diagnose``, a matrix-averaged three-method
 --method Katz --katz-damping 0.01``, whose inverse is written over its
 linear system as ``predict-large``'s is, the same with
 ``--katz-max-path-length 4``, which sums Katz's series instead,
-``predict --method SRW`` at 1 and at 5 walk steps, and ``predict --method
+``predict --method SRW`` at 1 and at 5 walk steps, ``predict --method
 FastPBSPM --m 41 --alpha 5``, whose 410·10·41 stacked floats would
-outnumber the candidates, so its mean scores are a running sum. The same
+outnumber the candidates, so its mean scores are a running sum, and
+``predict --method SPM,CN --L 500``, a cutoff set by hand above the probe
+size (405 at seed 0), which no workload sets. The same
 stream is also written eight more ways, and ``predict --method
 SPM,PBSPM,CN`` runs on each: with a weight field (``1.5``) on every other
 line, so the parse of mixed 3- and 4-field lines is compared too; with
@@ -73,6 +75,7 @@ EXTRA = {
     "predict-srw-1": ("predict", "--method", "SRW", "--srw-steps", "1"),
     "predict-srw-5": ("predict", "--method", "SRW", "--srw-steps", "5"),
     "predict-fast-summed": ("predict", "--method", "FastPBSPM", "--m", "41", "--alpha", "5"),
+    "predict-explicit-L": ("predict", "--method", "SPM,CN", "--L", "500"),
 }
 # The sweep-grid stream written other ways, by each variant's line of event i.
 VARIANTS = {
